@@ -69,7 +69,6 @@ class DroneMessage:
     t_sent: float
     kind: MessageKind
     position: np.ndarray | None = None      # world-frame ball estimate
-    covariance: np.ndarray | None = None    # 3x3, world frame
 
     def __post_init__(self):
         if (self.kind is MessageKind.BALL_SIGHTING) != (self.position is not None):
@@ -135,12 +134,6 @@ class Channel:
         while self._queue and self._queue[0][0] <= t + self._TIME_EPS:
             ready.append(heapq.heappop(self._queue)[2])
         return ready
-
-
-def channel_step(channel: Channel, outbox, t: float):
-    """Submit an outbox and collect everything due by t."""
-    statuses = channel.submit(outbox, t)
-    return statuses, channel.collect(t)
 
 
 # ---------------------------------------------------------------------------
@@ -231,30 +224,12 @@ def ball_world_estimate(
     uav: UavState,
     mount: CameraMount,
     intr: CameraIntrinsics,
-) -> tuple[np.ndarray, np.ndarray]:
-    """World-frame ball position and covariance from the own ball track.
-
-    Back-projects the filtered pixel center at the filtered range. The
-    covariance maps pixel variance to lateral/vertical spread at range
-    and takes the range variance longitudinally.
-    """
+) -> np.ndarray:
+    """World-frame ball position from the own ball track: the filtered
+    pixel center back-projected at the filtered range."""
     track = percep.ball_track
     x, y = track.pixel
-    r = track.range
-    pos = cam.back_project(x, y, r, uav, mount, intr)
-    scale = r / intr.focal_px
-    p = track.covariance
-    cov_cam = np.diag(
-        [
-            float(p[4, 4]),
-            float(p[0, 0]) * scale * scale,
-            float(p[1, 1]) * scale * scale,
-        ]
-    )
-    c, s = math.cos(uav.yaw), math.sin(uav.yaw)
-    basis = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    cov = basis @ cov_cam @ basis.T
-    return pos, cov
+    return cam.back_project(x, y, track.range, uav, mount, intr)
 
 
 @dataclass
@@ -413,14 +388,12 @@ def tracker_step(agent, percep, uav, inbox, t):
         return _finish(agent, _search_cmd(agent, percep, uav, t), msgs, transitions, MissionPhase.EXPLORE)
     cmd = _servo(agent, ball, uav, st.tracker_standoff)
     if ball.status is TrackStatus.TRACKING and t - agent.last_sighting_sent >= st.sighting_period - 1e-9:
-        pos, cov = ball_world_estimate(percep, uav, agent.mount, agent.intr)
         msgs.append(
             DroneMessage(
                 sender=agent.drone_id,
                 t_sent=t,
                 kind=MessageKind.BALL_SIGHTING,
-                position=pos,
-                covariance=cov,
+                position=ball_world_estimate(percep, uav, agent.mount, agent.intr),
             )
         )
         agent.last_sighting_sent = t

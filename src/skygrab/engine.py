@@ -6,6 +6,11 @@ the nearest dynamics steps to their configured rates. One global seed
 fans out into named per-subsystem streams (wind, channel, one per
 camera) so toggling a noise source never shifts the others' draws; a
 run is a pure function of (config, seed) down to the log bytes.
+
+The world (target, wind, ball, own vehicles) is one plant with one
+integrate step. ``run_scenario`` closes the loop around it and
+``replay_divergence`` drives it open loop from a log's commands, so
+run and replay advance the world through the same code.
 """
 
 from __future__ import annotations
@@ -104,18 +109,11 @@ def _filter_params(cfg: ScenarioConfig, cls: DetectionClass) -> FilterParams:
 
 
 class _DroneRuntime:
-    """Everything the engine tracks for one own drone."""
+    """One own drone's onboard stack: camera, perception and mission agent."""
 
     def __init__(self, dcfg, cfg: ScenarioConfig, collaborative: bool, rng: np.random.Generator):
         self.id = dcfg.id
         self.role = dcfg.role
-        self.uav = UavState.at(*dcfg.start, yaw=dcfg.yaw)
-        self.params = UavParams(
-            tau=dcfg.tau,
-            v_max_xy=dcfg.limits.v_xy,
-            v_max_z=dcfg.limits.v_z,
-            yaw_rate_max=dcfg.limits.yaw_rate,
-        )
         self.intr = CameraIntrinsics(
             width=dcfg.camera.width,
             height=dcfg.camera.height,
@@ -190,7 +188,6 @@ class _DroneRuntime:
             home=np.array(dcfg.start),
             collaborative=collaborative,
         )
-        self.held_cmd = VelocityCommand(frame=Frame.WORLD)
         self.inbox: list = []
 
 
@@ -210,6 +207,330 @@ def _track_record(track) -> dict:
         "r": track.state[4],
         "r_rate": track.state[5],
     }
+
+
+class _Plant:
+    """The simulated world, advanced one dynamics step at a time.
+
+    It holds the target pose, the OU wind, the ball and every own
+    drone's vehicle, indexed like ``config.drones``. ``run_scenario``
+    drives it with the agents' commands and ``replay_divergence`` with
+    the logged ones, so both integrate the world through ``step``. Once
+    detached, the ball rides in the grabber's basket; the plant never
+    integrates free flight.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        w = config.world
+        self.dt = 1.0 / config.rates.dynamics
+        self.k = 0
+        self.pattern = _build_pattern(config)
+        self.support_pos, self.support_vel = target_pose(self.pattern, 0.0)
+        self.wind = (
+            OrnsteinUhlenbeckWind(mean=np.array(w.wind.mean), sigma=w.wind.sigma, tau=w.wind.tau)
+            if w.wind.enabled
+            else None
+        )
+        self.wind_rng = substream(config.seed, _STREAM_WIND)
+        self.ball_params = BallParams(
+            length=w.rod_length,
+            diameter=w.ball_diameter,
+            mass=w.ball_mass,
+            damping=w.damping,
+            gravity=w.gravity,
+        )
+        self.ball = BallState()
+        self.geom = CaptureGeometry(
+            radius=config.capture.radius,
+            cone_half_angle=math.radians(config.capture.cone_half_angle_deg),
+            max_rel_speed=config.capture.max_rel_speed,
+            gripper_offset=np.array(config.capture.gripper_offset),
+        )
+        self.grabber = next(i for i, d in enumerate(config.drones) if d.role == "grabber")
+        self.uavs = [UavState.at(*d.start, yaw=d.yaw) for d in config.drones]
+        self.uav_params = [
+            UavParams(tau=d.tau, v_max_xy=d.limits.v_xy, v_max_z=d.limits.v_z,
+                      yaw_rate_max=d.limits.yaw_rate)
+            for d in config.drones
+        ]
+        self.cmds = [VelocityCommand(frame=Frame.WORLD) for _ in config.drones]
+
+    def ball_position(self) -> np.ndarray:
+        if self.ball.attached:
+            return ball_world_position(self.support_pos, self.ball, self.ball_params.length)
+        return coord.gripper_point(self.uavs[self.grabber], self.geom)
+
+    def ball_velocity(self) -> np.ndarray:
+        if self.ball.attached:
+            return ball_world_velocity(self.support_vel, self.ball, self.ball_params.length)
+        return self.uavs[self.grabber].velocity.copy()
+
+    def release(self) -> None:
+        """Detach the ball from the rod into the grabber's basket."""
+        self.ball = detach(self.ball, self.support_pos, self.support_vel, self.ball_params.length)
+
+    def step(self) -> None:
+        """Integrate t -> t + dt under the held commands."""
+        dt = self.dt
+        next_pos, next_vel = target_pose(self.pattern, (self.k + 1) * dt)
+        wind_force = self.wind.step(self.wind_rng, dt) if self.wind is not None else np.zeros(3)
+        if self.ball.attached:
+            support_accel = (next_vel - self.support_vel) / dt
+            self.ball = step_ball(self.ball, support_accel, wind_force, self.ball_params, dt)
+        self.uavs = [
+            step_uav(uav, cmd, params, dt)
+            for uav, cmd, params in zip(self.uavs, self.cmds, self.uav_params)
+        ]
+        self.support_pos, self.support_vel = next_pos, next_vel
+        self.k += 1
+
+
+def _message_record(msg, t: float, status: str) -> dict:
+    return {
+        "kind": "message",
+        "t": t,
+        "status": status,
+        "sender": msg.sender,
+        "msg_kind": msg.kind.value,
+        "t_sent": msg.t_sent,
+        "position": None if msg.position is None else list(msg.position),
+    }
+
+
+class _Run:
+    """One scenario in progress: the plant, each drone's onboard stack,
+    the channel, the log, and the mission facts the verdict reads.
+
+    Each dynamics step runs the vision, control and contact stages on
+    the steps that select them, then the integrate stage.
+    """
+
+    def __init__(self, config: ScenarioConfig, detail: bool, log: SimLog):
+        self.config = config
+        self.detail = detail
+        self.log = log
+        self.plant = _Plant(config)
+        self.channel = Channel(
+            ChannelModel(
+                latency=config.channel.latency,
+                drop_probability=config.channel.drop_probability,
+                rate_limit_hz=config.channel.rate_hz,
+            ),
+            substream(config.seed, _STREAM_CHANNEL),
+        )
+        collaborative = any(d.role == "tracker" for d in config.drones)
+        self.drones = [
+            _DroneRuntime(dcfg, config, collaborative, substream(config.seed, _STREAM_CAMERA_BASE + i))
+            for i, dcfg in enumerate(config.drones)
+        ]
+        self.grabber = self.drones[self.plant.grabber]
+        self.t_capture = None
+        self.invalid = False
+        self.swing_flagged = False
+        self.engaged = False
+        self.terminal_track_loss = False
+        self.vision_ticks = 0
+        self.control_ticks = 0
+
+    def vision(self, t: float) -> None:
+        """Synthesize detections and update every drone's tracks."""
+        self.vision_ticks += 1
+        plant, log = self.plant, self.log
+        span = self.config.target.span
+        diameter = plant.ball_params.diameter
+        bp = plant.ball_position()
+        for d, uav in zip(self.drones, plant.uavs):
+            drone_det = synth_detection(
+                plant.support_pos, span, DetectionClass.DRONE,
+                uav, d.mount, d.intr, d.noise, d.rng, t,
+            )
+            gate = (
+                gate_below_drone(drone_det, d.intr, span, plant.ball_params.length)
+                if drone_det is not None
+                else None
+            )
+            ball_det = synth_detection(
+                bp, diameter, DetectionClass.BALL,
+                uav, d.mount, d.intr, d.noise, d.rng, t, gate=gate,
+            )
+            drone_range = estimate_range(drone_det, d.intr, span) if drone_det is not None else None
+            ball_range = estimate_range(ball_det, d.intr, diameter) if ball_det is not None else None
+            events = d.percep.vision_update(
+                drone_det, drone_range, ball_det, ball_range, t,
+                ego_px_rate=d.intr.focal_px * uav.yaw_rate,
+            )
+            for name, cls in events:
+                if (
+                    name == "track_lost"
+                    and cls == "ball"
+                    and d.role == "grabber"
+                    and d.agent.phase in (MissionPhase.SERVO_BALL, MissionPhase.GRAB)
+                ):
+                    self.terminal_track_loss = True
+                log.append(
+                    {
+                        "kind": "event",
+                        "t": t,
+                        "event": name,
+                        "drone": d.id,
+                        "data": {"cls": cls, "phase": d.agent.phase.value},
+                    }
+                )
+            if self.detail:
+                log.append(
+                    {
+                        "kind": "vision",
+                        "t": t,
+                        "drone": d.id,
+                        "dets": {
+                            "drone": _det_record(drone_det),
+                            "ball": _det_record(ball_det),
+                        },
+                        "tracks": {
+                            "drone": _track_record(d.percep.drone_track),
+                            "ball": _track_record(d.percep.ball_track),
+                        },
+                        "selection": d.percep.selection.active.value,
+                        "ball_depth": cam.point_depth(bp, uav, d.mount),
+                        "ball_range": float(
+                            np.linalg.norm(bp - cam.camera_position(uav, d.mount))
+                        ),
+                    }
+                )
+
+    def control(self, t: float) -> bool:
+        """Deliver messages, step every agent and hold its command.
+
+        Returns False, after logging ``nonfinite_state``, when a drone's
+        state or new command is not finite; the run then ends invalid
+        before the plant integrates it.
+        """
+        self.control_ticks += 1
+        plant, log, detail = self.plant, self.log, self.detail
+        for msg in self.channel.collect(t):
+            for d in self.drones:
+                if d.id != msg.sender:
+                    d.inbox.append(msg)
+            if detail:
+                log.append(_message_record(msg, t, "delivered"))
+        captured = self.t_capture is not None
+        outbox = []
+        for i, d in enumerate(self.drones):
+            cmd, msgs, transitions = d.agent.step(
+                d.percep, plant.uavs[i], d.inbox, captured and d.role == "grabber", t
+            )
+            d.inbox = []
+            plant.cmds[i] = cmd
+            outbox.extend(msgs)
+            for src, dst in transitions:
+                if dst is MissionPhase.SERVO_BALL and d.role == "grabber":
+                    self.engaged = True
+                log.append(
+                    {"kind": "phase", "t": t, "drone": d.id, "from": src.value, "to": dst.value}
+                )
+            if detail:
+                log.append(
+                    {
+                        "kind": "command",
+                        "t": t,
+                        "drone": d.id,
+                        "phase": d.agent.phase.value,
+                        "cmd": {
+                            "vx": cmd.vx,
+                            "vy": cmd.vy,
+                            "vz": cmd.vz,
+                            "yaw_rate": cmd.yaw_rate,
+                        },
+                    }
+                )
+        for msg, status in self.channel.submit(outbox, t):
+            if detail or status == "sent":
+                log.append(_message_record(msg, t, status))
+        if detail:
+            log.append(
+                {
+                    "kind": "state",
+                    "t": t,
+                    "target": {"p": list(plant.support_pos), "v": list(plant.support_vel)},
+                    "ball": {
+                        "p": list(plant.ball_position()),
+                        "v": list(plant.ball_velocity()),
+                        "attached": plant.ball.attached,
+                        "held": not plant.ball.attached,
+                        "theta": plant.ball.theta,
+                        "phi": plant.ball.phi,
+                    },
+                    "drones": {
+                        d.id: {"p": list(uav.position), "v": list(uav.velocity), "yaw": uav.yaw}
+                        for d, uav in zip(self.drones, plant.uavs)
+                    },
+                }
+            )
+        if all(
+            np.all(np.isfinite(uav.position)) and np.all(np.isfinite(uav.velocity)) and cmd.is_finite()
+            for uav, cmd in zip(plant.uavs, plant.cmds)
+        ):
+            return True
+        self.invalid = True
+        log.append({"kind": "event", "t": t, "event": "nonfinite_state", "drone": None, "data": {}})
+        return False
+
+    def contact(self, t: float) -> None:
+        """Capture the ball when it sits in the grabber's basket volume."""
+        plant, w = self.plant, self.config.world
+        bp = plant.ball_position()
+        if coord.grab_detect(
+            bp, plant.ball_velocity(), plant.uavs[plant.grabber], plant.geom
+        ) and detach_check(w.claw_pull_force, w.detach_threshold):
+            plant.release()
+            self.t_capture = t
+            self.log.append(
+                {"kind": "event", "t": t, "event": "detach", "drone": self.grabber.id,
+                 "data": {"pull_force": w.claw_pull_force}}
+            )
+            self.log.append(
+                {"kind": "event", "t": t, "event": "capture", "drone": self.grabber.id,
+                 "data": {"ball_p": list(bp)}}
+            )
+
+    def integrate(self, t: float) -> None:
+        """Advance the plant to t + dt; flag the first over-swing."""
+        self.plant.step()
+        ball = self.plant.ball
+        if ball.attached and abs(ball.theta) >= math.pi / 2 and not self.swing_flagged:
+            self.swing_flagged = True
+            self.log.append(
+                {"kind": "event", "t": t, "event": "invalid_swing", "drone": None,
+                 "data": {"theta": ball.theta}}
+            )
+
+    def verdict(self) -> dict:
+        if self.t_capture is not None:
+            verdict, failure = "captured", None
+        elif self.invalid:
+            verdict, failure = "invalid", "nonfinite_state"
+        else:
+            verdict = "timeout"
+            if not self.engaged:
+                failure = "never_engaged"
+            elif self.terminal_track_loss:
+                failure = "terminal_track_loss"
+            elif self.config.world.wind.enabled:
+                failure = "wind_displacement"
+            else:
+                failure = "other"
+        return {
+            "kind": "verdict",
+            "verdict": verdict,
+            "t_end": self.plant.k * self.plant.dt,
+            "t_capture": self.t_capture,
+            "failure": failure,
+            "counters": {
+                "dynamics_steps": self.plant.k,
+                "vision_ticks": self.vision_ticks,
+                "control_ticks": self.control_ticks,
+            },
+        }
 
 
 def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
@@ -238,399 +559,78 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
             "control_hz": rates.dynamics / control_every,
         },
     }
-    log = SimLog(header=header)
-
-    wcfg = config.world
-    ball_params = BallParams(
-        length=wcfg.rod_length,
-        diameter=wcfg.ball_diameter,
-        mass=wcfg.ball_mass,
-        damping=wcfg.damping,
-        gravity=wcfg.gravity,
-    )
-    ball = BallState()
-    wind = OrnsteinUhlenbeckWind(
-        mean=np.array(wcfg.wind.mean), sigma=wcfg.wind.sigma, tau=wcfg.wind.tau
-    )
-    wind_enabled = wcfg.wind.enabled
-    wind_rng = substream(config.seed, _STREAM_WIND)
-    pattern = _build_pattern(config)
-    channel = Channel(
-        ChannelModel(
-            latency=config.channel.latency,
-            drop_probability=config.channel.drop_probability,
-            rate_limit_hz=config.channel.rate_hz,
-        ),
-        substream(config.seed, _STREAM_CHANNEL),
-    )
-    geom = CaptureGeometry(
-        radius=config.capture.radius,
-        cone_half_angle=math.radians(config.capture.cone_half_angle_deg),
-        max_rel_speed=config.capture.max_rel_speed,
-        gripper_offset=np.array(config.capture.gripper_offset),
-    )
-
-    collaborative = any(d.role == "tracker" for d in config.drones)
-    drones = [
-        _DroneRuntime(dcfg, config, collaborative, substream(config.seed, _STREAM_CAMERA_BASE + i))
-        for i, dcfg in enumerate(config.drones)
-    ]
-    grabber = next(d for d in drones if d.role == "grabber")
-
-    support_pos, support_vel = target_pose(pattern, 0.0)
-    held = False
-    grab_flag = False
-    t_capture = None
-    invalid = False
-    swing_flagged = False
-    engaged = False
-    terminal_track_loss = False
-    counters = {"dynamics_steps": 0, "vision_ticks": 0, "control_ticks": 0}
-
-    def ball_position() -> np.ndarray:
-        if held:
-            return coord.gripper_point(grabber.uav, geom)
-        if ball.attached:
-            return ball_world_position(support_pos, ball, ball_params.length)
-        return ball.free_position.copy()
-
-    def ball_velocity() -> np.ndarray:
-        if held:
-            return grabber.uav.velocity.copy()
-        if ball.attached:
-            return ball_world_velocity(support_vel, ball, ball_params.length)
-        return ball.free_velocity.copy()
-
-    t_end = 0.0
+    run = _Run(config, detail, SimLog(header=header))
+    plant = run.plant
+    grabber_agent = run.grabber.agent
     for k in range(n_steps):
         t = k * dt
-
         if k % vision_every == 0:
-            counters["vision_ticks"] += 1
-            bp = ball_position()
-            for d in drones:
-                drone_det = synth_detection(
-                    support_pos, config.target.span, DetectionClass.DRONE,
-                    d.uav, d.mount, d.intr, d.noise, d.rng, t,
-                )
-                gate = (
-                    gate_below_drone(drone_det, d.intr, config.target.span, ball_params.length)
-                    if drone_det is not None
-                    else None
-                )
-                ball_det = synth_detection(
-                    bp, ball_params.diameter, DetectionClass.BALL,
-                    d.uav, d.mount, d.intr, d.noise, d.rng, t, gate=gate,
-                )
-                drone_range = (
-                    estimate_range(drone_det, d.intr, config.target.span)
-                    if drone_det is not None
-                    else None
-                )
-                ball_range = (
-                    estimate_range(ball_det, d.intr, ball_params.diameter)
-                    if ball_det is not None
-                    else None
-                )
-                events = d.percep.vision_update(
-                    drone_det, drone_range, ball_det, ball_range, t,
-                    ego_px_rate=d.intr.focal_px * d.uav.yaw_rate,
-                )
-                for name, cls in events:
-                    if (
-                        name == "track_lost"
-                        and cls == "ball"
-                        and d.role == "grabber"
-                        and d.agent.phase in (MissionPhase.SERVO_BALL, MissionPhase.GRAB)
-                    ):
-                        terminal_track_loss = True
-                    log.append(
-                        {
-                            "kind": "event",
-                            "t": t,
-                            "event": name,
-                            "drone": d.id,
-                            "data": {"cls": cls, "phase": d.agent.phase.value},
-                        }
-                    )
-                if detail:
-                    log.append(
-                        {
-                            "kind": "vision",
-                            "t": t,
-                            "drone": d.id,
-                            "dets": {
-                                "drone": _det_record(drone_det),
-                                "ball": _det_record(ball_det),
-                            },
-                            "tracks": {
-                                "drone": _track_record(d.percep.drone_track),
-                                "ball": _track_record(d.percep.ball_track),
-                            },
-                            "selection": d.percep.selection.active.value,
-                            "ball_depth": cam.point_depth(bp, d.uav, d.mount),
-                            "ball_range": float(
-                                np.linalg.norm(bp - cam.camera_position(d.uav, d.mount))
-                            ),
-                        }
-                    )
-
-        if k % control_every == 0:
-            counters["control_ticks"] += 1
-            for msg in channel.collect(t):
-                for d in drones:
-                    if d.id != msg.sender:
-                        d.inbox.append(msg)
-                if detail:
-                    log.append(
-                        {
-                            "kind": "message",
-                            "t": t,
-                            "status": "delivered",
-                            "sender": msg.sender,
-                            "msg_kind": msg.kind.value,
-                            "t_sent": msg.t_sent,
-                            "position": None if msg.position is None else list(msg.position),
-                        }
-                    )
-            outbox = []
-            for d in drones:
-                flag = grab_flag if d.role == "grabber" else False
-                cmd, msgs, transitions = d.agent.step(d.percep, d.uav, d.inbox, flag, t)
-                d.inbox = []
-                d.held_cmd = cmd
-                outbox.extend(msgs)
-                for src, dst in transitions:
-                    if dst is MissionPhase.SERVO_BALL and d.role == "grabber":
-                        engaged = True
-                    log.append(
-                        {
-                            "kind": "phase",
-                            "t": t,
-                            "drone": d.id,
-                            "from": src.value,
-                            "to": dst.value,
-                        }
-                    )
-                if detail:
-                    log.append(
-                        {
-                            "kind": "command",
-                            "t": t,
-                            "drone": d.id,
-                            "phase": d.agent.phase.value,
-                            "cmd": {
-                                "vx": cmd.vx,
-                                "vy": cmd.vy,
-                                "vz": cmd.vz,
-                                "yaw_rate": cmd.yaw_rate,
-                            },
-                        }
-                    )
-            for msg, status in channel.submit(outbox, t):
-                if detail or status == "sent":
-                    log.append(
-                        {
-                            "kind": "message",
-                            "t": t,
-                            "status": status,
-                            "sender": msg.sender,
-                            "msg_kind": msg.kind.value,
-                            "t_sent": msg.t_sent,
-                            "position": None if msg.position is None else list(msg.position),
-                        }
-                    )
-            if detail:
-                log.append(
-                    {
-                        "kind": "state",
-                        "t": t,
-                        "target": {"p": list(support_pos), "v": list(support_vel)},
-                        "ball": {
-                            "p": list(ball_position()),
-                            "v": list(ball_velocity()),
-                            "attached": ball.attached,
-                            "held": held,
-                            "theta": ball.theta,
-                            "phi": ball.phi,
-                        },
-                        "drones": {
-                            d.id: {
-                                "p": list(d.uav.position),
-                                "v": list(d.uav.velocity),
-                                "yaw": d.uav.yaw,
-                            }
-                            for d in drones
-                        },
-                    }
-                )
-            if not all(
-                np.all(np.isfinite(d.uav.position)) and np.all(np.isfinite(d.uav.velocity))
-                for d in drones
-            ):
-                invalid = True
-                log.append({"kind": "event", "t": t, "event": "nonfinite_state", "drone": None, "data": {}})
-                t_end = t
-                break
-
-        # Contact check at the dynamics rate while the grabber commits.
-        if not held and grabber.agent.phase is MissionPhase.GRAB:
-            bp = ball_position()
-            bv = ball_velocity()
-            if coord.grab_detect(bp, bv, grabber.uav, geom) and detach_check(
-                wcfg.claw_pull_force, wcfg.detach_threshold
-            ):
-                ball = detach(ball, support_pos, support_vel, ball_params.length)
-                held = True
-                grab_flag = True
-                t_capture = t
-                log.append(
-                    {"kind": "event", "t": t, "event": "detach", "drone": grabber.id,
-                     "data": {"pull_force": wcfg.claw_pull_force}}
-                )
-                log.append(
-                    {"kind": "event", "t": t, "event": "capture", "drone": grabber.id,
-                     "data": {"ball_p": list(bp)}}
-                )
-
-        # Integrate t -> t + dt.
-        next_pos, next_vel = target_pose(pattern, (k + 1) * dt)
-        support_accel = (next_vel - support_vel) / dt
-        if wind_enabled:
-            wind_force = wind.step(wind_rng, dt)
-        else:
-            wind_force = np.zeros(3)
-        if not held and ball.attached:
-            ball = step_ball(ball, support_accel, wind_force, ball_params, dt)
-            if abs(ball.theta) >= math.pi / 2 and not swing_flagged:
-                swing_flagged = True
-                log.append(
-                    {"kind": "event", "t": t, "event": "invalid_swing", "drone": None,
-                     "data": {"theta": ball.theta}}
-                )
-        elif not held:
-            ball = step_ball(ball, np.zeros(3), np.zeros(3), ball_params, dt)
-        for d in drones:
-            d.uav = step_uav(d.uav, d.held_cmd, d.params, dt)
-        support_pos, support_vel = next_pos, next_vel
-        counters["dynamics_steps"] += 1
-        t_end = (k + 1) * dt
-
-        if all(d.agent.phase in coord.TERMINAL_PHASES for d in drones):
+            run.vision(t)
+        if k % control_every == 0 and not run.control(t):
             break
-
-    if t_capture is not None:
-        verdict = "captured"
-        failure = None
-    elif invalid:
-        verdict = "invalid"
-        failure = "nonfinite_state"
-    else:
-        verdict = "timeout"
-        if not engaged:
-            failure = "never_engaged"
-        elif terminal_track_loss:
-            failure = "terminal_track_loss"
-        elif wind_enabled:
-            failure = "wind_displacement"
-        else:
-            failure = "other"
-
-    log.append(
-        {
-            "kind": "verdict",
-            "verdict": verdict,
-            "t_end": t_end,
-            "t_capture": t_capture,
-            "failure": failure,
-            "counters": counters,
-        }
-    )
-    return log
+        if plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB:
+            run.contact(t)
+        run.integrate(t)
+        if all(d.agent.phase in coord.TERMINAL_PHASES for d in run.drones):
+            break
+    run.log.append(run.verdict())
+    return run.log
 
 
 # ---------------------------------------------------------------------------
 # Replay validation
 # ---------------------------------------------------------------------------
 
-def replay_divergence(log: SimLog) -> float:
-    """Re-integrate the world from logged commands; return the largest
-    position deviation against the logged ground truth.
+def _max_abs_error(actual: np.ndarray, logged) -> float:
+    return float(np.max(np.abs(actual - np.array(logged))))
 
-    Drives world_dynamics open loop with the logged control-tick
-    commands and the reconstructed wind stream. Drone states are checked
-    at every logged state record; the ball is checked while it is still
-    attached (after capture it is carried, which is engine logic, not
-    plant dynamics).
+
+def replay_divergence(log: SimLog) -> float:
+    """Re-run the plant open loop from a log; return the largest position
+    deviation against the logged ground truth.
+
+    Advances the same plant step as ``run_scenario``, fed with the
+    logged control-tick commands and released at the logged detach, and
+    compares every drone and the ball at every logged state record.
     """
     cfg = config_from_dict(log.header["config"])
-    rates = cfg.rates
-    dt = 1.0 / rates.dynamics
-    control_every = max(1, round(rates.dynamics / rates.control))
+    plant = _Plant(cfg)
+    control_every = max(1, round(cfg.rates.dynamics / cfg.rates.control))
+    index = {d.id: i for i, d in enumerate(cfg.drones)}
 
     cmds: dict = {}
     for r in log.iter_kind("command"):
-        cmds.setdefault(r["t"], {})[r["drone"]] = VelocityCommand(
-            vx=r["cmd"]["vx"], vy=r["cmd"]["vy"], vz=r["cmd"]["vz"],
-            yaw_rate=r["cmd"]["yaw_rate"], frame=Frame.WORLD,
+        c = r["cmd"]
+        cmds.setdefault(r["t"], []).append(
+            (index[r["drone"]], VelocityCommand(
+                vx=c["vx"], vy=c["vy"], vz=c["vz"], yaw_rate=c["yaw_rate"], frame=Frame.WORLD,
+            ))
         )
     states = list(log.iter_kind("state"))
     if not states:
         raise ValueError("log has no state records to replay against")
-
-    ball_params = BallParams(
-        length=cfg.world.rod_length,
-        diameter=cfg.world.ball_diameter,
-        mass=cfg.world.ball_mass,
-        damping=cfg.world.damping,
-        gravity=cfg.world.gravity,
-    )
-    wind = OrnsteinUhlenbeckWind(
-        mean=np.array(cfg.world.wind.mean), sigma=cfg.world.wind.sigma, tau=cfg.world.wind.tau
-    )
-    wind_rng = substream(cfg.seed, _STREAM_WIND)
-    pattern = _build_pattern(cfg)
-    uavs = {d.id: UavState.at(*d.start, yaw=d.yaw) for d in cfg.drones}
-    params = {
-        d.id: UavParams(tau=d.tau, v_max_xy=d.limits.v_xy, v_max_z=d.limits.v_z,
-                        yaw_rate_max=d.limits.yaw_rate)
-        for d in cfg.drones
-    }
-    held_cmds = {d.id: VelocityCommand(frame=Frame.WORLD) for d in cfg.drones}
-    ball = BallState()
-    support_pos, support_vel = target_pose(pattern, 0.0)
+    t_detach = next((r["t"] for r in log.events("detach")), None)
 
     by_time = {s["t"]: s for s in states}
     t_last = states[-1]["t"]
-    n_steps = round(t_last / dt) + 1
+    n_steps = round(t_last / plant.dt) + 1
 
     worst = 0.0
     for k in range(n_steps):
-        t = k * dt
-        if k % control_every == 0 and t in cmds:
-            for drone_id, cmd in cmds[t].items():
-                held_cmds[drone_id] = cmd
+        t = k * plant.dt
+        if k % control_every == 0:
+            for i, cmd in cmds.get(t, ()):
+                plant.cmds[i] = cmd
         rec = by_time.get(t)
         if rec is not None:
             for drone_id, s in rec["drones"].items():
-                dev = float(np.max(np.abs(uavs[drone_id].position - np.array(s["p"]))))
-                worst = max(worst, dev)
-            if rec["ball"]["attached"] and not rec["ball"]["held"]:
-                bp = ball_world_position(support_pos, ball, ball_params.length)
-                worst = max(worst, float(np.max(np.abs(bp - np.array(rec["ball"]["p"])))))
+                worst = max(worst, _max_abs_error(plant.uavs[index[drone_id]].position, s["p"]))
+            worst = max(worst, _max_abs_error(plant.ball_position(), rec["ball"]["p"]))
         if t >= t_last:
             break
-        next_pos, next_vel = target_pose(pattern, (k + 1) * dt)
-        support_accel = (next_vel - support_vel) / dt
-        if cfg.world.wind.enabled:
-            wind_force = wind.step(wind_rng, dt)
-        else:
-            wind_force = np.zeros(3)
-        if ball.attached:
-            ball = step_ball(ball, support_accel, wind_force, ball_params, dt)
-        for drone_id in uavs:
-            uavs[drone_id] = step_uav(uavs[drone_id], held_cmds[drone_id], params[drone_id], dt)
-        support_pos, support_vel = next_pos, next_vel
+        if t == t_detach:
+            plant.release()
+        plant.step()
     return worst
 
 

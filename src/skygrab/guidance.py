@@ -213,18 +213,14 @@ def goto_command(
     state: UavState,
     speed: float,
     yaw_gain: float,
-    face_point: np.ndarray | None = None,
 ) -> VelocityCommand:
-    """World-frame velocity toward a point, yawing to face it (or another)."""
+    """World-frame velocity toward a point, yawing to face it."""
     dx = float(target[0]) - state.position[0]
     dy = float(target[1]) - state.position[1]
     dz = float(target[2]) - state.position[2]
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    fp = target if face_point is None else face_point
-    fx = float(fp[0]) - state.position[0]
-    fy = float(fp[1]) - state.position[1]
-    if abs(fx) + abs(fy) > 1e-9:
-        yaw_err = wrap_angle(math.atan2(fy, fx) - state.yaw)
+    if abs(dx) + abs(dy) > 1e-9:
+        yaw_err = wrap_angle(math.atan2(dy, dx) - state.yaw)
     else:
         yaw_err = 0.0
     if dist < 1e-9:

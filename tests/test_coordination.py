@@ -16,7 +16,6 @@ from skygrab.coordination import (
     MissionSettings,
     TRACKER_GRAPH,
     ball_world_estimate,
-    channel_step,
     grab_detect,
     gripper_point,
     validate_phase_trace,
@@ -75,19 +74,18 @@ class TestGrabDetect:
 class TestChannel:
     def msg(self, sender="tracker", t=0.0, kind=MessageKind.BALL_SIGHTING):
         pos = np.zeros(3) if kind is MessageKind.BALL_SIGHTING else None
-        cov = np.eye(3) if kind is MessageKind.BALL_SIGHTING else None
-        return DroneMessage(sender=sender, t_sent=t, kind=kind, position=pos, covariance=cov)
+        return DroneMessage(sender=sender, t_sent=t, kind=kind, position=pos)
 
     def test_lossless_zero_latency_delivers_same_tick(self):
         ch = Channel(ChannelModel(latency=0.0, drop_probability=0.0), np.random.default_rng(0))
-        statuses, delivered = channel_step(ch, [self.msg()], 0.0)
+        statuses = ch.submit([self.msg()], 0.0)
         assert statuses[0][1] == "sent"
-        assert len(delivered) == 1
+        assert len(ch.collect(0.0)) == 1
 
     def test_full_drop_delivers_nothing(self):
         ch = Channel(ChannelModel(latency=0.0, drop_probability=1.0), np.random.default_rng(0))
-        _, delivered = channel_step(ch, [self.msg()], 0.0)
-        assert delivered == []
+        ch.submit([self.msg()], 0.0)
+        assert ch.collect(0.0) == []
         assert ch.collect(100.0) == []
 
     def test_latency_is_exact_tick_count(self):
@@ -208,7 +206,7 @@ class TestGrabberFsm:
         agent = make_agent("grabber")
         sighting = DroneMessage(
             sender="tracker", t_sent=0.0, kind=MessageKind.BALL_SIGHTING,
-            position=np.array([5.0, 2.0, 3.5]), covariance=np.eye(3),
+            position=np.array([5.0, 2.0, 3.5]),
         )
         _, _, tr1 = agent.step(make_percep(), make_uav(z=0.0), [sighting], False, 0.0)
         assert tr1 == [(MissionPhase.IDLE, MissionPhase.TAKEOFF)]
@@ -340,7 +338,5 @@ class TestBallWorldEstimate:
         depth = point_depth(truth, uav, mount)
         det = ImageDetection(x, y, 30.0, 30.0, DetectionClass.BALL, 0.0)
         percep.ball_track = initialize_track(DetectionClass.BALL, det, depth, percep.ball_params, 0.0)
-        pos, cov = ball_world_estimate(percep, uav, mount, intr)
+        pos = ball_world_estimate(percep, uav, mount, intr)
         assert np.allclose(pos, truth, atol=1e-9)
-        assert cov.shape == (3, 3)
-        assert np.min(np.linalg.eigvalsh(cov)) > 0.0

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skygrab.config import load_config, parse_config
+from skygrab.config import config_from_dict, load_config, parse_config
 from skygrab.engine import monte_carlo, replay_divergence, run_scenario, substream
 from skygrab.logs import SimLog, validate_log
 
@@ -183,6 +183,20 @@ class TestEvents:
         log = run_scenario(cfg, detail=False)
         assert len(log.events("invalid_swing")) == 1  # flagged once, sim continues
         assert log.verdict in ("captured", "timeout")
+
+
+class TestInvalidRuns:
+    @pytest.mark.parametrize("detail", [False, True])
+    def test_nonfinite_command_ends_invalid_without_raising(self, detail):
+        # passes validation, but the range gain overflows the servo command
+        d = load_config(CONFIGS / "nominal_static.yaml").to_dict()
+        d["drones"][0]["gains"]["kp_range"] = 1.0e308
+        log = run_scenario(config_from_dict(d), detail=detail)
+        validate_log(log)
+        assert len(list(log.iter_kind("verdict"))) == 1
+        rec = log.verdict_record
+        assert (rec["verdict"], rec["failure"]) == ("invalid", "nonfinite_state")
+        assert len(log.events("nonfinite_state")) == 1
 
 
 class TestMissionBudget:
