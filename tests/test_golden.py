@@ -11,10 +11,20 @@ from pathlib import Path
 
 import pytest
 
-from skygrab.config import load_config
+from skygrab.config import config_from_dict, load_config
 from skygrab.engine import replay_divergence, run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Cases that are not a shipped file: (shipped file, overrides). The
+# figure-eight at a 200 Hz camera and 100 Hz control pins the only
+# target pattern no shipped config flies.
+VARIANTS = {
+    "default_figure_eight": (
+        "default",
+        {"target": {"pattern": "figure_eight"}, "rates": {"vision": 200, "control": 100}},
+    ),
+}
 
 GOLDEN = {
     ("default", 1): "abad5fbfbaa50d082a357048cfee244dc0d5477c4ececf35e73b0acf89380556",
@@ -32,7 +42,20 @@ GOLDEN = {
     ("single_moving", 1): "6b04381e3ed2c561fd914b93d68b512d24b1946d49e4ed33386351369d4443bd",
     ("single_moving", 1000): "08a4031df995253dd0bc6083c936659b2a832197124f356e3ab1b0bcd4823c1a",
     ("single_moving", 1001): "7cc44464e91bdcd1b57c4718de7646da71b8636ac2961bfeab411cfe356f4493",
+    ("default_figure_eight", 1): "92fcd57b62402f54a782a2f03b2fe9a167d4dd0de8767f1dc9a5c3ec6170ca36",
+    ("default_figure_eight", 1000): "0c2d7a6fdfebacf57df31d1560a6a735bbe5da93bb4272594b6be767ae4a2add",
 }
+
+
+def _config(name, seed):
+    base, overrides = VARIANTS.get(name, (name, None))
+    cfg = load_config(CONFIGS / f"{base}.yaml")
+    if overrides:
+        data = cfg.to_dict()
+        for section, values in overrides.items():
+            data[section].update(values)
+        cfg = config_from_dict(data)
+    return cfg.with_seed(seed)
 
 
 def _always_logged(log):
@@ -47,7 +70,7 @@ def _always_logged(log):
 
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN), ids=lambda v: str(v))
 def test_golden_run(name, seed):
-    cfg = load_config(CONFIGS / f"{name}.yaml").with_seed(seed)
+    cfg = _config(name, seed)
     detailed = run_scenario(cfg, detail=True)
 
     digest = hashlib.sha256(detailed.to_bytes()).hexdigest()
