@@ -7,8 +7,9 @@ rejected and range violations are reported with their full field path.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import yaml
 
@@ -179,7 +180,10 @@ class ScenarioConfig:
         return asdict(self)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=int(seed))
+        """A deep copy with the seed replaced; it shares nothing with self."""
+        cfg = copy.deepcopy(self)
+        cfg.seed = int(seed)
+        return cfg
 
 
 _SECTION_TYPES = {
@@ -251,7 +255,12 @@ def _vec3(value, path) -> list:
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Range-check every field; raises ConfigError naming the field."""
+    """Range-check every field; raises ConfigError naming the field.
+
+    Returns a validated deep copy whose vectors are lists of floats; the
+    input is left unchanged.
+    """
+    cfg = copy.deepcopy(cfg)
     _require(cfg.schema_version == 1, "schema_version", "unsupported schema version")
     _require(isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool), "seed", "expected an integer")
     _num(cfg.duration, "duration", lo=0.0, lo_open=True)

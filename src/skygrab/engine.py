@@ -16,7 +16,7 @@ run and replay advance the world through the same code.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 
 from . import camera as cam
@@ -65,6 +65,8 @@ from .world import (
 _STREAM_WIND = 0
 _STREAM_CHANNEL = 1
 _STREAM_CAMERA_BASE = 16
+
+_NO_WIND = (0.0, 0.0, 0.0)
 
 
 def substream(seed: int, stream_id: int) -> np.random.Generator:
@@ -273,9 +275,11 @@ class _Plant:
         """Integrate t -> t + dt under the held commands."""
         dt = self.dt
         next_pos, next_vel = target_pose(self.pattern, (self.k + 1) * dt)
-        wind_force = self.wind.step(self.wind_rng, dt) if self.wind is not None else np.zeros(3)
+        wind_force = self.wind.step(self.wind_rng, dt) if self.wind is not None else _NO_WIND
         if self.ball.attached:
-            support_accel = (next_vel - self.support_vel) / dt
+            nx, ny, nz = next_vel.tolist()
+            vx, vy, vz = self.support_vel.tolist()
+            support_accel = ((nx - vx) / dt, (ny - vy) / dt, (nz - vz) / dt)
             self.ball = step_ball(self.ball, support_accel, wind_force, self.ball_params, dt)
         self.uavs = [
             step_uav(uav, cmd, params, dt)
@@ -668,6 +672,10 @@ def monte_carlo(
     config_dict = config.to_dict()
     jobs = [(config_dict, seed_base + i) for i in range(n_runs)]
     if n_jobs > 1:
+        # Imported here: the process pool costs ~20 ms of import that
+        # single-process runs never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs) as ex:
             runs = list(ex.map(_mc_single, jobs))
     else:

@@ -87,46 +87,55 @@ def step_uav(state: UavState, cmd: VelocityCommand, params: UavParams, dt: float
     is integrated with the updated velocity (semi-implicit Euler). Yaw
     integrates the rate-limited yaw-rate command directly.
 
+    Computes on Python floats read once from the input state, which is
+    left unchanged; returns a new state with fresh arrays.
+
     Raises ValueError for non-finite commands or a camera-frame tag;
     camera-frame commands must be resolved by guidance first.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if not cmd.is_finite():
+    isfinite = math.isfinite
+    if not (
+        isfinite(cmd.vx) and isfinite(cmd.vy) and isfinite(cmd.vz) and isfinite(cmd.yaw_rate)
+    ):
         raise ValueError("non-finite velocity command rejected")
-    if cmd.frame is Frame.CAMERA:
-        raise ValueError("camera-frame command cannot drive the vehicle directly")
-
-    if cmd.frame is Frame.VEHICLE:
+    frame = cmd.frame
+    if frame is Frame.WORLD:
+        cx, cy = cmd.vx, cmd.vy
+    elif frame is Frame.VEHICLE:
         cx, cy = vehicle_to_world(cmd.vx, cmd.vy, state.yaw)
     else:
-        cx, cy = cmd.vx, cmd.vy
+        raise ValueError("camera-frame command cannot drive the vehicle directly")
     cz = cmd.vz
 
+    v0x, v0y, v0z = state.velocity.tolist()
     a = dt / params.tau
-    vx = state.velocity[0] + a * (cx - state.velocity[0])
-    vy = state.velocity[1] + a * (cy - state.velocity[1])
-    vz = state.velocity[2] + a * (cz - state.velocity[2])
+    vx = v0x + a * (cx - v0x)
+    vy = v0y + a * (cy - v0y)
+    vz = v0z + a * (cz - v0z)
 
     h = math.hypot(vx, vy)
     if h > params.v_max_xy:
         scale = params.v_max_xy / h
         vx *= scale
         vy *= scale
-    vz = min(max(vz, -params.v_max_z), params.v_max_z)
-
-    rate = min(max(cmd.yaw_rate, -params.yaw_rate_max), params.yaw_rate_max)
+    # Clamps written out; they equal min(max(x, -limit), limit).
+    v_max_z = params.v_max_z
+    if vz < -v_max_z:
+        vz = -v_max_z
+    if vz > v_max_z:
+        vz = v_max_z
+    rate, rate_max = cmd.yaw_rate, params.yaw_rate_max
+    if rate < -rate_max:
+        rate = -rate_max
+    if rate > rate_max:
+        rate = rate_max
     yaw = wrap_angle(state.yaw + dt * rate)
 
-    px = state.position[0] + dt * vx
-    py = state.position[1] + dt * vy
-    pz = state.position[2] + dt * vz
-
+    px, py, pz = state.position.tolist()
     return UavState(
-        position=np.array([px, py, pz]),
-        velocity=np.array([vx, vy, vz]),
-        yaw=yaw,
-        yaw_rate=rate,
+        np.array((px + dt * vx, py + dt * vy, pz + dt * vz)), np.array((vx, vy, vz)), yaw, rate
     )
 
 
@@ -140,15 +149,18 @@ class PatternKind(enum.Enum):
     FIGURE_EIGHT = "figure_eight"
 
 
-def _gerono_speed_constant() -> float:
-    # Mean of sqrt(cos^2 u + cos^2 2u) over one period, times 2*pi. Used to
-    # normalize the lemniscate parameter rate so the path speed averages the
-    # configured value.
-    u = np.linspace(0.0, 2.0 * np.pi, 200_001)
-    return float(np.trapezoid(np.sqrt(np.cos(u) ** 2 + np.cos(2.0 * u) ** 2), u))
+# Integral of sqrt(cos^2 u + cos^2 2u) over one period, 0..2*pi (the
+# lemniscate's arc length per unit extent), by the trapezoid rule on
+# 200,001 points; tests/test_world.py recomputes it. Used to normalize
+# the parameter rate so the path speed averages the configured value.
+_GERONO_C = 6.097223470104916
 
 
-_GERONO_C = _gerono_speed_constant()
+def _constant(values) -> np.ndarray:
+    # A read-only array, safe to hand to every caller.
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass
@@ -158,6 +170,10 @@ class TrajectoryPattern:
     The figure-eight is a Gerono lemniscate, x = A sin(w t),
     y = A sin(w t) cos(w t) in the heading-aligned frame, with the
     parameter rate w chosen so the path speed averages `speed`.
+
+    The fields are fixed after construction: the parameter rate, the
+    heading's cosine and sine, the center as floats and the constant
+    parts of the pose are derived from them once.
     """
 
     kind: PatternKind
@@ -175,6 +191,11 @@ class TrajectoryPattern:
             if self.extent <= 0.0:
                 raise ValueError("figure_eight extent must be > 0")
             self.omega = 2.0 * math.pi * self.speed / (self.extent * _GERONO_C)
+        ch, sh = math.cos(self.heading), math.sin(self.heading)
+        self._axes = (ch, sh)
+        self._center = tuple(self.center.tolist())
+        self._static_pose = (_constant(self.center), _constant((0.0, 0.0, 0.0)))
+        self._line_velocity = _constant((ch * self.speed, sh * self.speed, 0.0))
 
     @property
     def period(self) -> float:
@@ -185,24 +206,29 @@ class TrajectoryPattern:
 
 
 def target_pose(pattern: TrajectoryPattern, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Target position and exact velocity at time t >= 0."""
+    """Target position and exact velocity at time t >= 0.
+
+    Constant arrays (the static pose, the straight line's velocity) are
+    shared and read-only; the others are fresh.
+    """
     if t < 0.0:
         raise ValueError("t must be >= 0")
-    ch, sh = math.cos(pattern.heading), math.sin(pattern.heading)
-    if pattern.kind is PatternKind.STATIC_HOVER:
-        return pattern.center.copy(), np.zeros(3)
-    if pattern.kind is PatternKind.STRAIGHT_LINE:
+    kind = pattern.kind
+    if kind is PatternKind.STATIC_HOVER:
+        return pattern._static_pose
+    ch, sh = pattern._axes
+    cx, cy, cz = pattern._center
+    if kind is PatternKind.STRAIGHT_LINE:
         d = pattern.speed * t
-        pos = pattern.center + np.array([ch * d, sh * d, 0.0])
-        vel = np.array([ch * pattern.speed, sh * pattern.speed, 0.0])
-        return pos, vel
+        return np.array((cx + ch * d, cy + sh * d, cz + 0.0)), pattern._line_velocity
     a, w = pattern.extent, pattern.omega
-    x = a * math.sin(w * t)
-    y = a * math.sin(w * t) * math.cos(w * t)
-    vx = a * w * math.cos(w * t)
+    s, c = math.sin(w * t), math.cos(w * t)
+    x = a * s
+    y = a * s * c
+    vx = a * w * c
     vy = a * w * math.cos(2.0 * w * t)
-    pos = pattern.center + np.array([ch * x - sh * y, sh * x + ch * y, 0.0])
-    vel = np.array([ch * vx - sh * vy, sh * vx + ch * vy, 0.0])
+    pos = np.array((cx + (ch * x - sh * y), cy + (sh * x + ch * y), cz + 0.0))
+    vel = np.array((ch * vx - sh * vy, sh * vx + ch * vy, 0.0))
     return pos, vel
 
 
@@ -294,6 +320,10 @@ def step_ball(
     and linear damping. Integration runs on the rod direction vector
     (free of the polar-coordinate singularity at the vertical) and maps
     back to the angle state. Once detached, the ball is ballistic.
+
+    ``support_accel`` and ``wind_force`` are any 3-sequences; the RK4
+    stages run on Python floats. The input state is left unchanged and
+    a new one is returned.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -304,41 +334,47 @@ def step_ball(
         g = params.gravity
         new_v = np.array([v[0], v[1], v[2] - g * dt])
         new_p = np.array([p[0] + v[0] * dt, p[1] + v[1] * dt, p[2] + v[2] * dt - 0.5 * g * dt * dt])
-        return replace(ball, free_position=new_p, free_velocity=new_v)
+        return BallState(ball.theta, ball.phi, ball.theta_dot, ball.phi_dot, False, new_p, new_v)
 
+    m = params.mass
+    wx, wy, wz = wind_force
+    sx, sy, sz = support_accel
     A = (
-        float(wind_force[0]) / params.mass - float(support_accel[0]),
-        float(wind_force[1]) / params.mass - float(support_accel[1]),
-        float(wind_force[2]) / params.mass - float(support_accel[2]) - params.gravity,
+        float(wx) / m - float(sx),
+        float(wy) / m - float(sy),
+        float(wz) / m - float(sz) - params.gravity,
     )
     L, c = params.length, params.damping
     u, du = _rod_vector_state(ball)
+    ux, uy, uz = u
+    dx, dy, dz = du
+    h, h6 = 0.5 * dt, dt / 6.0
 
-    def rates(u_, du_):
-        return du_, _rod_accel(u_, du_, A, L, c)
+    # Classic RK4 on (u, u'); the rate of u at each stage is that
+    # stage's u', so k1u = du, k2u = d2, k3u = d3, k4u = d4.
+    a1x, a1y, a1z = _rod_accel(u, du, A, L, c)
+    d2 = (dx + h * a1x, dy + h * a1y, dz + h * a1z)
+    a2x, a2y, a2z = _rod_accel((ux + h * dx, uy + h * dy, uz + h * dz), d2, A, L, c)
+    d3 = (dx + h * a2x, dy + h * a2y, dz + h * a2z)
+    a3x, a3y, a3z = _rod_accel((ux + h * d2[0], uy + h * d2[1], uz + h * d2[2]), d3, A, L, c)
+    d4 = (dx + dt * a3x, dy + dt * a3y, dz + dt * a3z)
+    a4x, a4y, a4z = _rod_accel((ux + dt * d3[0], uy + dt * d3[1], uz + dt * d3[2]), d4, A, L, c)
 
-    k1u, k1d = rates(u, du)
-    u2 = tuple(u[i] + 0.5 * dt * k1u[i] for i in range(3))
-    d2 = tuple(du[i] + 0.5 * dt * k1d[i] for i in range(3))
-    k2u, k2d = rates(u2, d2)
-    u3 = tuple(u[i] + 0.5 * dt * k2u[i] for i in range(3))
-    d3 = tuple(du[i] + 0.5 * dt * k2d[i] for i in range(3))
-    k3u, k3d = rates(u3, d3)
-    u4 = tuple(u[i] + dt * k3u[i] for i in range(3))
-    d4 = tuple(du[i] + dt * k3d[i] for i in range(3))
-    k4u, k4d = rates(u4, d4)
-
-    un = [u[i] + (dt / 6.0) * (k1u[i] + 2.0 * k2u[i] + 2.0 * k3u[i] + k4u[i]) for i in range(3)]
-    dn = [du[i] + (dt / 6.0) * (k1d[i] + 2.0 * k2d[i] + 2.0 * k3d[i] + k4d[i]) for i in range(3)]
+    nx = ux + h6 * (dx + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
+    ny = uy + h6 * (dy + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
+    nz = uz + h6 * (dz + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
+    mx = dx + h6 * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
+    my = dy + h6 * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
+    mz = dz + h6 * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
 
     # Re-project onto the constraint manifold (|u| = 1, u' tangent).
-    norm = math.sqrt(un[0] ** 2 + un[1] ** 2 + un[2] ** 2)
-    un = [v / norm for v in un]
-    radial = dn[0] * un[0] + dn[1] * un[1] + dn[2] * un[2]
-    dn = [dn[i] - radial * un[i] for i in range(3)]
-
-    theta, phi, theta_dot, phi_dot = _angles_from_rod(un, dn, ball.phi)
-    return replace(ball, theta=theta, phi=phi, theta_dot=theta_dot, phi_dot=phi_dot)
+    norm = math.sqrt(nx ** 2 + ny ** 2 + nz ** 2)
+    nx, ny, nz = nx / norm, ny / norm, nz / norm
+    radial = mx * nx + my * ny + mz * nz
+    theta, phi, theta_dot, phi_dot = _angles_from_rod(
+        (nx, ny, nz), (mx - radial * nx, my - radial * ny, mz - radial * nz), ball.phi
+    )
+    return BallState(theta, phi, theta_dot, phi_dot, True, ball.free_position, ball.free_velocity)
 
 
 def ball_world_position(support, ball: BallState, length: float) -> np.ndarray:
@@ -391,12 +427,25 @@ def detach(ball: BallState, support, support_velocity, length: float) -> BallSta
     return replace(ball, attached=False, free_position=pos, free_velocity=vel)
 
 
+# Rows of wind noise drawn per refill: few enough that memory stays flat,
+# enough that the draw's call cost vanishes per step.
+_WIND_BLOCK = 256
+
+
 @dataclass
 class OrnsteinUhlenbeckWind:
     """Per-axis OU wind force acting on the ball bob.
 
     dW = (mean - W) dt/tau + sigma sqrt(2 dt/tau) N(0,1), which has
     stationary standard deviation sigma per axis.
+
+    ``step`` draws its normal deviates ahead, a block of rows at a time,
+    from the generator it is given. ``standard_normal((n, 3))`` yields
+    exactly the draws of n calls of ``standard_normal(3)``, so the forces
+    equal one draw per step, provided the generator is this wind's
+    alone: anything else drawing from it would see the block's draws
+    gone. Handing ``step`` another generator discards the unused rest of
+    the block and starts drawing from the new one.
     """
 
     mean: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -404,8 +453,27 @@ class OrnsteinUhlenbeckWind:
     tau: float = 2.0
     force: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
+    def __post_init__(self):
+        self.mean = np.asarray(self.mean, dtype=float)
+        self.force = np.asarray(self.force, dtype=float)
+        self._rng = None
+        self._rows: list[list[float]] = []
+        self._next = 0
+
     def step(self, rng: np.random.Generator, dt: float) -> np.ndarray:
+        i = self._next
+        if rng is not self._rng or i == len(self._rows):
+            self._rng = rng
+            self._rows = rng.standard_normal((_WIND_BLOCK, 3)).tolist()
+            i = 0
+        self._next = i + 1
+        nx, ny, nz = self._rows[i]
+        fx, fy, fz = self.force.tolist()
+        mx, my, mz = self.mean.tolist()
         a = dt / self.tau
-        noise = rng.standard_normal(3)
-        self.force = self.force + (self.mean - self.force) * a + self.sigma * math.sqrt(2.0 * a) * noise
+        s = self.sigma * math.sqrt(2.0 * a)
+        # Component-wise in the order of f + (mean - f) * a + s * noise.
+        self.force = np.array(
+            (fx + (mx - fx) * a + s * nx, fy + (my - fy) * a + s * ny, fz + (mz - fz) * a + s * nz)
+        )
         return self.force

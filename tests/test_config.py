@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import pytest
 
-from skygrab.config import ConfigError, ScenarioConfig, parse_config
+from skygrab.config import ConfigError, ScenarioConfig, load_config, parse_config, validate_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestParseConfig:
@@ -95,3 +99,38 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as e:
             parse_config("mission:\n  grabber_standoff: 7.0\n")
         assert "grabber_standoff" in str(e.value)
+
+
+class TestConfigsShareNothing:
+    def test_with_seed_copy_is_independent(self):
+        a = load_config(CONFIGS / "default.yaml")
+        before = a.to_dict()
+        b = a.with_seed(5)
+        b.world.wind.sigma = 0.0
+        b.world.wind.mean[0] = 1.0
+        b.target.center[2] = 0.0
+        b.drones[0].start[0] = 99.0
+        b.drones[1].camera.mount[0] = 0.0
+        b.drones.pop()
+        assert a.to_dict() == before
+        assert a.world.wind.sigma == 0.02 and len(a.drones) == 2
+        assert b.seed == 5 and a.seed == 1
+
+    def test_validate_config_leaves_input_unchanged(self):
+        cfg = ScenarioConfig()
+        cfg.world.wind.mean = (1, 0, 0)
+        cfg.target.center = (0, 0, 5)
+        cfg.drones[0].start = (1, 2, 0)
+        cfg.drones[0].camera.mount = (0, 0, 0)
+        cfg.capture.gripper_offset = (0, 0, 1)
+        cfg.mission.explore_area = (-5, 5, -5, 5)
+        out = validate_config(cfg)
+        assert cfg.world.wind.mean == (1, 0, 0)
+        assert cfg.target.center == (0, 0, 5)
+        assert cfg.drones[0].start == (1, 2, 0)
+        assert cfg.drones[0].camera.mount == (0, 0, 0)
+        assert cfg.capture.gripper_offset == (0, 0, 1)
+        assert cfg.mission.explore_area == (-5, 5, -5, 5)
+        assert out.target.center == [0.0, 0.0, 5.0]
+        assert all(type(v) is float for v in out.world.wind.mean + out.drones[0].start)
+        assert out.world is not cfg.world and out.drones[0] is not cfg.drones[0]

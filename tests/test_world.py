@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from skygrab import world
 from skygrab.frames import wrap_angle
 from skygrab.world import (
     BallParams,
@@ -293,6 +294,54 @@ class TestWind:
         for _ in range(4000):
             f = wind.step(rng, DT)
         assert f[0] == pytest.approx(1.0, abs=1e-3)
+
+    def test_block_draws_equal_one_draw_per_step(self):
+        # The wind draws its noise a block ahead; across block boundaries
+        # its forces must stay bit-equal to one standard_normal(3) a step.
+        steps = 5000
+        assert steps > 2 * world._WIND_BLOCK
+        mean, sigma, tau = np.array([0.3, -0.2, 0.1]), 0.4, 1.5
+        wind = OrnsteinUhlenbeckWind(mean=mean.copy(), sigma=sigma, tau=tau)
+        rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
+        a = DT / tau
+        f = np.zeros(3)
+        for _ in range(steps):
+            f = f + (mean - f) * a + sigma * math.sqrt(2.0 * a) * ref_rng.standard_normal(3)
+            assert wind.step(rng, DT).tobytes() == f.tobytes()
+
+
+class TestInputsUnchanged:
+    def test_step_uav_leaves_state_unmutated(self):
+        s = UavState(np.array([1.0, -2.0, 3.0]), np.array([0.4, 0.1, -0.2]), yaw=0.3, yaw_rate=0.1)
+        pos, vel = s.position, s.velocity
+        cmd = VelocityCommand(vx=5.0, vy=-4.0, vz=3.0, yaw_rate=2.0, frame=Frame.WORLD)
+        out = step_uav(s, cmd, UavParams(), DT)
+        assert s.position is pos and s.velocity is vel
+        assert pos.tolist() == [1.0, -2.0, 3.0] and vel.tolist() == [0.4, 0.1, -0.2]
+        assert (s.yaw, s.yaw_rate) == (0.3, 0.1)
+        assert out.position is not pos and out.velocity is not vel
+
+    def test_step_ball_leaves_state_and_inputs_unmutated(self):
+        accel, wind = np.array([0.5, -0.3, 0.2]), np.array([0.01, 0.02, -0.01])
+        attached = BallState(theta=0.3, phi=0.2, theta_dot=0.5, phi_dot=-0.4)
+        free = detach(attached, np.zeros(3), np.array([0.5, 0.0, 0.0]), 1.5)
+        for ball in (attached, free):
+            p, v = ball.free_position, ball.free_velocity
+            before = (ball.theta, ball.phi, ball.theta_dot, ball.phi_dot, ball.attached,
+                      p.tolist(), v.tolist())
+            out = step_ball(ball, accel, wind, BallParams(), DT)
+            assert out is not ball
+            assert ball.free_position is p and ball.free_velocity is v
+            assert before == (ball.theta, ball.phi, ball.theta_dot, ball.phi_dot, ball.attached,
+                              p.tolist(), v.tolist())
+        assert accel.tolist() == [0.5, -0.3, 0.2] and wind.tolist() == [0.01, 0.02, -0.01]
+
+
+def test_gerono_constant_is_the_trapezoid_integral():
+    # The literal in world.py is this integral, bit for bit.
+    u = np.linspace(0.0, 2.0 * np.pi, 200_001)
+    integral = float(np.trapezoid(np.sqrt(np.cos(u) ** 2 + np.cos(2.0 * u) ** 2), u))
+    assert integral == world._GERONO_C
 
 
 def test_wrap_angle_interval():
