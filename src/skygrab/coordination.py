@@ -28,14 +28,13 @@ from .guidance import (
     ExplorePlan,
     GuidanceError,
     GuidanceGains,
-    camera_to_vehicle,
     explore_command,
     goto_command,
     saturate,
     servo_command,
 )
 from .perception import PerceptionState, TrackStatus
-from .world import Frame, UavState, VelocityCommand
+from .world import UavState, VelocityCommand
 
 
 class MissionPhase(enum.Enum):
@@ -294,25 +293,23 @@ def _finish(agent, cmd, msgs, transitions, new_phase=None):
 
 
 def _zero(agent) -> VelocityCommand:
-    return VelocityCommand(frame=Frame.WORLD)
+    return VelocityCommand()
 
 
 def _takeoff_cmd(agent, uav) -> VelocityCommand:
     err = agent.settings.takeoff_altitude - uav.position[2]
     vz = min(agent.settings.takeoff_speed, max(0.0, 1.5 * err))
-    return VelocityCommand(vz=vz, frame=Frame.WORLD)
+    return VelocityCommand(vz=vz)
 
 
 def _at_altitude(agent, uav) -> bool:
     return uav.position[2] >= agent.settings.takeoff_altitude - 0.2
 
 
-def _servo(agent, track, uav, r_des, extra_forward=0.0) -> VelocityCommand:
+def _servo(agent, track, uav, r_des, closing_bias=0.0) -> VelocityCommand:
     gains = replace(agent.gains, r_des=r_des)
-    cmd = servo_command(track, agent.intr, gains)
-    if extra_forward:
-        cmd = replace(cmd, vx=cmd.vx + extra_forward)
-    return saturate(camera_to_vehicle(cmd, agent.mount, uav.yaw), agent.limits)
+    cmd = servo_command(track, agent.intr, gains, uav.yaw, closing_bias)
+    return saturate(cmd, agent.limits)
 
 
 def _search_cmd(agent, percep, uav, t=None) -> VelocityCommand:
@@ -458,7 +455,6 @@ def grabber_step(agent, percep, uav, inbox, grab_flag, t):
             cmd = VelocityCommand(
                 vz=min(max(1.0 * (goal[2] - uav.position[2]), -st.land_speed), st.land_speed),
                 yaw_rate=yaw_rate,
-                frame=Frame.WORLD,
             )
         return _finish(agent, saturate(cmd, agent.limits), msgs, transitions)
 
@@ -494,7 +490,7 @@ def grabber_step(agent, percep, uav, inbox, grab_flag, t):
         if ball.status is TrackStatus.UNINITIALIZED or t - agent.grab_entered_t > st.grab_time_budget:
             return _finish(agent, _search_cmd(agent, percep, uav, t), msgs, transitions, _reapproach())
         ramp = st.grabber_standoff - st.grab_ramp_rate * (t - agent.grab_entered_t)
-        cmd = _servo(agent, ball, uav, max(0.0, ramp), extra_forward=st.grab_closing_bias)
+        cmd = _servo(agent, ball, uav, max(0.0, ramp), closing_bias=st.grab_closing_bias)
         return _finish(agent, cmd, msgs, transitions)
 
     # RETREAT_LAND: home first at altitude, then descend.
@@ -506,9 +502,7 @@ def grabber_step(agent, percep, uav, inbox, grab_flag, t):
         return _finish(agent, cmd, msgs, transitions)
     if uav.position[2] <= 0.05:
         return _finish(agent, _zero(agent), msgs, transitions, MissionPhase.DONE)
-    return _finish(
-        agent, VelocityCommand(vz=-st.land_speed, frame=Frame.WORLD), msgs, transitions
-    )
+    return _finish(agent, VelocityCommand(vz=-st.land_speed), msgs, transitions)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .perception import FilterParams, PerceptionState
 from .world import (
     BallParams,
     BallState,
-    Frame,
     OrnsteinUhlenbeckWind,
     PatternKind,
     TrajectoryPattern,
@@ -219,7 +218,8 @@ class _Plant:
     drives it with the agents' commands and ``replay_divergence`` with
     the logged ones, so both integrate the world through ``step``. Once
     detached, the ball rides in the grabber's basket; the plant never
-    integrates free flight.
+    integrates free flight, and the wind, which acts only on the hanging
+    ball, is no longer stepped.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -255,7 +255,7 @@ class _Plant:
                       yaw_rate_max=d.limits.yaw_rate)
             for d in config.drones
         ]
-        self.cmds = [VelocityCommand(frame=Frame.WORLD) for _ in config.drones]
+        self.cmds = [VelocityCommand() for _ in config.drones]
 
     def ball_position(self) -> np.ndarray:
         if self.ball.attached:
@@ -275,8 +275,8 @@ class _Plant:
         """Integrate t -> t + dt under the held commands."""
         dt = self.dt
         next_pos, next_vel = target_pose(self.pattern, (self.k + 1) * dt)
-        wind_force = self.wind.step(self.wind_rng, dt) if self.wind is not None else _NO_WIND
         if self.ball.attached:
+            wind_force = self.wind.step(self.wind_rng, dt) if self.wind is not None else _NO_WIND
             nx, ny, nz = next_vel.tolist()
             vx, vy, vz = self.support_vel.tolist()
             support_accel = ((nx - vx) / dt, (ny - vy) / dt, (nz - vz) / dt)
@@ -570,12 +570,14 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
         t = k * dt
         if k % vision_every == 0:
             run.vision(t)
-        if k % control_every == 0 and not run.control(t):
+        control_tick = k % control_every == 0
+        if control_tick and not run.control(t):
             break
         if plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB:
             run.contact(t)
         run.integrate(t)
-        if all(d.agent.phase in coord.TERMINAL_PHASES for d in run.drones):
+        # Phases change only on control ticks.
+        if control_tick and all(d.agent.phase in coord.TERMINAL_PHASES for d in run.drones):
             break
     run.log.append(run.verdict())
     return run.log
@@ -606,9 +608,7 @@ def replay_divergence(log: SimLog) -> float:
     for r in log.iter_kind("command"):
         c = r["cmd"]
         cmds.setdefault(r["t"], []).append(
-            (index[r["drone"]], VelocityCommand(
-                vx=c["vx"], vy=c["vy"], vz=c["vz"], yaw_rate=c["yaw_rate"], frame=Frame.WORLD,
-            ))
+            (index[r["drone"]], VelocityCommand(c["vx"], c["vy"], c["vz"], c["yaw_rate"]))
         )
     states = list(log.iter_kind("state"))
     if not states:

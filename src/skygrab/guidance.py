@@ -3,8 +3,9 @@
 The servo law is PD feedback from image-plane error: yaw rate centers
 the target horizontally, climb rate centers it vertically, and forward
 speed regulates the known-size range estimate to a standoff. Commands
-are produced in the camera frame (boresight along vehicle +x), rotated
-to world by yaw, and saturated preserving horizontal direction.
+are formed in the camera frame (boresight along vehicle +x), rotated
+to world by yaw, and saturated preserving horizontal direction; every
+command leaves guidance in the world frame.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, CameraMount
+from .camera import CameraIntrinsics
 from .frames import vehicle_to_world, wrap_angle
 from .perception import TrackEstimate, TrackStatus
-from .world import Frame, UavState, VelocityCommand
+from .world import UavState, VelocityCommand
 
 
 class GuidanceError(Exception):
@@ -56,15 +57,19 @@ def servo_command(
     track: TrackEstimate,
     intr: CameraIntrinsics,
     gains: GuidanceGains,
+    yaw: float = 0.0,
+    closing_bias: float = 0.0,
 ) -> VelocityCommand:
-    """PD servo command in the camera frame from a live track.
+    """PD servo command from a live track, rotated to the world frame.
 
     yaw_rate  = kp_yaw * (W/2 - x) - kd_yaw * x_rate
     climb     = kp_z   * (H/2 - y) - kd_z   * y_rate
-    forward   = kp_range * (r - r_des) + kd_range * r_rate
+    forward   = kp_range * (r - r_des) + kd_range * r_rate + closing_bias
 
-    The lateral camera-frame component is always zero: azimuth is
-    corrected by yawing, not sidestepping. Raises GuidanceError on an
+    Forward and climb are camera-frame axes; the forward mount aligns
+    them with vehicle FLU, so only the rotation by the vehicle yaw
+    remains. The lateral camera-frame component is always zero: azimuth
+    is corrected by yawing, not sidestepping. Raises GuidanceError on an
     uninitialized track.
     """
     if track.status is TrackStatus.UNINITIALIZED:
@@ -73,25 +78,12 @@ def servo_command(
     xr, yr = track.pixel_rate
     yaw_rate = gains.kp_yaw * (intr.cx - x) - gains.kd_yaw * xr
     climb = gains.kp_z * (intr.cy - y) - gains.kd_z * yr
-    forward = gains.kp_range * (track.range - gains.r_des) + gains.kd_range * track.range_rate
-    return VelocityCommand(vx=forward, vy=0.0, vz=climb, yaw_rate=yaw_rate, frame=Frame.CAMERA)
-
-
-def camera_to_vehicle(
-    cmd: VelocityCommand,
-    mount: CameraMount,
-    vehicle_yaw: float,
-) -> VelocityCommand:
-    """Resolve a camera-frame command into the world frame.
-
-    The forward mount aligns camera axes with vehicle FLU (forward,
-    left, up), so components carry over and only the yaw rotation to
-    world remains; the yaw-rate command passes through.
-    """
-    if cmd.frame is not Frame.CAMERA:
-        raise ValueError("expected a camera-frame command")
-    wx, wy = vehicle_to_world(cmd.vx, cmd.vy, vehicle_yaw)
-    return VelocityCommand(vx=wx, vy=wy, vz=cmd.vz, yaw_rate=cmd.yaw_rate, frame=Frame.WORLD)
+    forward = (
+        gains.kp_range * (track.range - gains.r_des) + gains.kd_range * track.range_rate
+        + closing_bias
+    )
+    wx, wy = vehicle_to_world(forward, 0.0, yaw)
+    return VelocityCommand(vx=wx, vy=wy, vz=climb, yaw_rate=yaw_rate)
 
 
 def saturate(cmd: VelocityCommand, limits: CommandLimits) -> VelocityCommand:
@@ -105,7 +97,7 @@ def saturate(cmd: VelocityCommand, limits: CommandLimits) -> VelocityCommand:
         vy *= scale
     vz = min(max(cmd.vz, -limits.v_max_z), limits.v_max_z)
     yaw_rate = min(max(cmd.yaw_rate, -limits.yaw_rate_max), limits.yaw_rate_max)
-    return VelocityCommand(vx=vx, vy=vy, vz=vz, yaw_rate=yaw_rate, frame=cmd.frame)
+    return VelocityCommand(vx=vx, vy=vy, vz=vz, yaw_rate=yaw_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +189,14 @@ def explore_command(
     dz = wp[2] - state.position[2]
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist < 1e-9:
-        return VelocityCommand(frame=Frame.WORLD)
+        return VelocityCommand()
     s = speed / dist
     yaw_des = math.atan2(dy, dx)
     if t is not None and scan_amplitude > 0.0:
         yaw_des += scan_amplitude * math.sin(2.0 * math.pi * t / scan_period)
     yaw_err = wrap_angle(yaw_des - state.yaw)
     return VelocityCommand(
-        vx=s * dx, vy=s * dy, vz=s * dz, yaw_rate=yaw_gain * yaw_err, frame=Frame.WORLD
+        vx=s * dx, vy=s * dy, vz=s * dz, yaw_rate=yaw_gain * yaw_err
     )
 
 
@@ -224,8 +216,8 @@ def goto_command(
     else:
         yaw_err = 0.0
     if dist < 1e-9:
-        return VelocityCommand(yaw_rate=yaw_gain * yaw_err, frame=Frame.WORLD)
+        return VelocityCommand(yaw_rate=yaw_gain * yaw_err)
     s = min(speed, dist) / dist
     return VelocityCommand(
-        vx=s * dx, vy=s * dy, vz=s * dz, yaw_rate=yaw_gain * yaw_err, frame=Frame.WORLD
+        vx=s * dx, vy=s * dy, vz=s * dz, yaw_rate=yaw_gain * yaw_err
     )

@@ -24,26 +24,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frames import vehicle_to_world, wrap_angle
+from .frames import wrap_angle
 
 GRAVITY = 9.81
 
 
-class Frame(enum.Enum):
-    CAMERA = "camera"
-    VEHICLE = "vehicle"
-    WORLD = "world"
-
-
 @dataclass
 class VelocityCommand:
-    """Velocity and yaw-rate setpoint, tagged with the frame it lives in."""
+    """World-frame velocity and yaw-rate setpoint."""
 
     vx: float = 0.0
     vy: float = 0.0
     vz: float = 0.0
     yaw_rate: float = 0.0
-    frame: Frame = Frame.WORLD
 
     def is_finite(self) -> bool:
         return all(
@@ -90,8 +83,7 @@ def step_uav(state: UavState, cmd: VelocityCommand, params: UavParams, dt: float
     Computes on Python floats read once from the input state, which is
     left unchanged; returns a new state with fresh arrays.
 
-    Raises ValueError for non-finite commands or a camera-frame tag;
-    camera-frame commands must be resolved by guidance first.
+    Raises ValueError for non-finite commands.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -100,14 +92,7 @@ def step_uav(state: UavState, cmd: VelocityCommand, params: UavParams, dt: float
         isfinite(cmd.vx) and isfinite(cmd.vy) and isfinite(cmd.vz) and isfinite(cmd.yaw_rate)
     ):
         raise ValueError("non-finite velocity command rejected")
-    frame = cmd.frame
-    if frame is Frame.WORLD:
-        cx, cy = cmd.vx, cmd.vy
-    elif frame is Frame.VEHICLE:
-        cx, cy = vehicle_to_world(cmd.vx, cmd.vy, state.yaw)
-    else:
-        raise ValueError("camera-frame command cannot drive the vehicle directly")
-    cz = cmd.vz
+    cx, cy, cz = cmd.vx, cmd.vy, cmd.vz
 
     v0x, v0y, v0z = state.velocity.tolist()
     a = dt / params.tau

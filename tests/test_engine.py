@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from skygrab.config import config_from_dict, load_config, parse_config
-from skygrab.engine import monte_carlo, replay_divergence, run_scenario, substream
+from skygrab.engine import _Plant, monte_carlo, replay_divergence, run_scenario, substream
 from skygrab.logs import SimLog, validate_log
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -173,6 +173,18 @@ class TestDisturbedRun:
     def test_replay_matches_logged_truth(self, nominal_static_log, disturbed_log):
         assert replay_divergence(nominal_static_log) < 1e-9
         assert replay_divergence(disturbed_log) < 1e-9
+
+
+class TestPlant:
+    def test_wind_not_stepped_after_detach(self):
+        # the wind acts only on the hanging ball; nothing reads it after detach
+        plant = _Plant(load_config(CONFIGS / "default.yaml"))
+        plant.step()
+        plant.release()
+        force = plant.wind.force.copy()
+        plant.step()
+        plant.step()
+        assert np.array_equal(plant.wind.force, force)
 
 
 class TestEvents:

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from skygrab.camera import CameraIntrinsics, CameraMount, DetectionClass
+from skygrab.camera import CameraIntrinsics, DetectionClass
 from skygrab.guidance import (
     CommandLimits,
     ExplorePlan,
     GuidanceError,
     GuidanceGains,
-    camera_to_vehicle,
     explore_command,
     goto_command,
     lawnmower_waypoints,
@@ -17,7 +16,7 @@ from skygrab.guidance import (
     servo_command,
 )
 from skygrab.perception import TrackEstimate, TrackStatus
-from skygrab.world import Frame, UavState, VelocityCommand
+from skygrab.world import UavState, VelocityCommand
 
 INTR = CameraIntrinsics(width=640, height=480, focal_px=600.0)
 
@@ -34,7 +33,6 @@ class TestServoCommand:
         gains = GuidanceGains(r_des=2.5)
         cmd = servo_command(track(320.0, 240.0, 0, 0, 2.5, 0), INTR, gains)
         assert cmd.vx == 0.0 and cmd.vy == 0.0 and cmd.vz == 0.0 and cmd.yaw_rate == 0.0
-        assert cmd.frame is Frame.CAMERA
 
     def test_yaw_rate_hand_value(self):
         # target right of center: x = 420, kp = 0.005 -> 0.005*(320-420) = -0.5
@@ -101,49 +99,59 @@ class TestServoCommand:
             GuidanceGains(kp_yaw=0.0)
 
 
-class TestCameraToVehicle:
+class TestServoWorldFrame:
     def test_identity_at_zero_yaw(self):
-        cmd = VelocityCommand(1.0, 0.0, 0.2, 0.1, frame=Frame.CAMERA)
-        out = camera_to_vehicle(cmd, CameraMount(), 0.0)
-        assert out.frame is Frame.WORLD
-        assert (out.vx, out.vy, out.vz, out.yaw_rate) == pytest.approx((1.0, 0.0, 0.2, 0.1))
+        gains = GuidanceGains(kp_range=1.0, kd_range=0.0, r_des=2.0)
+        cmd = servo_command(track(y=200.0, r=3.0), INTR, gains, 0.0)
+        assert (cmd.vx, cmd.vy) == (1.0, 0.0)
+        assert cmd.vz == pytest.approx(gains.kp_z * 40.0)
 
     def test_rotation_by_quarter_turn(self):
-        cmd = VelocityCommand(1.0, 0.0, 0.0, frame=Frame.CAMERA)
-        out = camera_to_vehicle(cmd, CameraMount(), math.pi / 2)
-        assert out.vx == pytest.approx(0.0, abs=1e-12)
-        assert out.vy == pytest.approx(1.0)
+        gains = GuidanceGains(kp_range=1.0, kd_range=0.0, r_des=2.0)
+        cmd = servo_command(track(r=3.0), INTR, gains, math.pi / 2)
+        assert cmd.vx == pytest.approx(0.0, abs=1e-12)
+        assert cmd.vy == pytest.approx(1.0)
+
+    def test_rotation_keeps_horizontal_norm(self):
+        gains = GuidanceGains()
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            tr = track(r=rng.uniform(1.0, 10.0), rr=rng.uniform(-2.0, 2.0))
+            forward = servo_command(tr, INTR, gains).vx
+            cmd = servo_command(tr, INTR, gains, rng.uniform(-math.pi, math.pi))
+            assert math.hypot(cmd.vx, cmd.vy) == pytest.approx(abs(forward), rel=1e-12)
+
+    def test_closing_bias_adds_forward_speed_before_rotation(self):
+        gains = GuidanceGains(kp_range=1.0, kd_range=0.0, r_des=2.0)
+        cmd = servo_command(track(r=3.0), INTR, gains, math.pi / 2, closing_bias=0.5)
+        assert cmd.vx == pytest.approx(0.0, abs=1e-12)
+        assert cmd.vy == pytest.approx(1.5)
 
     def test_setpoint_composition_is_zero_everywhere(self):
         gains = GuidanceGains(r_des=2.5)
-        cmd = servo_command(track(), INTR, gains)
         for yaw in (0.0, 0.7, -2.2):
-            out = camera_to_vehicle(cmd, CameraMount(), yaw)
+            out = servo_command(track(), INTR, gains, yaw)
             assert (out.vx, out.vy, out.vz, out.yaw_rate) == (0.0, 0.0, 0.0, 0.0)
-
-    def test_wrong_frame_rejected(self):
-        with pytest.raises(ValueError):
-            camera_to_vehicle(VelocityCommand(frame=Frame.WORLD), CameraMount(), 0.0)
 
 
 class TestSaturate:
     def test_within_limits_unchanged(self):
-        cmd = VelocityCommand(1.0, 0.5, 0.2, 0.3, frame=Frame.WORLD)
+        cmd = VelocityCommand(1.0, 0.5, 0.2, 0.3)
         out = saturate(cmd, CommandLimits())
         assert (out.vx, out.vy, out.vz, out.yaw_rate) == (1.0, 0.5, 0.2, 0.3)
 
     def test_horizontal_scaling_preserves_direction(self):
-        cmd = VelocityCommand(4.0, 3.0, 0.0, frame=Frame.WORLD)
+        cmd = VelocityCommand(4.0, 3.0, 0.0)
         out = saturate(cmd, CommandLimits(v_max_xy=2.5))
         assert out.vx == pytest.approx(2.0)
         assert out.vy == pytest.approx(1.5)
 
     def test_yaw_rate_clamped(self):
-        out = saturate(VelocityCommand(yaw_rate=2.0, frame=Frame.WORLD), CommandLimits(yaw_rate_max=1.0))
+        out = saturate(VelocityCommand(yaw_rate=2.0), CommandLimits(yaw_rate_max=1.0))
         assert out.yaw_rate == 1.0
 
     def test_vertical_clamped(self):
-        out = saturate(VelocityCommand(vz=-9.0, frame=Frame.WORLD), CommandLimits(v_max_z=1.5))
+        out = saturate(VelocityCommand(vz=-9.0), CommandLimits(v_max_z=1.5))
         assert out.vz == -1.5
 
 

@@ -8,7 +8,6 @@ from skygrab.frames import wrap_angle
 from skygrab.world import (
     BallParams,
     BallState,
-    Frame,
     OrnsteinUhlenbeckWind,
     PatternKind,
     TrajectoryPattern,
@@ -35,7 +34,7 @@ def make_uav(**kw):
 class TestStepUav:
     def test_rest_zero_command_is_equilibrium(self):
         s = make_uav()
-        out = step_uav(s, VelocityCommand(frame=Frame.WORLD), UavParams(), 0.05)
+        out = step_uav(s, VelocityCommand(), UavParams(), 0.05)
         assert np.allclose(out.position, s.position)
         assert np.allclose(out.velocity, 0.0)
         assert out.yaw == s.yaw
@@ -43,14 +42,14 @@ class TestStepUav:
     def test_first_order_lag_hand_value(self):
         # v' = v + (dt/tau)(v_cmd - v) with v=0, v_cmd=1, tau=0.5, dt=0.05
         s = make_uav()
-        out = step_uav(s, VelocityCommand(vx=1.0, frame=Frame.WORLD), UavParams(tau=0.5), 0.05)
+        out = step_uav(s, VelocityCommand(vx=1.0), UavParams(tau=0.5), 0.05)
         assert out.velocity[0] == pytest.approx(0.1, abs=1e-15)
         assert out.velocity[1] == 0.0 and out.velocity[2] == 0.0
 
     def test_exponential_convergence_to_command(self):
         tau, dt = 0.4, 0.05
         s = make_uav()
-        cmd = VelocityCommand(vx=1.2, vy=-0.9, frame=Frame.WORLD)
+        cmd = VelocityCommand(vx=1.2, vy=-0.9)
         n = int(5 * tau / dt)
         for _ in range(n):
             s = step_uav(s, cmd, UavParams(tau=tau), dt)
@@ -64,7 +63,7 @@ class TestStepUav:
         rng = np.random.default_rng(7)
         for _ in range(20):
             v = rng.uniform(-2, 2, size=3)
-            cmd = VelocityCommand(v[0], v[1], v[2], frame=Frame.WORLD)
+            cmd = VelocityCommand(v[0], v[1], v[2])
             mag = math.hypot(v[0], v[1])
             s = make_uav()
             prev = 0.0
@@ -77,39 +76,31 @@ class TestStepUav:
 
     def test_saturation_limits_speed_and_yaw_rate(self):
         s = make_uav()
-        cmd = VelocityCommand(vx=50.0, vy=40.0, vz=30.0, yaw_rate=9.0, frame=Frame.WORLD)
+        cmd = VelocityCommand(vx=50.0, vy=40.0, vz=30.0, yaw_rate=9.0)
         p = UavParams(tau=0.01, v_max_xy=3.0, v_max_z=1.5, yaw_rate_max=1.5)
         out = step_uav(s, cmd, p, 0.05)
         assert math.hypot(out.velocity[0], out.velocity[1]) <= 3.0 + 1e-12
         assert abs(out.velocity[2]) <= 1.5 + 1e-12
         assert out.yaw_rate == pytest.approx(1.5)
 
-    def test_vehicle_frame_resolved_by_yaw(self):
-        s = make_uav(yaw=math.pi / 2)
-        out = step_uav(s, VelocityCommand(vx=1.0, frame=Frame.VEHICLE), UavParams(tau=0.05), 0.05)
-        assert out.velocity[1] > 0.3
-        assert abs(out.velocity[0]) < 1e-9
-
     def test_position_uses_updated_velocity(self):
         s = make_uav()
-        out = step_uav(s, VelocityCommand(vx=1.0, frame=Frame.WORLD), UavParams(tau=0.5), 0.05)
+        out = step_uav(s, VelocityCommand(vx=1.0), UavParams(tau=0.5), 0.05)
         assert out.position[0] == pytest.approx(0.05 * out.velocity[0])
 
     def test_yaw_wraps_into_half_open_interval(self):
         s = make_uav(yaw=math.pi - 0.01)
         out = step_uav(
-            s, VelocityCommand(yaw_rate=1.0, frame=Frame.WORLD), UavParams(), 0.05
+            s, VelocityCommand(yaw_rate=1.0), UavParams(), 0.05
         )
         assert -math.pi < out.yaw <= math.pi
 
     def test_rejects_bad_commands(self):
         s = make_uav()
         with pytest.raises(ValueError):
-            step_uav(s, VelocityCommand(vx=math.nan, frame=Frame.WORLD), UavParams(), 0.05)
+            step_uav(s, VelocityCommand(vx=math.nan), UavParams(), 0.05)
         with pytest.raises(ValueError):
-            step_uav(s, VelocityCommand(frame=Frame.CAMERA), UavParams(), 0.05)
-        with pytest.raises(ValueError):
-            step_uav(s, VelocityCommand(frame=Frame.WORLD), UavParams(), 0.0)
+            step_uav(s, VelocityCommand(), UavParams(), 0.0)
 
 
 class TestTargetPose:
@@ -314,7 +305,7 @@ class TestInputsUnchanged:
     def test_step_uav_leaves_state_unmutated(self):
         s = UavState(np.array([1.0, -2.0, 3.0]), np.array([0.4, 0.1, -0.2]), yaw=0.3, yaw_rate=0.1)
         pos, vel = s.position, s.velocity
-        cmd = VelocityCommand(vx=5.0, vy=-4.0, vz=3.0, yaw_rate=2.0, frame=Frame.WORLD)
+        cmd = VelocityCommand(vx=5.0, vy=-4.0, vz=3.0, yaw_rate=2.0)
         out = step_uav(s, cmd, UavParams(), DT)
         assert s.position is pos and s.velocity is vel
         assert pos.tolist() == [1.0, -2.0, 3.0] and vel.tolist() == [0.4, 0.1, -0.2]
