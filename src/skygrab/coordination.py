@@ -173,17 +173,15 @@ def grab_detect(ball_pos, ball_vel, uav: UavState, geom: CaptureGeometry) -> boo
     speed at most the configured bound.
     """
     gp = gripper_point(uav, geom)
-    d = np.asarray(ball_pos, dtype=float) - gp
-    dist = float(np.linalg.norm(d))
+    dist = math.dist(ball_pos, gp)
     if dist > geom.radius:
         return False
     if dist > 1e-9:
-        fwd = np.array([math.cos(uav.yaw), math.sin(uav.yaw), 0.0])
-        cos_ang = float(d @ fwd) / dist
+        c, s = math.cos(uav.yaw), math.sin(uav.yaw)
+        cos_ang = ((ball_pos[0] - gp[0]) * c + (ball_pos[1] - gp[1]) * s) / dist
         if cos_ang < math.cos(geom.cone_half_angle) - 1e-12:
             return False
-    rel = np.asarray(ball_vel, dtype=float) - uav.velocity
-    return float(np.linalg.norm(rel)) <= geom.max_rel_speed
+    return math.dist(ball_vel, uav.velocity) <= geom.max_rel_speed
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +330,7 @@ def _search_cmd(agent, percep, uav, t=None) -> VelocityCommand:
         and t - agent.last_target_t < agent.settings.memory_timeout
     ):
         goal = agent.last_target_point
-        if float(np.linalg.norm(goal - uav.position)) > agent.settings.arrival_radius:
+        if math.dist(goal, uav.position) > agent.settings.arrival_radius:
             return saturate(
                 goto_command(goal, uav, agent.settings.approach_speed, agent.settings.yaw_gain),
                 agent.limits,
@@ -440,8 +438,7 @@ def grabber_step(agent, percep, uav, inbox, grab_flag, t):
                 agent, _servo(agent, ball, uav, st.grabber_standoff), msgs, transitions, MissionPhase.SERVO_BALL
             )
         goal = agent.latest_sighting
-        dist = float(np.linalg.norm(goal - uav.position))
-        if dist > st.arrival_radius:
+        if math.dist(goal, uav.position) > st.arrival_radius:
             cmd = goto_command(goal, uav, st.approach_speed, st.yaw_gain)
         else:
             # On station without a ball track: face the communicated point

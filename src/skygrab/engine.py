@@ -396,9 +396,7 @@ class _Run:
                         },
                         "selection": d.percep.selection.active.value,
                         "ball_depth": cam.point_depth(bp, uav, d.mount),
-                        "ball_range": float(
-                            np.linalg.norm(bp - cam.camera_position(uav, d.mount))
-                        ),
+                        "ball_range": math.dist(bp, cam.camera_position(uav, d.mount)),
                     }
                 )
 

@@ -56,11 +56,11 @@ class FilterParams:
         )
 
 
-# Measurement picks (x, y, range) out of the state.
-_H = np.zeros((3, 6))
-_H[0, 0] = 1.0
-_H[1, 1] = 1.0
-_H[2, 4] = 1.0
+# The (value, rate) state indices of the three axes: image x, image y
+# and range. F, Q, R and the initial covariance are block-diagonal over
+# these pairs, so each axis is its own 2-state filter and the covariance
+# between axes stays exactly zero.
+_AXES = ((0, 2), (1, 3), (4, 5))
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -119,6 +119,7 @@ def kf_predict(
 ) -> TrackEstimate:
     """Constant-velocity propagation of the estimate and covariance.
 
+    Per axis, p' = p + dt v and P' = F P F^T + Q on its 2x2 block.
     ego_px_rate is the known image-x shift rate (px/s) induced by the
     camera's own yaw, applied as a control input so the filtered pixel
     velocity models scene-relative motion rather than the observer's
@@ -128,12 +129,19 @@ def kf_predict(
         raise ValueError("cannot predict an uninitialized track")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    F = transition_matrix(dt)
-    x = F @ track.state
+    x = track.state.tolist()
+    P = track.covariance.tolist()
+    Q = process_noise(dt, params).tolist()
+    cov = np.zeros((6, 6))
+    for i, j in _AXES:
+        a, b, c = P[i][i], P[i][j], P[j][j]
+        b1 = b + dt * c
+        x[i] += dt * x[j]
+        cov[i, i] = a + dt * b + dt * b1 + Q[i][i]
+        cov[i, j] = cov[j, i] = b1 + Q[i][j]
+        cov[j, j] = c + Q[j][j]
     x[0] += ego_px_rate * dt
-    P = F @ track.covariance @ F.T + process_noise(dt, params)
-    P = 0.5 * (P + P.T)
-    return replace(track, state=x, covariance=P, t=track.t + dt)
+    return replace(track, state=np.array(x), covariance=cov, t=track.t + dt)
 
 
 def kf_update(
@@ -142,7 +150,8 @@ def kf_update(
     range_meas: float,
     params: FilterParams,
 ) -> TrackEstimate:
-    """Linear measurement update on (x, y, range).
+    """Linear measurement update on (x, y, range), one scalar update per
+    axis with gain k = (P_pp, P_pv) / S.
 
     The pixel innovation is gated with a chi-square test; a rejected
     measurement leaves the state untouched and the track coasting
@@ -150,28 +159,32 @@ def kf_update(
     """
     if track.status is TrackStatus.UNINITIALIZED:
         raise ValueError("cannot update an uninitialized track")
-    z = np.array([det.x, det.y, range_meas])
-    if not np.all(np.isfinite(z)):
+    z = (float(det.x), float(det.y), float(range_meas))
+    if not all(map(math.isfinite, z)):
         raise ValueError("non-finite measurement")
 
-    R = params.measurement_cov()
-    P = track.covariance
-    nu = z - _H @ track.state
-    S = _H @ P @ _H.T + R
+    R = params.measurement_cov().diagonal().tolist()
+    x = track.state.tolist()
+    P = track.covariance.tolist()
+    nu = [zk - x[i] for zk, (i, _) in zip(z, _AXES)]
+    S = [P[i][i] + rk for (i, _), rk in zip(_AXES, R)]
 
-    d2 = float(nu[:2] @ np.linalg.solve(S[:2, :2], nu[:2]))
-    if d2 > params.gate_chi2:
+    if nu[0] * nu[0] / S[0] + nu[1] * nu[1] / S[1] > params.gate_chi2:
         return replace(track, status=TrackStatus.COASTING)
 
-    K = np.linalg.solve(S.T, (_H @ P.T)).T
-    x = track.state + K @ nu
-    ikh = np.eye(6) - K @ _H
-    P = ikh @ P @ ikh.T + K @ R @ K.T
-    P = 0.5 * (P + P.T)
+    cov = np.zeros((6, 6))
+    for (i, j), nu_k, s_k, r_k in zip(_AXES, nu, S, R):
+        b, c = P[i][j], P[j][j]
+        k_p, k_v = P[i][i] / s_k, b / s_k
+        x[i] += k_p * nu_k
+        x[j] += k_v * nu_k
+        cov[i, i] = k_p * r_k
+        cov[i, j] = cov[j, i] = k_v * r_k
+        cov[j, j] = c - k_v * b
     return replace(
         track,
-        state=x,
-        covariance=P,
+        state=np.array(x),
+        covariance=cov,
         status=TrackStatus.TRACKING,
         last_update=det.t,
     )

@@ -27,23 +27,23 @@ VARIANTS = {
 }
 
 GOLDEN = {
-    ("default", 1): "abad5fbfbaa50d082a357048cfee244dc0d5477c4ececf35e73b0acf89380556",
-    ("default", 1000): "7bef3dc92a8375b0c5957196b3de0da732091b4d931d9e7a8fd22cfe628c21b9",
-    ("default", 1001): "c6b3b23a3119bdb9c0d94dd80ab13627bcadf00a22d05666cc0c5a5b773df2f6",
-    ("nominal_collab_static", 1): "5cbc263f668e47ead9eb7a01378adbd84b1d6e3bb8cfaa8e057d80eec472721d",
-    ("nominal_collab_static", 1000): "8fe3a0c67d3ccf708b048b77bc03ecb0335218e997f9cc6ba1078843fa40713e",
-    ("nominal_collab_static", 1001): "a5e2f64d493650662ecfb2a8e71dc1f4a938d5e7662b124494f9b613100ec18c",
-    ("nominal_moving", 1): "c8d5446747dec3173c5afad7bbc8efe3276d871d60a91da42bfaf498740f23f2",
-    ("nominal_moving", 1000): "12e7d92dbbc1d84eaca30d235ed13f49cce01d2004fed394d0ec24b21b084241",
-    ("nominal_moving", 1001): "150237bbedef50a9f4c48f902f8dade07a9a02837013d1ace68399e1ecb2477d",
-    ("nominal_static", 1): "52dfad137246816eec8df74e88f6ef30bd1a4cce888fec8fdb39f5c7df6c55e8",
-    ("nominal_static", 1000): "a35f5fa58ebf3750e7e6b6a14bc6cc64105cb2ebfa6461bae42f89b6ee52953b",
-    ("nominal_static", 1001): "b32f66a83ba3ef4b75bc1a66f6bfd39b635872982647b35642570e2842bceaec",
-    ("single_moving", 1): "6b04381e3ed2c561fd914b93d68b512d24b1946d49e4ed33386351369d4443bd",
-    ("single_moving", 1000): "08a4031df995253dd0bc6083c936659b2a832197124f356e3ab1b0bcd4823c1a",
-    ("single_moving", 1001): "7cc44464e91bdcd1b57c4718de7646da71b8636ac2961bfeab411cfe356f4493",
-    ("default_figure_eight", 1): "92fcd57b62402f54a782a2f03b2fe9a167d4dd0de8767f1dc9a5c3ec6170ca36",
-    ("default_figure_eight", 1000): "0c2d7a6fdfebacf57df31d1560a6a735bbe5da93bb4272594b6be767ae4a2add",
+    ("default", 1): "55832a7b202ce80acd83fc6395a6bf3d9155b7e7ff2f0d27a15d9ad60a555f19",
+    ("default", 1000): "fa0aa7cf52ec66b969542e23ff512ae8ed9f0d7d61ed658f483917c22846487f",
+    ("default", 1001): "c0310f351e53299538c6825f7ee7c08d3fb4ff8200a78fce44f72414dabcb693",
+    ("nominal_collab_static", 1): "398441483a667eb3bc8d7c9306da2bf6a2807aec2805948415048d9230a0f6d1",
+    ("nominal_collab_static", 1000): "a56bed63e9527723cbc6c545414072dff0a2406da9a29761931e60ac196f43b8",
+    ("nominal_collab_static", 1001): "269b4f0a70f81175cb9e5326817d980a04524a2bf6b292e2af7da7da71a9d5c0",
+    ("nominal_moving", 1): "d064128462d9ddcc73f48b5196fd2fa620cd23ec034f8568774cc8813d8eb744",
+    ("nominal_moving", 1000): "ff1e6ea84cdbdbe09e21cbd7998b404f7447c37a2956556ed2ea31a734dff4d7",
+    ("nominal_moving", 1001): "13eaf77d4f62bf3eaade7ca2ea23749949d4d56e22b7c4e5b7e8c581b1ee46c8",
+    ("nominal_static", 1): "5b4582d57fc77fc539686291f5113ec1c766aa995e1893960f821eab6368277d",
+    ("nominal_static", 1000): "47f1c61b7dfe0cf806a86f41a80f3ff7e879e6e434e6e1db92cf2936afd1939c",
+    ("nominal_static", 1001): "2966d7f44073bea5d5cea228b237531f92082ad3ce8319fef5c6816452ead87e",
+    ("single_moving", 1): "f46d3b466a7b9cd8746fa033d2397678f1d48ae92e506ec391f8c210ac9b60bd",
+    ("single_moving", 1000): "d5804c3d59832ea65ca1ed759accfa0154e059057b7fb5d833c5ddee4a0c8db4",
+    ("single_moving", 1001): "979f6a527d75d2712a7dfca048d93c322f836a2632b030524ee9b233d79dc595",
+    ("default_figure_eight", 1): "31302f55fa1083fd24e5036dc50788982c2fe90aeae7a89c8aa61662b22ecb16",
+    ("default_figure_eight", 1000): "8b78f532b82a13b395430827b612e540f868555975b0b8a0a8f04299537d242e",
 }
 
 
