@@ -67,9 +67,10 @@ def servo_command(
     forward   = kp_range * (r - r_des) + kd_range * r_rate + closing_bias
 
     Forward and climb are camera-frame axes; the forward mount aligns
-    them with vehicle FLU, so only the rotation by the vehicle yaw
-    remains. The lateral camera-frame component is always zero: azimuth
-    is corrected by yawing, not sidestepping. Raises GuidanceError on an
+    them with vehicle FLU, so only the rotation by the vehicle yaw (rad)
+    remains, and at yaw 0 the command is the camera-frame one. The
+    lateral camera-frame component is always zero: azimuth is corrected
+    by yawing, not sidestepping. Raises GuidanceError on an
     uninitialized track.
     """
     if track.status is TrackStatus.UNINITIALIZED:
@@ -195,9 +196,7 @@ def explore_command(
     if t is not None and scan_amplitude > 0.0:
         yaw_des += scan_amplitude * math.sin(2.0 * math.pi * t / scan_period)
     yaw_err = wrap_angle(yaw_des - state.yaw)
-    return VelocityCommand(
-        vx=s * dx, vy=s * dy, vz=s * dz, yaw_rate=yaw_gain * yaw_err
-    )
+    return VelocityCommand(vx=s * dx, vy=s * dy, vz=s * dz, yaw_rate=yaw_gain * yaw_err)
 
 
 def goto_command(
@@ -218,6 +217,4 @@ def goto_command(
     if dist < 1e-9:
         return VelocityCommand(yaw_rate=yaw_gain * yaw_err)
     s = min(speed, dist) / dist
-    return VelocityCommand(
-        vx=s * dx, vy=s * dy, vz=s * dz, yaw_rate=yaw_gain * yaw_err
-    )
+    return VelocityCommand(vx=s * dx, vy=s * dy, vz=s * dz, yaw_rate=yaw_gain * yaw_err)

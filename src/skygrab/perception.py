@@ -1,9 +1,14 @@
 """Kalman tracking over image coordinates and monocular range.
 
-One filter per tracked object with state
-(x, y, x_rate, y_rate, range, range_rate) in px, px/s, m, m/s. The
-pixel and range blocks evolve under independent constant-velocity
-models driven by continuous white acceleration noise. Measurements are
+One track per object with state (x, y, x_rate, y_rate, range,
+range_rate) in px, px/s, m, m/s. Image x, image y and range are three
+independent constant-velocity filters driven by continuous white
+acceleration noise: the model (``transition_matrix``, ``process_noise``,
+``measurement_cov``) and the initial covariance are block-diagonal over
+the three (value, rate) pairs, so predict and update run in closed form
+on each pair's 2x2 block with a scalar gain, and the covariance between
+axes stays exactly zero. No matrix product or solve runs here, so the
+estimates do not depend on the host's BLAS kernel. Measurements are
 the detection center plus the known-size range estimate. A chi-square
 gate on the pixel innovation rejects outliers; a lifecycle layer
 handles initialization near the sensor, coasting through missed
@@ -56,10 +61,7 @@ class FilterParams:
         )
 
 
-# The (value, rate) state indices of the three axes: image x, image y
-# and range. F, Q, R and the initial covariance are block-diagonal over
-# these pairs, so each axis is its own 2-state filter and the covariance
-# between axes stays exactly zero.
+# The (value, rate) state indices of image x, image y and range.
 _AXES = ((0, 2), (1, 3), (4, 5))
 
 

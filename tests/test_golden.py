@@ -7,6 +7,9 @@ here and say why in CHANGES.md.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ import pytest
 from skygrab.config import config_from_dict, load_config
 from skygrab.engine import replay_divergence, run_scenario
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 # Cases that are not a shipped file: (shipped file, overrides). The
 # figure-eight at a 200 Hz camera and 100 Hz control pins the only
@@ -80,3 +84,29 @@ def test_golden_run(name, seed):
     assert _always_logged(lean) == _always_logged(detailed)
 
     assert replay_divergence(detailed) <= 1e-9
+
+
+# Script for a fresh interpreter: the detailed-log digest of one case.
+_DIGEST_SCRIPT = """
+import hashlib, sys
+sys.path.insert(0, sys.argv[1])
+from test_golden import _config
+from skygrab.engine import run_scenario
+log = run_scenario(_config(sys.argv[2], int(sys.argv[3])), detail=True)
+print(hashlib.sha256(log.to_bytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Sandybridge", "Prescott"])
+def test_digest_independent_of_blas_kernel(coretype):
+    # numpy's OpenBLAS picks a kernel per CPU, and OPENBLAS_CORETYPE
+    # forces another one; the log bytes must not depend on it. A BLAS
+    # that ignores the variable passes trivially.
+    name, seed = "nominal_collab_static", 1
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT, str(ROOT / "tests"), name, str(seed)],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert out.stdout.strip() == GOLDEN[(name, seed)]

@@ -141,6 +141,79 @@ class TestUpdate:
         assert np.max(np.abs(K_filter - K_oracle)) < 1e-9
 
 
+# The 6x6 matrix filter the closed form replaced, kept as the reference.
+_H = np.zeros((3, 6))
+_H[0, 0] = _H[1, 1] = _H[2, 4] = 1.0
+
+
+def matrix_predict(track, dt, params, ego_px_rate):
+    F = transition_matrix(dt)
+    x = F @ track.state
+    x[0] += ego_px_rate * dt
+    return x, F @ track.covariance @ F.T + process_noise(dt, params)
+
+
+def matrix_update(track, z, params):
+    """Posterior (state, covariance), or None when the gate rejects z."""
+    R = params.measurement_cov()
+    P = track.covariance
+    nu = np.asarray(z) - _H @ track.state
+    S = _H @ P @ _H.T + R
+    if nu[:2] @ np.linalg.solve(S[:2, :2], nu[:2]) > params.gate_chi2:
+        return None
+    K = np.linalg.solve(S.T, _H @ P.T).T
+    ikh = np.eye(6) - K @ _H
+    return track.state + K @ nu, ikh @ P @ ikh.T + K @ R @ K.T
+
+
+def random_track(rng):
+    """A live track with a random block-diagonal covariance."""
+    tr = fresh_track()
+    tr.state = rng.normal([320.0, 240.0, 0.0, 0.0, 5.0, 0.0], [100.0, 80.0, 300.0, 300.0, 2.0, 2.0])
+    cov = np.zeros((6, 6))
+    for (i, j), (var_p, var_v) in zip(((0, 2), (1, 3), (4, 5)), ((1e3, 4e5), (1e3, 4e5), (4.0, 10.0))):
+        a, c = var_p * rng.uniform(1e-3, 1.0), var_v * rng.uniform(1e-3, 1.0)
+        cov[i, i], cov[j, j] = a, c
+        cov[i, j] = cov[j, i] = rng.uniform(-0.9, 0.9) * np.sqrt(a * c)
+    tr.covariance = cov
+    return tr
+
+
+class TestClosedFormAgainstMatrixFilter:
+    def test_predict_and_update_match_the_6x6_equations(self):
+        params = FilterParams()
+        rng = np.random.default_rng(11)
+        block = np.zeros((6, 6), dtype=bool)
+        for i, j in ((0, 2), (1, 3), (4, 5)):
+            block[np.ix_([i, j], [i, j])] = True
+        decisions = []
+        for _ in range(200):
+            tr = random_track(rng)
+            dt = rng.uniform(1e-3, 0.2)
+            ego = rng.uniform(-900.0, 900.0)
+            x_ref, P_ref = matrix_predict(tr, dt, params, ego)
+            tr = kf_predict(tr, dt, params, ego_px_rate=ego)
+            cov = tr.covariance
+            assert np.array_equal(cov, cov.T) and not cov[~block].any()
+            np.testing.assert_allclose(tr.state, x_ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(cov[block], P_ref[block], rtol=1e-12, atol=0.0)
+
+            spread = np.sqrt(np.diag(tr.covariance)[[0, 1, 4]] + np.diag(params.measurement_cov()))
+            z = tr.state[[0, 1, 4]] + 2.0 * spread * rng.standard_normal(3)
+            ref = matrix_update(tr, z, params)
+            out = kf_update(tr, det(z[0], z[1], 0.0), z[2], params)
+            decisions.append(ref is not None)
+            assert (out.status is TrackStatus.TRACKING) == (ref is not None)
+            if ref is None:
+                assert np.array_equal(out.state, tr.state)
+                continue
+            cov = out.covariance
+            assert np.array_equal(cov, cov.T) and not cov[~block].any()
+            np.testing.assert_allclose(out.state, ref[0], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(cov[block], ref[1][block], rtol=1e-12, atol=0.0)
+        assert 0 < sum(decisions) < len(decisions)  # both gate outcomes exercised
+
+
 class TestLifecycle:
     def test_initializes_only_within_init_range(self):
         params = FilterParams(init_range=6.0)
