@@ -269,7 +269,7 @@ class _Plant:
 
     def release(self) -> None:
         """Detach the ball from the rod into the grabber's basket."""
-        self.ball = detach(self.ball, self.support_pos, self.support_vel, self.ball_params.length)
+        self.ball = detach(self.ball)
 
     def step(self) -> None:
         """Integrate t -> t + dt under the held commands."""

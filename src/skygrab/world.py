@@ -223,16 +223,14 @@ def target_pose(pattern: TrajectoryPattern, t: float) -> tuple[np.ndarray, np.nd
 
 @dataclass
 class BallState:
-    """Spherical-pendulum angles and rates, or free-flight kinematics
-    once detached."""
+    """Spherical-pendulum angles and rates, and whether the ball still
+    hangs from its rod."""
 
     theta: float = 0.0
     phi: float = 0.0
     theta_dot: float = 0.0
     phi_dot: float = 0.0
     attached: bool = True
-    free_position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    free_velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
 @dataclass
@@ -304,22 +302,19 @@ def step_ball(
     gravity, the moving-pivot pseudo-force, the wind force at the bob,
     and linear damping. Integration runs on the rod direction vector
     (free of the polar-coordinate singularity at the vertical) and maps
-    back to the angle state. Once detached, the ball is ballistic.
+    back to the angle state.
 
     ``support_accel`` and ``wind_force`` are any 3-sequences; the RK4
     stages run on Python floats. The input state is left unchanged and
     a new one is returned.
+
+    Raises ValueError for a detached ball: it rides in the basket and
+    has no dynamics of its own.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-
     if not ball.attached:
-        p = ball.free_position
-        v = ball.free_velocity
-        g = params.gravity
-        new_v = np.array([v[0], v[1], v[2] - g * dt])
-        new_p = np.array([p[0] + v[0] * dt, p[1] + v[1] * dt, p[2] + v[2] * dt - 0.5 * g * dt * dt])
-        return BallState(ball.theta, ball.phi, ball.theta_dot, ball.phi_dot, False, new_p, new_v)
+        raise ValueError("a detached ball is not integrated")
 
     m = params.mass
     wx, wy, wz = wind_force
@@ -359,7 +354,7 @@ def step_ball(
     theta, phi, theta_dot, phi_dot = _angles_from_rod(
         (nx, ny, nz), (mx - radial * nx, my - radial * ny, mz - radial * nz), ball.phi
     )
-    return BallState(theta, phi, theta_dot, phi_dot, True, ball.free_position, ball.free_velocity)
+    return BallState(theta, phi, theta_dot, phi_dot)
 
 
 def ball_world_position(support, ball: BallState, length: float) -> np.ndarray:
@@ -405,11 +400,9 @@ def detach_check(pull_force: float, threshold: float) -> bool:
     return pull_force >= threshold
 
 
-def detach(ball: BallState, support, support_velocity, length: float) -> BallState:
-    """Release the ball, seeding free flight from its current kinematics."""
-    pos = ball_world_position(support, ball, length)
-    vel = ball_world_velocity(support_velocity, ball, length)
-    return replace(ball, attached=False, free_position=pos, free_velocity=vel)
+def detach(ball: BallState) -> BallState:
+    """Release the ball from its rod."""
+    return replace(ball, attached=False)
 
 
 # Rows of wind noise drawn per refill: few enough that memory stays flat,
