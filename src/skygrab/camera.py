@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import world_to_vehicle
+from .frames import Vec3, world_to_vehicle
 from .world import UavState
 
 
@@ -51,10 +51,7 @@ class CameraIntrinsics:
 class CameraMount:
     """Rigid forward-looking mount: optical axis along vehicle +x."""
 
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        self.translation = np.asarray(self.translation, dtype=float)
+    translation: Vec3 = (0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -94,17 +91,12 @@ class PixelGate:
         return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
 
 
-def camera_position(observer: UavState, mount: CameraMount) -> np.ndarray:
+def camera_position(observer: UavState, mount: CameraMount) -> Vec3:
     """World position of the optical center."""
-    tx, ty = mount.translation[0], mount.translation[1]
+    tx, ty, tz = mount.translation
+    px, py, pz = observer.position
     c, s = math.cos(observer.yaw), math.sin(observer.yaw)
-    return np.array(
-        [
-            observer.position[0] + c * tx - s * ty,
-            observer.position[1] + s * tx + c * ty,
-            observer.position[2] + mount.translation[2],
-        ]
-    )
+    return (px + c * tx - s * ty, py + s * tx + c * ty, pz + tz)
 
 
 def point_depth(point_world, observer: UavState, mount: CameraMount) -> float:
@@ -148,20 +140,14 @@ def back_project(
     observer: UavState,
     mount: CameraMount,
     intr: CameraIntrinsics,
-) -> np.ndarray:
+) -> Vec3:
     """World point for a pixel at a given camera-axis depth (inverse of
     project under the flat-box depth convention)."""
     left = -(x - intr.cx) * depth / intr.focal_px
     up = -(y - intr.cy) * depth / intr.focal_px
     c, s = math.cos(observer.yaw), math.sin(observer.yaw)
-    cam = camera_position(observer, mount)
-    return np.array(
-        [
-            cam[0] + c * depth - s * left,
-            cam[1] + s * depth + c * left,
-            cam[2] + up,
-        ]
-    )
+    cx, cy, cz = camera_position(observer, mount)
+    return (cx + c * depth - s * left, cy + s * depth + c * left, cz + up)
 
 
 def detection_probability(depth: float, noise: DetectionNoise) -> float:
@@ -207,7 +193,7 @@ def synth_detection(
     if rng.random() > detection_probability(depth, noise):
         return None
 
-    nx, ny, nw = rng.standard_normal(3)
+    nx, ny, nw = rng.standard_normal(3).tolist()
     x = x_true + noise.sigma_center_px * nx
     y = y_true + noise.sigma_center_px * ny
     if not (0.0 <= x <= intr.width and 0.0 <= y <= intr.height):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_config
 from .engine import monte_carlo, run_scenario
-from .logs import SimLog, coerce_jsonable
+from .logs import SimLog
 from .plotting import PLOT_KINDS, MissingStreamError, render_plot
 
 EXIT_OK = 0
@@ -38,7 +38,7 @@ def _load(path: str):
 
 def _write_json(path: Path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(coerce_jsonable(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

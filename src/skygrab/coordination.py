@@ -16,12 +16,12 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import camera as cam
-from .frames import wrap_angle
+from .frames import Vec3, wrap_angle
 from .camera import CameraIntrinsics, CameraMount, DetectionClass
 from .guidance import (
     CommandLimits,
@@ -67,7 +67,7 @@ class DroneMessage:
     sender: str
     t_sent: float
     kind: MessageKind
-    position: np.ndarray | None = None      # world-frame ball estimate
+    position: Vec3 | None = None      # world-frame ball estimate
 
     def __post_init__(self):
         if (self.kind is MessageKind.BALL_SIGHTING) != (self.position is not None):
@@ -146,23 +146,15 @@ class CaptureGeometry:
     radius: float = 0.25
     cone_half_angle: float = math.radians(45.0)
     max_rel_speed: float = 1.5
-    gripper_offset: np.ndarray = field(default_factory=lambda: np.array([0.4, 0.0, 0.0]))
-
-    def __post_init__(self):
-        self.gripper_offset = np.asarray(self.gripper_offset, dtype=float)
+    gripper_offset: Vec3 = (0.4, 0.0, 0.0)
 
 
-def gripper_point(uav: UavState, geom: CaptureGeometry) -> np.ndarray:
+def gripper_point(uav: UavState, geom: CaptureGeometry) -> Vec3:
     """World position of the capture reference point."""
     c, s = math.cos(uav.yaw), math.sin(uav.yaw)
     ox, oy, oz = geom.gripper_offset
-    return np.array(
-        [
-            uav.position[0] + c * ox - s * oy,
-            uav.position[1] + s * ox + c * oy,
-            uav.position[2] + oz,
-        ]
-    )
+    px, py, pz = uav.position
+    return (px + c * ox - s * oy, py + s * ox + c * oy, pz + oz)
 
 
 def grab_detect(ball_pos, ball_vel, uav: UavState, geom: CaptureGeometry) -> bool:
@@ -221,7 +213,7 @@ def ball_world_estimate(
     uav: UavState,
     mount: CameraMount,
     intr: CameraIntrinsics,
-) -> np.ndarray:
+) -> Vec3:
     """World-frame ball position from the own ball track: the filtered
     pixel center back-projected at the filtered range."""
     track = percep.ball_track
@@ -240,20 +232,19 @@ class DroneAgent:
     limits: CommandLimits
     intr: CameraIntrinsics
     mount: CameraMount
-    home: np.ndarray
+    home: Vec3
     collaborative: bool = True
     phase: MissionPhase = MissionPhase.IDLE
     explore: ExplorePlan = None
-    latest_sighting: np.ndarray | None = None
+    latest_sighting: Vec3 | None = None
     latest_sighting_t: float = -math.inf
-    last_target_point: np.ndarray | None = None
+    last_target_point: Vec3 | None = None
     last_target_t: float = -math.inf
     grab_entered_t: float = 0.0
     last_sighting_sent: float = -math.inf
     confirm_sent: bool = False
 
     def __post_init__(self):
-        self.home = np.asarray(self.home, dtype=float)
         if self.explore is None:
             self.explore = ExplorePlan.lawnmower(
                 self.settings.explore_area,
@@ -494,7 +485,7 @@ def grabber_step(agent, percep, uav, inbox, grab_flag, t):
     dx = agent.home[0] - uav.position[0]
     dy = agent.home[1] - uav.position[1]
     if math.hypot(dx, dy) > st.home_tolerance:
-        goal = np.array([agent.home[0], agent.home[1], st.takeoff_altitude])
+        goal = (agent.home[0], agent.home[1], st.takeoff_altitude)
         cmd = saturate(goto_command(goal, uav, st.approach_speed, st.yaw_gain), agent.limits)
         return _finish(agent, cmd, msgs, transitions)
     if uav.position[2] <= 0.05:

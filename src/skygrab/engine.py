@@ -39,6 +39,7 @@ from .coordination import (
     MissionPhase,
     MissionSettings,
 )
+from .frames import Vec3
 from .guidance import CommandLimits, GuidanceGains
 from .logs import SCHEMA_NAME, SCHEMA_VERSION, SimLog
 from .perception import FilterParams, PerceptionState
@@ -75,7 +76,7 @@ def substream(seed: int, stream_id: int) -> np.random.Generator:
 def _build_pattern(cfg: ScenarioConfig) -> TrajectoryPattern:
     return TrajectoryPattern(
         kind=PatternKind(cfg.target.pattern),
-        center=np.array(cfg.target.center),
+        center=cfg.target.center,
         heading=cfg.target.heading,
         speed=cfg.target.speed,
         extent=cfg.target.extent,
@@ -121,7 +122,7 @@ class _DroneRuntime:
             focal_px=dcfg.camera.focal_px,
             frame_rate=cfg.rates.vision,
         )
-        self.mount = CameraMount(translation=np.array(dcfg.camera.mount))
+        self.mount = CameraMount(translation=tuple(dcfg.camera.mount))
         self.noise = DetectionNoise(
             sigma_center_px=dcfg.camera.sigma_center_px,
             sigma_size_px=dcfg.camera.sigma_size_px,
@@ -186,7 +187,7 @@ class _DroneRuntime:
             limits=limits,
             intr=self.intr,
             mount=self.mount,
-            home=np.array(dcfg.start),
+            home=tuple(dcfg.start),
             collaborative=collaborative,
         )
         self.inbox: list = []
@@ -199,14 +200,15 @@ def _det_record(det) -> dict | None:
 
 
 def _track_record(track) -> dict:
+    x, y, x_rate, y_rate, r, r_rate = track.state.tolist()
     return {
         "status": track.status.value,
-        "x": track.state[0],
-        "y": track.state[1],
-        "x_rate": track.state[2],
-        "y_rate": track.state[3],
-        "r": track.state[4],
-        "r_rate": track.state[5],
+        "x": x,
+        "y": y,
+        "x_rate": x_rate,
+        "y_rate": y_rate,
+        "r": r,
+        "r_rate": r_rate,
     }
 
 
@@ -229,7 +231,7 @@ class _Plant:
         self.pattern = _build_pattern(config)
         self.support_pos, self.support_vel = target_pose(self.pattern, 0.0)
         self.wind = (
-            OrnsteinUhlenbeckWind(mean=np.array(w.wind.mean), sigma=w.wind.sigma, tau=w.wind.tau)
+            OrnsteinUhlenbeckWind(mean=tuple(w.wind.mean), sigma=w.wind.sigma, tau=w.wind.tau)
             if w.wind.enabled
             else None
         )
@@ -246,7 +248,7 @@ class _Plant:
             radius=config.capture.radius,
             cone_half_angle=math.radians(config.capture.cone_half_angle_deg),
             max_rel_speed=config.capture.max_rel_speed,
-            gripper_offset=np.array(config.capture.gripper_offset),
+            gripper_offset=tuple(config.capture.gripper_offset),
         )
         self.grabber = next(i for i, d in enumerate(config.drones) if d.role == "grabber")
         self.uavs = [UavState.at(*d.start, yaw=d.yaw) for d in config.drones]
@@ -257,15 +259,15 @@ class _Plant:
         ]
         self.cmds = [VelocityCommand() for _ in config.drones]
 
-    def ball_position(self) -> np.ndarray:
+    def ball_position(self) -> Vec3:
         if self.ball.attached:
             return ball_world_position(self.support_pos, self.ball, self.ball_params.length)
         return coord.gripper_point(self.uavs[self.grabber], self.geom)
 
-    def ball_velocity(self) -> np.ndarray:
+    def ball_velocity(self) -> Vec3:
         if self.ball.attached:
             return ball_world_velocity(self.support_vel, self.ball, self.ball_params.length)
-        return self.uavs[self.grabber].velocity.copy()
+        return self.uavs[self.grabber].velocity
 
     def release(self) -> None:
         """Detach the ball from the rod into the grabber's basket."""
@@ -277,8 +279,8 @@ class _Plant:
         next_pos, next_vel = target_pose(self.pattern, (self.k + 1) * dt)
         if self.ball.attached:
             wind_force = self.wind.step(self.wind_rng, dt) if self.wind is not None else _NO_WIND
-            nx, ny, nz = next_vel.tolist()
-            vx, vy, vz = self.support_vel.tolist()
+            nx, ny, nz = next_vel
+            vx, vy, vz = self.support_vel
             support_accel = ((nx - vx) / dt, (ny - vy) / dt, (nz - vz) / dt)
             self.ball = step_ball(self.ball, support_accel, wind_force, self.ball_params, dt)
         self.uavs = [
@@ -469,7 +471,7 @@ class _Run:
                 }
             )
         if all(
-            np.all(np.isfinite(uav.position)) and np.all(np.isfinite(uav.velocity)) and cmd.is_finite()
+            all(map(math.isfinite, uav.position + uav.velocity)) and cmd.is_finite()
             for uav, cmd in zip(plant.uavs, plant.cmds)
         ):
             return True
@@ -585,8 +587,8 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
 # Replay validation
 # ---------------------------------------------------------------------------
 
-def _max_abs_error(actual: np.ndarray, logged) -> float:
-    return float(np.max(np.abs(actual - np.array(logged))))
+def _max_abs_error(actual: Vec3, logged) -> float:
+    return max(abs(a - b) for a, b in zip(actual, logged))
 
 
 def replay_divergence(log: SimLog) -> float:

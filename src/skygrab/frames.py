@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 
+Vec3 = tuple[float, float, float]
+"""A 3-vector as a tuple of Python floats."""
+
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""

@@ -185,9 +185,9 @@ def explore_command(
     abeam of the lanes.
     """
     wp = plan.active_waypoint(state.position)
-    dx = wp[0] - state.position[0]
-    dy = wp[1] - state.position[1]
-    dz = wp[2] - state.position[2]
+    dx = float(wp[0]) - state.position[0]
+    dy = float(wp[1]) - state.position[1]
+    dz = float(wp[2]) - state.position[2]
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist < 1e-9:
         return VelocityCommand()

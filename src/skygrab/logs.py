@@ -2,7 +2,9 @@
 
 Records are serialized with sorted keys and compact separators so that a
 run's log is a deterministic function of (config, seed); no wall-clock
-timestamps appear anywhere. The first line is the header (schema
+timestamps appear anywhere. Records hold only JSON-native Python values
+(str, int, float, bool, None, and lists, tuples and dicts of them), so
+they are serialized as they are, with no conversion pass. The first line is the header (schema
 version, fully resolved config, multirate bookkeeping); every following
 line is one record with a "kind" discriminator.
 """
@@ -12,31 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 SCHEMA_NAME = "skygrab-log"
 SCHEMA_VERSION = 1
 
 
-def coerce_jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json can emit them."""
-    if isinstance(obj, dict):
-        return {k: coerce_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [coerce_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [coerce_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _dumps(obj) -> str:
-    return json.dumps(coerce_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass

@@ -13,7 +13,11 @@ the deflection in the world frame. Bob position relative to the pivot is
 
     L * (sin(theta)cos(phi), sin(theta)sin(phi), -cos(theta))
 
-so theta = 0 is the hanging equilibrium.
+so theta = 0 is the hanging equilibrium. Once detached, the ball rides
+in the capture basket and has no dynamics of its own.
+
+Every 3-vector (position, velocity, force) is a tuple of Python floats,
+``frames.Vec3``; the functions accept any 3-sequence as input.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .frames import wrap_angle
+from .frames import Vec3, wrap_angle
 
 GRAVITY = 9.81
 
@@ -48,18 +52,14 @@ class VelocityCommand:
 class UavState:
     """Pose and velocity of one vehicle in the world frame."""
 
-    position: np.ndarray
-    velocity: np.ndarray
+    position: Vec3
+    velocity: Vec3
     yaw: float = 0.0
     yaw_rate: float = 0.0
 
     @classmethod
     def at(cls, x: float, y: float, z: float, yaw: float = 0.0) -> "UavState":
-        return cls(
-            position=np.array([x, y, z], dtype=float),
-            velocity=np.zeros(3),
-            yaw=wrap_angle(yaw),
-        )
+        return cls((float(x), float(y), float(z)), (0.0, 0.0, 0.0), wrap_angle(yaw))
 
 
 @dataclass
@@ -81,7 +81,7 @@ def step_uav(state: UavState, cmd: VelocityCommand, params: UavParams, dt: float
     integrates the rate-limited yaw-rate command directly.
 
     Computes on Python floats read once from the input state, which is
-    left unchanged; returns a new state with fresh arrays.
+    left unchanged; returns a new state.
 
     Raises ValueError for non-finite commands.
     """
@@ -94,7 +94,7 @@ def step_uav(state: UavState, cmd: VelocityCommand, params: UavParams, dt: float
         raise ValueError("non-finite velocity command rejected")
     cx, cy, cz = cmd.vx, cmd.vy, cmd.vz
 
-    v0x, v0y, v0z = state.velocity.tolist()
+    v0x, v0y, v0z = state.velocity
     a = dt / params.tau
     vx = v0x + a * (cx - v0x)
     vy = v0y + a * (cy - v0y)
@@ -118,10 +118,8 @@ def step_uav(state: UavState, cmd: VelocityCommand, params: UavParams, dt: float
         rate = rate_max
     yaw = wrap_angle(state.yaw + dt * rate)
 
-    px, py, pz = state.position.tolist()
-    return UavState(
-        np.array((px + dt * vx, py + dt * vy, pz + dt * vz)), np.array((vx, vy, vz)), yaw, rate
-    )
+    px, py, pz = state.position
+    return UavState((px + dt * vx, py + dt * vy, pz + dt * vz), (vx, vy, vz), yaw, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +139,6 @@ class PatternKind(enum.Enum):
 _GERONO_C = 6.097223470104916
 
 
-def _constant(values) -> np.ndarray:
-    # A read-only array, safe to hand to every caller.
-    arr = np.array(values, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass
 class TrajectoryPattern:
     """Analytic target-vehicle trajectory.
@@ -157,19 +148,19 @@ class TrajectoryPattern:
     parameter rate w chosen so the path speed averages `speed`.
 
     The fields are fixed after construction: the parameter rate, the
-    heading's cosine and sine, the center as floats and the constant
-    parts of the pose are derived from them once.
+    heading's cosine and sine and the constant parts of the pose are
+    derived from them once.
     """
 
     kind: PatternKind
-    center: np.ndarray
+    center: Vec3
     heading: float = 0.0
     speed: float = 0.0
     extent: float = 4.0
     omega: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
+        self.center = tuple(float(v) for v in self.center)
         if self.speed < 0.0:
             raise ValueError("pattern speed must be >= 0")
         if self.kind is PatternKind.FIGURE_EIGHT:
@@ -178,9 +169,8 @@ class TrajectoryPattern:
             self.omega = 2.0 * math.pi * self.speed / (self.extent * _GERONO_C)
         ch, sh = math.cos(self.heading), math.sin(self.heading)
         self._axes = (ch, sh)
-        self._center = tuple(self.center.tolist())
-        self._static_pose = (_constant(self.center), _constant((0.0, 0.0, 0.0)))
-        self._line_velocity = _constant((ch * self.speed, sh * self.speed, 0.0))
+        self._static_pose = (self.center, (0.0, 0.0, 0.0))
+        self._line_velocity = (ch * self.speed, sh * self.speed, 0.0)
 
     @property
     def period(self) -> float:
@@ -190,30 +180,26 @@ class TrajectoryPattern:
         return math.inf
 
 
-def target_pose(pattern: TrajectoryPattern, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Target position and exact velocity at time t >= 0.
-
-    Constant arrays (the static pose, the straight line's velocity) are
-    shared and read-only; the others are fresh.
-    """
+def target_pose(pattern: TrajectoryPattern, t: float) -> tuple[Vec3, Vec3]:
+    """Target position and exact velocity at time t >= 0."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
     kind = pattern.kind
     if kind is PatternKind.STATIC_HOVER:
         return pattern._static_pose
     ch, sh = pattern._axes
-    cx, cy, cz = pattern._center
+    cx, cy, cz = pattern.center
     if kind is PatternKind.STRAIGHT_LINE:
         d = pattern.speed * t
-        return np.array((cx + ch * d, cy + sh * d, cz + 0.0)), pattern._line_velocity
+        return (cx + ch * d, cy + sh * d, cz + 0.0), pattern._line_velocity
     a, w = pattern.extent, pattern.omega
     s, c = math.sin(w * t), math.cos(w * t)
     x = a * s
     y = a * s * c
     vx = a * w * c
     vy = a * w * math.cos(2.0 * w * t)
-    pos = np.array((cx + (ch * x - sh * y), cy + (sh * x + ch * y), cz + 0.0))
-    vel = np.array((ch * vx - sh * vy, sh * vx + ch * vy, 0.0))
+    pos = (cx + (ch * x - sh * y), cy + (sh * x + ch * y), cz + 0.0)
+    vel = (ch * vx - sh * vy, sh * vx + ch * vy, 0.0)
     return pos, vel
 
 
@@ -319,11 +305,7 @@ def step_ball(
     m = params.mass
     wx, wy, wz = wind_force
     sx, sy, sz = support_accel
-    A = (
-        float(wx) / m - float(sx),
-        float(wy) / m - float(sy),
-        float(wz) / m - float(sz) - params.gravity,
-    )
+    A = (wx / m - sx, wy / m - sy, wz / m - sz - params.gravity)
     L, c = params.length, params.damping
     u, du = _rod_vector_state(ball)
     ux, uy, uz = u
@@ -357,30 +339,24 @@ def step_ball(
     return BallState(theta, phi, theta_dot, phi_dot)
 
 
-def ball_world_position(support, ball: BallState, length: float) -> np.ndarray:
+def ball_world_position(support, ball: BallState, length: float) -> Vec3:
     """Bob position for an attached ball: support + L * rod direction."""
     sth, cth = math.sin(ball.theta), math.cos(ball.theta)
     sph, cph = math.sin(ball.phi), math.cos(ball.phi)
-    return np.array(
-        [
-            support[0] + length * sth * cph,
-            support[1] + length * sth * sph,
-            support[2] - length * cth,
-        ]
-    )
+    sx, sy, sz = support
+    return (sx + length * sth * cph, sy + length * sth * sph, sz - length * cth)
 
 
-def ball_world_velocity(support_velocity, ball: BallState, length: float) -> np.ndarray:
+def ball_world_velocity(support_velocity, ball: BallState, length: float) -> Vec3:
     """Bob velocity for an attached ball (pivot velocity plus rod swing)."""
     sth, cth = math.sin(ball.theta), math.cos(ball.theta)
     sph, cph = math.sin(ball.phi), math.cos(ball.phi)
     td, pd = ball.theta_dot, ball.phi_dot
-    return np.array(
-        [
-            support_velocity[0] + length * (td * cth * cph - pd * sth * sph),
-            support_velocity[1] + length * (td * cth * sph + pd * sth * cph),
-            support_velocity[2] + length * td * sth,
-        ]
+    vx, vy, vz = support_velocity
+    return (
+        vx + length * (td * cth * cph - pd * sth * sph),
+        vy + length * (td * cth * sph + pd * sth * cph),
+        vz + length * td * sth,
     )
 
 
@@ -426,19 +402,17 @@ class OrnsteinUhlenbeckWind:
     the block and starts drawing from the new one.
     """
 
-    mean: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    mean: Vec3 = (0.0, 0.0, 0.0)
     sigma: float = 0.0
     tau: float = 2.0
-    force: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    force: Vec3 = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.force = np.asarray(self.force, dtype=float)
         self._rng = None
         self._rows: list[list[float]] = []
         self._next = 0
 
-    def step(self, rng: np.random.Generator, dt: float) -> np.ndarray:
+    def step(self, rng: np.random.Generator, dt: float) -> Vec3:
         i = self._next
         if rng is not self._rng or i == len(self._rows):
             self._rng = rng
@@ -446,12 +420,12 @@ class OrnsteinUhlenbeckWind:
             i = 0
         self._next = i + 1
         nx, ny, nz = self._rows[i]
-        fx, fy, fz = self.force.tolist()
-        mx, my, mz = self.mean.tolist()
+        fx, fy, fz = self.force
+        mx, my, mz = self.mean
         a = dt / self.tau
         s = self.sigma * math.sqrt(2.0 * a)
         # Component-wise in the order of f + (mean - f) * a + s * noise.
-        self.force = np.array(
-            (fx + (mx - fx) * a + s * nx, fy + (my - fy) * a + s * ny, fz + (mz - fz) * a + s * nz)
+        self.force = (
+            fx + (mx - fx) * a + s * nx, fy + (my - fy) * a + s * ny, fz + (mz - fz) * a + s * nz
         )
         return self.force

@@ -62,6 +62,18 @@ def _config(name, seed):
     return cfg.with_seed(seed)
 
 
+_JSON_LEAVES = (str, int, float, bool, type(None))
+
+
+def _non_native_leaves(obj):
+    """Leaves that are not exactly a JSON-native Python type."""
+    if isinstance(obj, dict):
+        return [leaf for v in obj.values() for leaf in _non_native_leaves(v)]
+    if isinstance(obj, (list, tuple)):
+        return [leaf for v in obj for leaf in _non_native_leaves(v)]
+    return [] if type(obj) in _JSON_LEAVES else [obj]
+
+
 def _always_logged(log):
     """Records that a lean run keeps: phases, events, the verdict, and
     messages the channel accepted for sending."""
@@ -79,6 +91,10 @@ def test_golden_run(name, seed):
 
     digest = hashlib.sha256(detailed.to_bytes()).hexdigest()
     assert digest == GOLDEN[(name, seed)], f"log digest of {name}@{seed} is now {digest}"
+    # The log is serialized without a coercion pass, so every record
+    # leaf must already be a plain Python value.
+    bad = [leaf for r in detailed.records for leaf in _non_native_leaves(r)]
+    assert not bad, f"{len(bad)} non-native leaves, e.g. {type(bad[0]).__name__}"
 
     lean = run_scenario(cfg, detail=False)
     assert _always_logged(lean) == _always_logged(detailed)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from skygrab import world
+from skygrab.camera import CameraMount, camera_position
+from skygrab.coordination import CaptureGeometry, gripper_point
 from skygrab.frames import wrap_angle
 from skygrab.world import (
     BallParams,
@@ -124,7 +126,7 @@ class TestTargetPose:
         for t in (0.0, 1.7, 5.2):
             p1, _ = target_pose(pat, t)
             p2, _ = target_pose(pat, t + T)
-            assert np.linalg.norm(p1 - p2) < 1e-9
+            assert math.dist(p1, p2) < 1e-9
 
     def test_figure_eight_mean_speed_matches(self):
         pat = TrajectoryPattern(
@@ -143,7 +145,7 @@ class TestTargetPose:
         for t in (0.3, 2.9, 7.7):
             p0, v = target_pose(pat, t)
             p1, _ = target_pose(pat, t + h)
-            fd = (p1 - p0) / h
+            fd = (np.asarray(p1) - p0) / h
             assert np.allclose(fd, v, atol=1e-4)
 
     def test_validation(self):
@@ -240,7 +242,7 @@ class TestBall:
         h = 1e-7
         p0 = ball_world_position(np.zeros(3), ball, params.length)
         stepped = step_ball(ball, np.zeros(3), np.zeros(3), params, h)
-        p1 = ball_world_position(np.zeros(3), stepped, params.length)
+        p1 = np.asarray(ball_world_position(np.zeros(3), stepped, params.length))
         v = ball_world_velocity(np.zeros(3), ball, params.length)
         assert np.allclose((p1 - p0) / h, v, atol=1e-5)
 
@@ -267,7 +269,7 @@ class TestWind:
         wind = OrnsteinUhlenbeckWind(sigma=0.3, tau=2.0)
         samples = []
         for _ in range(200000):
-            samples.append(wind.step(rng, DT).copy())
+            samples.append(wind.step(rng, DT))
         arr = np.array(samples[40000:])
         assert abs(arr.mean()) < 0.02
         assert arr.std() == pytest.approx(0.3, rel=0.1)
@@ -291,7 +293,7 @@ class TestWind:
         f = np.zeros(3)
         for _ in range(steps):
             f = f + (mean - f) * a + sigma * math.sqrt(2.0 * a) * ref_rng.standard_normal(3)
-            assert wind.step(rng, DT).tobytes() == f.tobytes()
+            assert np.array(wind.step(rng, DT)).tobytes() == f.tobytes()
 
 
 class TestInputsUnchanged:
@@ -313,6 +315,34 @@ class TestInputsUnchanged:
         assert out is not ball
         assert before == (ball.theta, ball.phi, ball.theta_dot, ball.phi_dot, ball.attached)
         assert accel.tolist() == [0.5, -0.3, 0.2] and wind.tolist() == [0.01, 0.02, -0.01]
+
+
+def _three_vectors():
+    """Each 3-vector the run path produces, by name."""
+    uav = UavState.at(1.0, -2.0, 3.0, yaw=0.4)
+    ball = BallState(theta=0.3, phi=0.2, theta_dot=0.5, phi_dot=-0.4)
+    stepped = step_uav(uav, VelocityCommand(1.0, -0.5, 0.2, 0.1), UavParams(), DT)
+    out = {"step_uav.position": stepped.position, "step_uav.velocity": stepped.velocity}
+    for kind in PatternKind:
+        pat = TrajectoryPattern(kind, center=(1.0, 2.0, 5.0), heading=0.3, speed=0.5)
+        out[f"target_pose.{kind.value}.p"], out[f"target_pose.{kind.value}.v"] = target_pose(pat, 1.3)
+    out["ball_world_position"] = ball_world_position((0.0, 0.0, 5.0), ball, 1.5)
+    out["ball_world_velocity"] = ball_world_velocity((0.5, 0.0, 0.0), ball, 1.5)
+    wind = OrnsteinUhlenbeckWind(mean=(0.1, 0.0, 0.0), sigma=0.3)
+    out["wind_step"] = wind.step(np.random.default_rng(0), DT)
+    out["camera_position"] = camera_position(uav, CameraMount((0.4, 0.1, -0.1)))
+    out["gripper_point"] = gripper_point(uav, CaptureGeometry())
+    return out
+
+
+_THREE_VECTORS = _three_vectors()
+
+
+@pytest.mark.parametrize("name", sorted(_THREE_VECTORS))
+def test_three_vectors_are_float_tuples(name):
+    v = _THREE_VECTORS[name]
+    assert type(v) is tuple and len(v) == 3
+    assert all(type(c) is float for c in v)
 
 
 def test_gerono_constant_is_the_trapezoid_integral():
