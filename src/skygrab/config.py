@@ -137,7 +137,7 @@ class MissionConfig:
     land_speed: float = 0.7
     home_tolerance: float = 1.0
     memory_timeout: float = 12.0
-    mission_budget: float | None = None  # defaults to the scenario duration
+    mission_budget: float | None = None  # None: no budget, the run ends at the scenario duration
 
 
 @dataclass
@@ -257,32 +257,33 @@ def _vec3(value, path) -> list:
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     """Range-check every field; raises ConfigError naming the field.
 
-    Returns a validated deep copy whose vectors are lists of floats; the
-    input is left unchanged.
+    Returns a validated deep copy whose real-valued fields are floats and
+    whose vectors are lists of floats, so an integer spelling in YAML
+    gives the same config and log header; the input is left unchanged.
     """
     cfg = copy.deepcopy(cfg)
     _require(cfg.schema_version == 1, "schema_version", "unsupported schema version")
     _require(isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool), "seed", "expected an integer")
-    _num(cfg.duration, "duration", lo=0.0, lo_open=True)
+    cfg.duration = _num(cfg.duration, "duration", lo=0.0, lo_open=True)
 
-    _num(cfg.rates.dynamics, "rates.dynamics", lo=0.0, lo_open=True)
-    _num(cfg.rates.vision, "rates.vision", lo=0.0, lo_open=True)
-    _num(cfg.rates.control, "rates.control", lo=0.0, lo_open=True)
+    cfg.rates.dynamics = _num(cfg.rates.dynamics, "rates.dynamics", lo=0.0, lo_open=True)
+    cfg.rates.vision = _num(cfg.rates.vision, "rates.vision", lo=0.0, lo_open=True)
+    cfg.rates.control = _num(cfg.rates.control, "rates.control", lo=0.0, lo_open=True)
     _require(cfg.rates.vision <= cfg.rates.dynamics, "rates.vision", "must not exceed rates.dynamics")
     _require(cfg.rates.control <= cfg.rates.dynamics, "rates.control", "must not exceed rates.dynamics")
 
     w = cfg.world
-    _num(w.gravity, "world.gravity", lo=0.0, lo_open=True)
-    _num(w.rod_length, "world.rod_length", lo=0.0, lo_open=True)
-    _num(w.ball_diameter, "world.ball_diameter", lo=0.0, lo_open=True)
-    _num(w.ball_mass, "world.ball_mass", lo=0.0, lo_open=True)
-    _num(w.damping, "world.damping", lo=0.0)
-    _num(w.detach_threshold, "world.detach_threshold", lo=0.0)
-    _num(w.claw_pull_force, "world.claw_pull_force", lo=0.0)
+    w.gravity = _num(w.gravity, "world.gravity", lo=0.0, lo_open=True)
+    w.rod_length = _num(w.rod_length, "world.rod_length", lo=0.0, lo_open=True)
+    w.ball_diameter = _num(w.ball_diameter, "world.ball_diameter", lo=0.0, lo_open=True)
+    w.ball_mass = _num(w.ball_mass, "world.ball_mass", lo=0.0, lo_open=True)
+    w.damping = _num(w.damping, "world.damping", lo=0.0)
+    w.detach_threshold = _num(w.detach_threshold, "world.detach_threshold", lo=0.0)
+    w.claw_pull_force = _num(w.claw_pull_force, "world.claw_pull_force", lo=0.0)
     _require(isinstance(w.wind.enabled, bool), "world.wind.enabled", "expected a boolean")
     w.wind.mean = _vec3(w.wind.mean, "world.wind.mean")
-    _num(w.wind.sigma, "world.wind.sigma", lo=0.0)
-    _num(w.wind.tau, "world.wind.tau", lo=0.0, lo_open=True)
+    w.wind.sigma = _num(w.wind.sigma, "world.wind.sigma", lo=0.0)
+    w.wind.tau = _num(w.wind.tau, "world.wind.tau", lo=0.0, lo_open=True)
 
     tg = cfg.target
     _require(
@@ -291,10 +292,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         "must be one of static_hover, straight_line, figure_eight",
     )
     tg.center = _vec3(tg.center, "target.center")
-    _num(tg.heading, "target.heading")
-    _num(tg.speed, "target.speed", lo=0.0)
-    _num(tg.extent, "target.extent", lo=0.0, lo_open=True)
-    _num(tg.span, "target.span", lo=0.0, lo_open=True)
+    tg.heading = _num(tg.heading, "target.heading")
+    tg.speed = _num(tg.speed, "target.speed", lo=0.0)
+    tg.extent = _num(tg.extent, "target.extent", lo=0.0, lo_open=True)
+    tg.span = _num(tg.span, "target.span", lo=0.0, lo_open=True)
 
     _require(len(cfg.drones) >= 1, "drones", "at least one drone required")
     roles = [d.role for d in cfg.drones]
@@ -307,45 +308,47 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         _require(isinstance(d.id, str) and d.id, f"{p}.id", "expected a non-empty string")
         _require(d.role in ("grabber", "tracker"), f"{p}.role", "must be grabber or tracker")
         d.start = _vec3(d.start, f"{p}.start")
-        _num(d.yaw, f"{p}.yaw")
-        _num(d.tau, f"{p}.tau", lo=0.0, lo_open=True)
+        d.yaw = _num(d.yaw, f"{p}.yaw")
+        d.tau = _num(d.tau, f"{p}.tau", lo=0.0, lo_open=True)
         c = d.camera
         _require(isinstance(c.width, int) and c.width > 0, f"{p}.camera.width", "expected a positive integer")
         _require(isinstance(c.height, int) and c.height > 0, f"{p}.camera.height", "expected a positive integer")
-        _num(c.focal_px, f"{p}.camera.focal_px", lo=0.0, lo_open=True)
+        c.focal_px = _num(c.focal_px, f"{p}.camera.focal_px", lo=0.0, lo_open=True)
         c.mount = _vec3(c.mount, f"{p}.camera.mount")
-        _num(c.sigma_center_px, f"{p}.camera.sigma_center_px", lo=0.0)
-        _num(c.sigma_size_px, f"{p}.camera.sigma_size_px", lo=0.0)
-        _num(c.p_det_near, f"{p}.camera.p_det_near", lo=0.0, lo_open=True)
-        _num(c.p_det_far, f"{p}.camera.p_det_far", lo=0.0, lo_open=True)
+        c.sigma_center_px = _num(c.sigma_center_px, f"{p}.camera.sigma_center_px", lo=0.0)
+        c.sigma_size_px = _num(c.sigma_size_px, f"{p}.camera.sigma_size_px", lo=0.0)
+        c.p_det_near = _num(c.p_det_near, f"{p}.camera.p_det_near", lo=0.0, lo_open=True)
+        c.p_det_far = _num(c.p_det_far, f"{p}.camera.p_det_far", lo=0.0, lo_open=True)
         _require(c.p_det_far >= c.p_det_near, f"{p}.camera.p_det_far", "must be >= p_det_near")
-        _num(c.p_det_floor, f"{p}.camera.p_det_floor", lo=0.0, hi=1.0)
-        _num(c.min_box_px, f"{p}.camera.min_box_px", lo=0.0)
+        c.p_det_floor = _num(c.p_det_floor, f"{p}.camera.p_det_floor", lo=0.0, hi=1.0)
+        c.min_box_px = _num(c.min_box_px, f"{p}.camera.min_box_px", lo=0.0)
         g = d.gains
         for name in ("kp_yaw", "kd_yaw", "kp_z", "kd_z", "kp_range", "kd_range"):
             lo_open = name.startswith("kp")
-            _num(getattr(g, name), f"{p}.gains.{name}", lo=0.0, lo_open=lo_open)
-        _num(d.limits.v_xy, f"{p}.limits.v_xy", lo=0.0, lo_open=True)
-        _num(d.limits.v_z, f"{p}.limits.v_z", lo=0.0, lo_open=True)
-        _num(d.limits.yaw_rate, f"{p}.limits.yaw_rate", lo=0.0, lo_open=True)
+            setattr(g, name, _num(getattr(g, name), f"{p}.gains.{name}", lo=0.0, lo_open=lo_open))
+        d.limits.v_xy = _num(d.limits.v_xy, f"{p}.limits.v_xy", lo=0.0, lo_open=True)
+        d.limits.v_z = _num(d.limits.v_z, f"{p}.limits.v_z", lo=0.0, lo_open=True)
+        d.limits.yaw_rate = _num(d.limits.yaw_rate, f"{p}.limits.yaw_rate", lo=0.0, lo_open=True)
 
     pc = cfg.perception
-    _num(pc.sigma_px, "perception.sigma_px", lo=0.0)
-    _num(pc.sigma_range, "perception.sigma_range", lo=0.0)
-    _num(pc.q_pixel, "perception.q_pixel", lo=0.0, lo_open=True)
-    _num(pc.q_range, "perception.q_range", lo=0.0, lo_open=True)
-    _num(pc.q_pixel_ball, "perception.q_pixel_ball", lo=0.0, lo_open=True)
-    _num(pc.q_range_ball, "perception.q_range_ball", lo=0.0, lo_open=True)
-    _num(pc.init_range_ball, "perception.init_range_ball", lo=0.0, lo_open=True)
-    _num(pc.loss_timeout, "perception.loss_timeout", lo=0.0, lo_open=True)
-    _num(pc.gate_chi2, "perception.gate_chi2", lo=0.0, lo_open=True)
-    _num(pc.switch_range, "perception.switch_range", lo=0.0, lo_open=True)
-    _num(pc.init_vel_var, "perception.init_vel_var", lo=0.0, lo_open=True)
-    _num(pc.init_range_rate_var, "perception.init_range_rate_var", lo=0.0, lo_open=True)
+    pc.sigma_px = _num(pc.sigma_px, "perception.sigma_px", lo=0.0)
+    pc.sigma_range = _num(pc.sigma_range, "perception.sigma_range", lo=0.0)
+    pc.q_pixel = _num(pc.q_pixel, "perception.q_pixel", lo=0.0, lo_open=True)
+    pc.q_range = _num(pc.q_range, "perception.q_range", lo=0.0, lo_open=True)
+    pc.q_pixel_ball = _num(pc.q_pixel_ball, "perception.q_pixel_ball", lo=0.0, lo_open=True)
+    pc.q_range_ball = _num(pc.q_range_ball, "perception.q_range_ball", lo=0.0, lo_open=True)
+    pc.init_range_ball = _num(pc.init_range_ball, "perception.init_range_ball", lo=0.0, lo_open=True)
+    pc.loss_timeout = _num(pc.loss_timeout, "perception.loss_timeout", lo=0.0, lo_open=True)
+    pc.gate_chi2 = _num(pc.gate_chi2, "perception.gate_chi2", lo=0.0, lo_open=True)
+    pc.switch_range = _num(pc.switch_range, "perception.switch_range", lo=0.0, lo_open=True)
+    pc.init_vel_var = _num(pc.init_vel_var, "perception.init_vel_var", lo=0.0, lo_open=True)
+    pc.init_range_rate_var = _num(
+        pc.init_range_rate_var, "perception.init_range_rate_var", lo=0.0, lo_open=True
+    )
 
     m = cfg.mission
-    _num(m.takeoff_altitude, "mission.takeoff_altitude", lo=0.0, lo_open=True)
-    _num(m.takeoff_speed, "mission.takeoff_speed", lo=0.0, lo_open=True)
+    m.takeoff_altitude = _num(m.takeoff_altitude, "mission.takeoff_altitude", lo=0.0, lo_open=True)
+    m.takeoff_speed = _num(m.takeoff_speed, "mission.takeoff_speed", lo=0.0, lo_open=True)
     if not isinstance(m.explore_area, (list, tuple)) or len(m.explore_area) != 4:
         raise ConfigError("mission.explore_area: expected [x_min, x_max, y_min, y_max]")
     m.explore_area = [_num(v, f"mission.explore_area[{i}]") for i, v in enumerate(m.explore_area)]
@@ -358,10 +361,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         "grab_ramp_rate", "grab_time_budget", "sighting_period",
         "land_speed", "home_tolerance", "memory_timeout",
     ):
-        _num(getattr(m, name), f"mission.{name}", lo=0.0, lo_open=True)
-    _num(m.grab_closing_bias, "mission.grab_closing_bias", lo=0.0)
+        setattr(m, name, _num(getattr(m, name), f"mission.{name}", lo=0.0, lo_open=True))
+    m.grab_closing_bias = _num(m.grab_closing_bias, "mission.grab_closing_bias", lo=0.0)
     if m.mission_budget is not None:
-        _num(m.mission_budget, "mission.mission_budget", lo=0.0, lo_open=True)
+        m.mission_budget = _num(m.mission_budget, "mission.mission_budget", lo=0.0, lo_open=True)
     _require(
         m.grabber_standoff < pc.init_range_ball,
         "mission.grabber_standoff",
@@ -369,15 +372,17 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     )
 
     cp = cfg.capture
-    _num(cp.radius, "capture.radius", lo=0.0, lo_open=True)
-    _num(cp.cone_half_angle_deg, "capture.cone_half_angle_deg", lo=0.0, lo_open=True, hi=180.0)
-    _num(cp.max_rel_speed, "capture.max_rel_speed", lo=0.0, lo_open=True)
+    cp.radius = _num(cp.radius, "capture.radius", lo=0.0, lo_open=True)
+    cp.cone_half_angle_deg = _num(
+        cp.cone_half_angle_deg, "capture.cone_half_angle_deg", lo=0.0, lo_open=True, hi=180.0
+    )
+    cp.max_rel_speed = _num(cp.max_rel_speed, "capture.max_rel_speed", lo=0.0, lo_open=True)
     cp.gripper_offset = _vec3(cp.gripper_offset, "capture.gripper_offset")
 
     ch = cfg.channel
-    _num(ch.latency, "channel.latency", lo=0.0)
-    _num(ch.drop_probability, "channel.drop_probability", lo=0.0, hi=1.0)
-    _num(ch.rate_hz, "channel.rate_hz", lo=0.0, lo_open=True)
+    ch.latency = _num(ch.latency, "channel.latency", lo=0.0)
+    ch.drop_probability = _num(ch.drop_probability, "channel.drop_probability", lo=0.0, hi=1.0)
+    ch.rate_hz = _num(ch.rate_hz, "channel.rate_hz", lo=0.0, lo_open=True)
 
     return cfg
 

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -134,3 +135,19 @@ class TestConfigsShareNothing:
         assert out.target.center == [0.0, 0.0, 5.0]
         assert all(type(v) is float for v in out.world.wind.mean + out.drones[0].start)
         assert out.world is not cfg.world and out.drones[0] is not cfg.drones[0]
+
+
+class TestRealValuedScalarsAreFloats:
+    def test_integer_and_float_spellings_give_one_header(self):
+        # One scenario must have one log header, however YAML spells it.
+        as_int = parse_config("world:\n  wind:\n    sigma: 0\n")
+        as_float = parse_config("world:\n  wind:\n    sigma: 0.0\n")
+        assert json.dumps(as_int.to_dict(), sort_keys=True) == json.dumps(
+            as_float.to_dict(), sort_keys=True
+        )
+
+    def test_integer_fields_stay_integers(self):
+        cfg = parse_config("seed: 7\nrates:\n  vision: 200\n")
+        assert type(cfg.seed) is int and type(cfg.schema_version) is int
+        assert type(cfg.drones[0].camera.width) is int
+        assert type(cfg.rates.vision) is float

@@ -46,8 +46,8 @@ GOLDEN = {
     ("single_moving", 1): "f46d3b466a7b9cd8746fa033d2397678f1d48ae92e506ec391f8c210ac9b60bd",
     ("single_moving", 1000): "d5804c3d59832ea65ca1ed759accfa0154e059057b7fb5d833c5ddee4a0c8db4",
     ("single_moving", 1001): "979f6a527d75d2712a7dfca048d93c322f836a2632b030524ee9b233d79dc595",
-    ("default_figure_eight", 1): "31302f55fa1083fd24e5036dc50788982c2fe90aeae7a89c8aa61662b22ecb16",
-    ("default_figure_eight", 1000): "8b78f532b82a13b395430827b612e540f868555975b0b8a0a8f04299537d242e",
+    ("default_figure_eight", 1): "3a4960482b23a62d739f33beb6e1e4af11075bccd083fabb31a712de00c81822",
+    ("default_figure_eight", 1000): "dd83888d0fe6db9b5d8c8eb8a03d3361aa73043cc48c25c6b66a282e55ea510f",
 }
 
 
