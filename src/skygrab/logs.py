@@ -2,11 +2,13 @@
 
 Records are serialized with sorted keys and compact separators so that a
 run's log is a deterministic function of (config, seed); no wall-clock
-timestamps appear anywhere. Records hold only JSON-native Python values
-(str, int, float, bool, None, and lists, tuples and dicts of them), so
-they are serialized as they are, with no conversion pass. The first line is the header (schema
+timestamps appear anywhere. The first line is the header (schema
 version, fully resolved config, multirate bookkeeping); every following
 line is one record with a "kind" discriminator.
+
+Records hold only JSON-native Python values (str, int, float, bool,
+None, and lists, tuples and dicts of them), so they are serialized as
+they are, with no conversion pass.
 """
 
 from __future__ import annotations
