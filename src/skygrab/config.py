@@ -1,15 +1,18 @@
 """Scenario configuration: schema, defaults, parsing, validation.
 
 Configs are YAML documents. Every key has a default, so the empty
-document is the documented collaborative baseline; unknown keys are
-rejected and range violations are reported with their full field path.
+document is the documented collaborative baseline. Each field declares
+its type and range once, as a ``Rule`` in its dataclass field's
+metadata; unknown keys are rejected and range violations are reported
+with their full field path.
 """
 
 from __future__ import annotations
 
 import copy
-import math
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import partial
 
 import yaml
 
@@ -18,81 +21,158 @@ class ConfigError(ValueError):
     """Configuration parse or validation failure, with the field path."""
 
 
+# Caps on a run's cost and size, so every accepted config finishes.
+MAX_STEPS = 10_000_000  # duration * rates.dynamics; the default scenario takes 48,000
+MAX_RATE_RATIO = 1_000_000  # rates.dynamics over rates.vision or rates.control
+MAX_LANES = 1_000  # lawnmower lanes over mission.explore_area at mission.lane_spacing
+
+
+@dataclass(frozen=True)
+class Rule:
+    """What one config field accepts, declared once in its field's metadata.
+
+    ``kind`` is ``real`` (a finite number stored as a float, with
+    ``lo <= v``, or ``lo < v`` when ``lo_open``, and ``v <= hi`` where
+    given; ``optional`` also accepts None), ``vector`` (``n`` finite
+    numbers stored as floats), ``integer`` (an int, never a bool, in the
+    float range and within lo and hi), ``choice`` (one of ``options``),
+    ``flag`` (a bool) or ``label`` (a non-empty string).
+    """
+
+    kind: str
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+    optional: bool = False
+    n: int = 0
+    shape: str = ""  # a vector's expected form, named in its message
+    options: tuple = ()
+
+    def check(self, value, path: str):
+        """The value to store for this field; raises ConfigError naming path."""
+        kind = self.kind
+        if kind == "real":
+            if value is None and self.optional:
+                return None
+            return _real(value, path, self.lo, self.hi, self.lo_open)
+        if kind == "vector":
+            if not isinstance(value, (list, tuple)) or len(value) != self.n:
+                raise ConfigError(f"{path}: expected {self.shape}")
+            return [_real(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        if kind == "integer":
+            _require(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
+            _finite(value, path)
+            _within(value, path, self.lo, self.hi, self.lo_open)
+        elif kind == "choice":
+            _require(value in self.options, path, "must be one of " + ", ".join(self.options))
+        elif kind == "flag":
+            _require(isinstance(value, bool), path, "expected a boolean")
+        elif kind == "label":
+            _require(isinstance(value, str) and value, path, "expected a non-empty string")
+        return value
+
+
+def spec(default, kind: str, **rule):
+    """A dataclass field whose metadata holds ``Rule(kind, **rule)``."""
+    meta = {"rule": Rule(kind, **rule)}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def real(default, lo=None, hi=None, lo_open=False):
+    """A real-valued field; a None default makes None a valid value."""
+    return spec(default, "real", lo=lo, hi=hi, lo_open=lo_open, optional=default is None)
+
+
+positive = partial(real, lo=0.0, lo_open=True)
+nonneg = partial(real, lo=0.0)
+unit = partial(real, lo=0.0, hi=1.0)
+
+
+def vector(*default, shape=None):
+    n = len(default)
+    return spec(list(default), "vector", n=n, shape=shape or f"a {n}-element list")
+
+
 @dataclass
 class RatesConfig:
-    dynamics: float = 400.0
-    vision: float = 30.0
-    control: float = 20.0
+    dynamics: float = positive(400.0)
+    vision: float = positive(30.0)
+    control: float = positive(20.0)
 
 
 @dataclass
 class WindConfig:
-    enabled: bool = True
-    mean: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
-    sigma: float = 0.02
-    tau: float = 2.0
+    enabled: bool = spec(True, "flag")
+    mean: list = vector(0.0, 0.0, 0.0)
+    sigma: float = nonneg(0.02)
+    tau: float = positive(2.0)
 
 
 @dataclass
 class WorldConfig:
-    gravity: float = 9.81
-    rod_length: float = 1.5
-    ball_diameter: float = 0.18
-    ball_mass: float = 0.1
-    damping: float = 0.05
-    detach_threshold: float = 5.0
-    claw_pull_force: float = 8.0
+    gravity: float = positive(9.81)
+    rod_length: float = positive(1.5)
+    ball_diameter: float = positive(0.18)
+    ball_mass: float = positive(0.1)
+    damping: float = nonneg(0.05)
+    detach_threshold: float = nonneg(5.0)
+    claw_pull_force: float = nonneg(8.0)
     wind: WindConfig = field(default_factory=WindConfig)
 
 
 @dataclass
 class TargetConfig:
-    pattern: str = "straight_line"
-    center: list = field(default_factory=lambda: [-5.0, 0.0, 5.0])
-    heading: float = 0.0
-    speed: float = 0.5
-    extent: float = 4.0
-    span: float = 0.35  # target-drone bounding size seen by the detector
+    pattern: str = spec("straight_line", "choice", options=("static_hover", "straight_line", "figure_eight"))
+    center: list = vector(-5.0, 0.0, 5.0)
+    heading: float = real(0.0)
+    speed: float = nonneg(0.5)
+    extent: float = positive(4.0)
+    span: float = positive(0.35)  # target-drone bounding size seen by the detector
 
 
 @dataclass
 class CameraConfig:
-    width: int = 640
-    height: int = 480
-    focal_px: float = 600.0
-    mount: list = field(default_factory=lambda: [0.4, 0.0, 0.0])
-    sigma_center_px: float = 2.0
-    sigma_size_px: float = 1.0
-    p_det_near: float = 8.0
-    p_det_far: float = 25.0
-    p_det_floor: float = 0.2
-    min_box_px: float = 3.0
+    width: int = spec(640, "integer", lo=1)
+    height: int = spec(480, "integer", lo=1)
+    focal_px: float = positive(600.0)
+    mount: list = vector(0.4, 0.0, 0.0)
+    sigma_center_px: float = nonneg(2.0)
+    sigma_size_px: float = nonneg(1.0)
+    p_det_near: float = positive(8.0)
+    p_det_far: float = positive(25.0)
+    p_det_floor: float = unit(0.2)
+    min_box_px: float = nonneg(3.0)
 
 
 @dataclass
 class GainsConfig:
-    kp_yaw: float = 0.01
-    kd_yaw: float = 0.004
-    kp_z: float = 0.004
-    kd_z: float = 0.001
-    kp_range: float = 0.8
-    kd_range: float = 0.3
+    kp_yaw: float = positive(0.01)
+    kd_yaw: float = nonneg(0.004)
+    kp_z: float = positive(0.004)
+    kd_z: float = nonneg(0.001)
+    kp_range: float = positive(0.8)
+    kd_range: float = nonneg(0.3)
 
 
 @dataclass
 class LimitsConfig:
-    v_xy: float = 3.0
-    v_z: float = 1.5
-    yaw_rate: float = 1.5
+    v_xy: float = positive(3.0)
+    v_z: float = positive(1.5)
+    yaw_rate: float = positive(1.5)
+
+
+ROLES = ("grabber", "tracker")
 
 
 @dataclass
 class DroneConfig:
-    id: str = "grabber"
-    role: str = "grabber"
-    start: list = field(default_factory=lambda: [-14.0, -6.0, 0.0])
-    yaw: float = 0.0
-    tau: float = 0.4
+    id: str = spec("grabber", "label")
+    role: str = "grabber"  # one of ROLES; checked with the roster in validate_config
+    start: list = vector(-14.0, -6.0, 0.0)
+    yaw: float = real(0.0)
+    tau: float = positive(0.4)
     camera: CameraConfig = field(default_factory=CameraConfig)
     gains: GainsConfig = field(default_factory=GainsConfig)
     limits: LimitsConfig = field(default_factory=LimitsConfig)
@@ -100,59 +180,59 @@ class DroneConfig:
 
 @dataclass
 class PerceptionConfig:
-    sigma_px: float = 2.0
-    sigma_range: float = 0.35
-    q_pixel: float = 50.0
-    q_range: float = 2.0
-    q_pixel_ball: float = 3000.0  # the swinging ball needs an agile filter
-    q_range_ball: float = 8.0
-    init_range_ball: float = 6.0  # ball tracks start only from nearby
-    loss_timeout: float = 0.8
-    gate_chi2: float = 9.21
-    switch_range: float = 8.0
-    init_vel_var: float = 360000.0   # (600 px/s)^2: ego-motion can sweep pixels fast
-    init_range_rate_var: float = 9.0
+    sigma_px: float = nonneg(2.0)
+    sigma_range: float = nonneg(0.35)
+    q_pixel: float = positive(50.0)
+    q_range: float = positive(2.0)
+    q_pixel_ball: float = positive(3000.0)  # the swinging ball needs an agile filter
+    q_range_ball: float = positive(8.0)
+    init_range_ball: float = positive(6.0)  # ball tracks start only from nearby
+    loss_timeout: float = positive(0.8)
+    gate_chi2: float = positive(9.21)
+    switch_range: float = positive(8.0)
+    init_vel_var: float = positive(360000.0)  # (600 px/s)^2: ego-motion can sweep pixels fast
+    init_range_rate_var: float = positive(9.0)
 
 
 @dataclass
 class MissionConfig:
-    takeoff_altitude: float = 3.5
-    takeoff_speed: float = 1.0
-    explore_area: list = field(default_factory=lambda: [-15.0, 15.0, -10.0, 10.0])
-    explore_speed: float = 1.5
-    lane_spacing: float = 4.0
-    yaw_gain: float = 1.5
-    tracker_standoff: float = 5.0
-    grabber_standoff: float = 2.5
-    drone_approach_range: float = 5.0
-    approach_speed: float = 2.5
-    arrival_radius: float = 3.0
-    scan_yaw_rate: float = 0.6
-    align_px: float = 60.0
-    align_range_tol: float = 1.0
-    grab_ramp_rate: float = 0.5
-    grab_closing_bias: float = 0.8
-    grab_time_budget: float = 10.0
-    sighting_period: float = 0.2
-    land_speed: float = 0.7
-    home_tolerance: float = 1.0
-    memory_timeout: float = 12.0
-    mission_budget: float | None = None  # None: no budget, the run ends at the scenario duration
+    takeoff_altitude: float = positive(3.5)
+    takeoff_speed: float = positive(1.0)
+    explore_area: list = vector(-15.0, 15.0, -10.0, 10.0, shape="[x_min, x_max, y_min, y_max]")
+    explore_speed: float = positive(1.5)
+    lane_spacing: float = positive(4.0)
+    yaw_gain: float = positive(1.5)
+    tracker_standoff: float = positive(5.0)
+    grabber_standoff: float = positive(2.5)
+    drone_approach_range: float = positive(5.0)
+    approach_speed: float = positive(2.5)
+    arrival_radius: float = positive(3.0)
+    scan_yaw_rate: float = positive(0.6)
+    align_px: float = positive(60.0)
+    align_range_tol: float = positive(1.0)
+    grab_ramp_rate: float = positive(0.5)
+    grab_closing_bias: float = nonneg(0.8)
+    grab_time_budget: float = positive(10.0)
+    sighting_period: float = positive(0.2)
+    land_speed: float = positive(0.7)
+    home_tolerance: float = positive(1.0)
+    memory_timeout: float = positive(12.0)
+    mission_budget: float | None = positive(None)  # None: no budget, the run ends at the scenario duration
 
 
 @dataclass
 class CaptureConfig:
-    radius: float = 0.25
-    cone_half_angle_deg: float = 45.0
-    max_rel_speed: float = 1.5
-    gripper_offset: list = field(default_factory=lambda: [0.4, 0.0, 0.0])
+    radius: float = positive(0.25)
+    cone_half_angle_deg: float = real(45.0, lo=0.0, lo_open=True, hi=180.0)
+    max_rel_speed: float = positive(1.5)
+    gripper_offset: list = vector(0.4, 0.0, 0.0)
 
 
 @dataclass
 class ChannelConfig:
-    latency: float = 0.1
-    drop_probability: float = 0.05
-    rate_hz: float = 5.0
+    latency: float = nonneg(0.1)
+    drop_probability: float = unit(0.05)
+    rate_hz: float = positive(5.0)
 
 
 def _default_drones() -> list[DroneConfig]:
@@ -164,9 +244,9 @@ def _default_drones() -> list[DroneConfig]:
 
 @dataclass
 class ScenarioConfig:
-    schema_version: int = 1
-    seed: int = 1
-    duration: float = 120.0
+    schema_version: int = spec(1, "integer", lo=1, hi=1)
+    seed: int = spec(1, "integer", lo=0)
+    duration: float = positive(120.0)
     rates: RatesConfig = field(default_factory=RatesConfig)
     world: WorldConfig = field(default_factory=WorldConfig)
     target: TargetConfig = field(default_factory=TargetConfig)
@@ -186,58 +266,12 @@ class ScenarioConfig:
         return cfg
 
 
-_SECTION_TYPES = {
-    "rates": RatesConfig,
-    "world": WorldConfig,
-    "wind": WindConfig,
-    "target": TargetConfig,
-    "camera": CameraConfig,
-    "gains": GainsConfig,
-    "limits": LimitsConfig,
-    "perception": PerceptionConfig,
-    "mission": MissionConfig,
-    "capture": CaptureConfig,
-    "channel": ChannelConfig,
-}
-
-
-def _apply(obj, data: dict, path: str):
-    """Recursively overlay a user dict onto a dataclass of defaults."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'document'}: expected a mapping")
-    fields = {f for f in obj.__dataclass_fields__}
-    for key, value in data.items():
-        where = f"{path}.{key}" if path else key
-        if key not in fields:
-            raise ConfigError(f"{where}: unknown key")
-        current = getattr(obj, key)
-        if hasattr(current, "__dataclass_fields__"):
-            _apply(current, value if value is not None else {}, where)
-        elif key == "drones":
-            if not isinstance(value, list) or not value:
-                raise ConfigError(f"{where}: expected a non-empty list")
-            drones = []
-            for i, entry in enumerate(value):
-                dc = DroneConfig()
-                _apply(dc, entry or {}, f"{where}[{i}]")
-                drones.append(dc)
-            obj.drones = drones
-        else:
-            setattr(obj, key, value)
-    return obj
-
-
 def _require(cond: bool, path: str, msg: str):
     if not cond:
         raise ConfigError(f"{path}: {msg}")
 
 
-def _num(value, path, lo=None, hi=None, lo_open=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(f"{path}: must be finite")
+def _within(v, path, lo, hi, lo_open):
     if lo is not None:
         if lo_open:
             _require(v > lo, path, f"must be > {lo}")
@@ -245,152 +279,106 @@ def _num(value, path, lo=None, hi=None, lo_open=False) -> float:
             _require(v >= lo, path, f"must be >= {lo}")
     if hi is not None:
         _require(v <= hi, path, f"must be <= {hi}")
+
+
+def _real(value, path, lo=None, hi=None, lo_open=False) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number")
+    _finite(value, path)
+    v = float(value)
+    _within(v, path, lo, hi, lo_open)
     return v
 
 
-def _vec3(value, path) -> list:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{path}: expected a 3-element list")
-    return [_num(v, f"{path}[{i}]") for i, v in enumerate(value)]
+def _finite(value, path):
+    # Compares an int exactly, so one too large for a float fails here
+    # rather than raising OverflowError in float(); so does NaN.
+    _require(abs(value) <= sys.float_info.max, path, "must be finite")
 
 
-def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Range-check every field; raises ConfigError naming the field.
+def _build(cls, data, path: str):
+    """A cls instance: its defaults overlaid with ``data``, each given
+    value checked by its field's Rule. Recurses into sections and the
+    drone list; rejects unknown keys."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'document'}: expected a mapping")
+    obj = cls()
+    known = {f.name: f for f in fields(cls)}
+    for key, value in data.items():
+        where = f"{path}.{key}" if path else key
+        if key not in known:
+            raise ConfigError(f"{where}: unknown key")
+        rule = known[key].metadata.get("rule")
+        current = getattr(obj, key)
+        if rule is not None:
+            value = rule.check(value, where)
+        elif is_dataclass(current):
+            value = _build(type(current), value if value is not None else {}, where)
+        elif key == "drones":
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"{where}: expected a non-empty list")
+            value = [_build(DroneConfig, entry or {}, f"{where}[{i}]") for i, entry in enumerate(value)]
+        setattr(obj, key, value)
+    return obj
 
-    Returns a validated deep copy whose real-valued fields are floats and
-    whose vectors are lists of floats, so an integer spelling in YAML
-    gives the same config and log header; the input is left unchanged.
+
+def config_from_dict(data: dict) -> ScenarioConfig:
+    """A validated config from a mapping; absent keys keep their defaults.
+
+    Each given field is checked against its Rule, then the rules that
+    relate fields are checked; raises ConfigError naming the field. Real
+    fields become floats and vectors lists of floats, so an integer
+    spelling in YAML gives the same config and log header.
     """
-    cfg = copy.deepcopy(cfg)
-    _require(cfg.schema_version == 1, "schema_version", "unsupported schema version")
-    _require(isinstance(cfg.seed, int) and not isinstance(cfg.seed, bool), "seed", "expected an integer")
-    cfg.duration = _num(cfg.duration, "duration", lo=0.0, lo_open=True)
-
-    cfg.rates.dynamics = _num(cfg.rates.dynamics, "rates.dynamics", lo=0.0, lo_open=True)
-    cfg.rates.vision = _num(cfg.rates.vision, "rates.vision", lo=0.0, lo_open=True)
-    cfg.rates.control = _num(cfg.rates.control, "rates.control", lo=0.0, lo_open=True)
-    _require(cfg.rates.vision <= cfg.rates.dynamics, "rates.vision", "must not exceed rates.dynamics")
-    _require(cfg.rates.control <= cfg.rates.dynamics, "rates.control", "must not exceed rates.dynamics")
-
-    w = cfg.world
-    w.gravity = _num(w.gravity, "world.gravity", lo=0.0, lo_open=True)
-    w.rod_length = _num(w.rod_length, "world.rod_length", lo=0.0, lo_open=True)
-    w.ball_diameter = _num(w.ball_diameter, "world.ball_diameter", lo=0.0, lo_open=True)
-    w.ball_mass = _num(w.ball_mass, "world.ball_mass", lo=0.0, lo_open=True)
-    w.damping = _num(w.damping, "world.damping", lo=0.0)
-    w.detach_threshold = _num(w.detach_threshold, "world.detach_threshold", lo=0.0)
-    w.claw_pull_force = _num(w.claw_pull_force, "world.claw_pull_force", lo=0.0)
-    _require(isinstance(w.wind.enabled, bool), "world.wind.enabled", "expected a boolean")
-    w.wind.mean = _vec3(w.wind.mean, "world.wind.mean")
-    w.wind.sigma = _num(w.wind.sigma, "world.wind.sigma", lo=0.0)
-    w.wind.tau = _num(w.wind.tau, "world.wind.tau", lo=0.0, lo_open=True)
-
-    tg = cfg.target
+    cfg = _build(ScenarioConfig, data or {}, "")
+    r = cfg.rates
+    _require(r.vision <= r.dynamics, "rates.vision", "must not exceed rates.dynamics")
+    _require(r.control <= r.dynamics, "rates.control", "must not exceed rates.dynamics")
+    # Floats throughout: an overflowing product or ratio is inf and fails.
     _require(
-        tg.pattern in ("static_hover", "straight_line", "figure_eight"),
-        "target.pattern",
-        "must be one of static_hover, straight_line, figure_eight",
+        1.0 <= cfg.duration * r.dynamics <= MAX_STEPS,
+        "duration",
+        f"duration * rates.dynamics must give 1 to {MAX_STEPS} dynamics steps",
     )
-    tg.center = _vec3(tg.center, "target.center")
-    tg.heading = _num(tg.heading, "target.heading")
-    tg.speed = _num(tg.speed, "target.speed", lo=0.0)
-    tg.extent = _num(tg.extent, "target.extent", lo=0.0, lo_open=True)
-    tg.span = _num(tg.span, "target.span", lo=0.0, lo_open=True)
+    for rate in ("vision", "control"):
+        _require(
+            r.dynamics / getattr(r, rate) <= MAX_RATE_RATIO,
+            f"rates.{rate}",
+            f"rates.dynamics / rates.{rate} must not exceed {MAX_RATE_RATIO}",
+        )
 
-    _require(len(cfg.drones) >= 1, "drones", "at least one drone required")
     roles = [d.role for d in cfg.drones]
     _require(roles.count("grabber") == 1, "drones", "exactly one grabber required")
     _require(roles.count("tracker") <= 1, "drones", "at most one tracker supported")
     ids = [d.id for d in cfg.drones]
     _require(len(set(ids)) == len(ids), "drones", "drone ids must be unique")
     for i, d in enumerate(cfg.drones):
-        p = f"drones[{i}]"
-        _require(isinstance(d.id, str) and d.id, f"{p}.id", "expected a non-empty string")
-        _require(d.role in ("grabber", "tracker"), f"{p}.role", "must be grabber or tracker")
-        d.start = _vec3(d.start, f"{p}.start")
-        d.yaw = _num(d.yaw, f"{p}.yaw")
-        d.tau = _num(d.tau, f"{p}.tau", lo=0.0, lo_open=True)
+        _require(d.role in ROLES, f"drones[{i}].role", "must be grabber or tracker")
         c = d.camera
-        _require(isinstance(c.width, int) and c.width > 0, f"{p}.camera.width", "expected a positive integer")
-        _require(isinstance(c.height, int) and c.height > 0, f"{p}.camera.height", "expected a positive integer")
-        c.focal_px = _num(c.focal_px, f"{p}.camera.focal_px", lo=0.0, lo_open=True)
-        c.mount = _vec3(c.mount, f"{p}.camera.mount")
-        c.sigma_center_px = _num(c.sigma_center_px, f"{p}.camera.sigma_center_px", lo=0.0)
-        c.sigma_size_px = _num(c.sigma_size_px, f"{p}.camera.sigma_size_px", lo=0.0)
-        c.p_det_near = _num(c.p_det_near, f"{p}.camera.p_det_near", lo=0.0, lo_open=True)
-        c.p_det_far = _num(c.p_det_far, f"{p}.camera.p_det_far", lo=0.0, lo_open=True)
-        _require(c.p_det_far >= c.p_det_near, f"{p}.camera.p_det_far", "must be >= p_det_near")
-        c.p_det_floor = _num(c.p_det_floor, f"{p}.camera.p_det_floor", lo=0.0, hi=1.0)
-        c.min_box_px = _num(c.min_box_px, f"{p}.camera.min_box_px", lo=0.0)
-        g = d.gains
-        for name in ("kp_yaw", "kd_yaw", "kp_z", "kd_z", "kp_range", "kd_range"):
-            lo_open = name.startswith("kp")
-            setattr(g, name, _num(getattr(g, name), f"{p}.gains.{name}", lo=0.0, lo_open=lo_open))
-        d.limits.v_xy = _num(d.limits.v_xy, f"{p}.limits.v_xy", lo=0.0, lo_open=True)
-        d.limits.v_z = _num(d.limits.v_z, f"{p}.limits.v_z", lo=0.0, lo_open=True)
-        d.limits.yaw_rate = _num(d.limits.yaw_rate, f"{p}.limits.yaw_rate", lo=0.0, lo_open=True)
-
-    pc = cfg.perception
-    pc.sigma_px = _num(pc.sigma_px, "perception.sigma_px", lo=0.0)
-    pc.sigma_range = _num(pc.sigma_range, "perception.sigma_range", lo=0.0)
-    pc.q_pixel = _num(pc.q_pixel, "perception.q_pixel", lo=0.0, lo_open=True)
-    pc.q_range = _num(pc.q_range, "perception.q_range", lo=0.0, lo_open=True)
-    pc.q_pixel_ball = _num(pc.q_pixel_ball, "perception.q_pixel_ball", lo=0.0, lo_open=True)
-    pc.q_range_ball = _num(pc.q_range_ball, "perception.q_range_ball", lo=0.0, lo_open=True)
-    pc.init_range_ball = _num(pc.init_range_ball, "perception.init_range_ball", lo=0.0, lo_open=True)
-    pc.loss_timeout = _num(pc.loss_timeout, "perception.loss_timeout", lo=0.0, lo_open=True)
-    pc.gate_chi2 = _num(pc.gate_chi2, "perception.gate_chi2", lo=0.0, lo_open=True)
-    pc.switch_range = _num(pc.switch_range, "perception.switch_range", lo=0.0, lo_open=True)
-    pc.init_vel_var = _num(pc.init_vel_var, "perception.init_vel_var", lo=0.0, lo_open=True)
-    pc.init_range_rate_var = _num(
-        pc.init_range_rate_var, "perception.init_range_rate_var", lo=0.0, lo_open=True
-    )
+        _require(c.p_det_far >= c.p_det_near, f"drones[{i}].camera.p_det_far", "must be >= p_det_near")
 
     m = cfg.mission
-    m.takeoff_altitude = _num(m.takeoff_altitude, "mission.takeoff_altitude", lo=0.0, lo_open=True)
-    m.takeoff_speed = _num(m.takeoff_speed, "mission.takeoff_speed", lo=0.0, lo_open=True)
-    if not isinstance(m.explore_area, (list, tuple)) or len(m.explore_area) != 4:
-        raise ConfigError("mission.explore_area: expected [x_min, x_max, y_min, y_max]")
-    m.explore_area = [_num(v, f"mission.explore_area[{i}]") for i, v in enumerate(m.explore_area)]
-    _require(m.explore_area[1] > m.explore_area[0], "mission.explore_area", "x_max must exceed x_min")
-    _require(m.explore_area[3] > m.explore_area[2], "mission.explore_area", "y_max must exceed y_min")
-    for name in (
-        "explore_speed", "lane_spacing", "yaw_gain", "tracker_standoff",
-        "grabber_standoff", "drone_approach_range", "approach_speed",
-        "arrival_radius", "scan_yaw_rate", "align_px", "align_range_tol",
-        "grab_ramp_rate", "grab_time_budget", "sighting_period",
-        "land_speed", "home_tolerance", "memory_timeout",
-    ):
-        setattr(m, name, _num(getattr(m, name), f"mission.{name}", lo=0.0, lo_open=True))
-    m.grab_closing_bias = _num(m.grab_closing_bias, "mission.grab_closing_bias", lo=0.0)
-    if m.mission_budget is not None:
-        m.mission_budget = _num(m.mission_budget, "mission.mission_budget", lo=0.0, lo_open=True)
+    x_min, x_max, y_min, y_max = m.explore_area
+    _require(x_max > x_min, "mission.explore_area", "x_max must exceed x_min")
+    _require(y_max > y_min, "mission.explore_area", "y_max must exceed y_min")
+    # lawnmower_waypoints lays ceil((y_max - y_min) / lane_spacing) + 1 lanes.
     _require(
-        m.grabber_standoff < pc.init_range_ball,
+        (y_max - y_min) / m.lane_spacing <= MAX_LANES - 1,
+        "mission.lane_spacing",
+        f"must leave at most {MAX_LANES} lanes over mission.explore_area",
+    )
+    _require(
+        m.grabber_standoff < cfg.perception.init_range_ball,
         "mission.grabber_standoff",
         "must be below perception.init_range_ball",
     )
-
-    cp = cfg.capture
-    cp.radius = _num(cp.radius, "capture.radius", lo=0.0, lo_open=True)
-    cp.cone_half_angle_deg = _num(
-        cp.cone_half_angle_deg, "capture.cone_half_angle_deg", lo=0.0, lo_open=True, hi=180.0
-    )
-    cp.max_rel_speed = _num(cp.max_rel_speed, "capture.max_rel_speed", lo=0.0, lo_open=True)
-    cp.gripper_offset = _vec3(cp.gripper_offset, "capture.gripper_offset")
-
-    ch = cfg.channel
-    ch.latency = _num(ch.latency, "channel.latency", lo=0.0)
-    ch.drop_probability = _num(ch.drop_probability, "channel.drop_probability", lo=0.0, hi=1.0)
-    ch.rate_hz = _num(ch.rate_hz, "channel.rate_hz", lo=0.0, lo_open=True)
-
     return cfg
 
 
-def config_from_dict(data: dict) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    _apply(cfg, data or {}, "")
-    return validate_config(cfg)
+def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
+    """A validated deep copy of cfg, as ``config_from_dict`` builds it;
+    the input is left unchanged."""
+    return config_from_dict(asdict(cfg))
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -85,24 +85,13 @@ def _build_pattern(cfg: ScenarioConfig) -> TrajectoryPattern:
 
 def _filter_params(cfg: ScenarioConfig, cls: DetectionClass) -> FilterParams:
     p = cfg.perception
-    if cls is DetectionClass.BALL:
-        return FilterParams(
-            q_pixel=p.q_pixel_ball,
-            q_range=p.q_range_ball,
-            sigma_px=p.sigma_px,
-            sigma_range=p.sigma_range,
-            init_range=p.init_range_ball,
-            loss_timeout=p.loss_timeout,
-            gate_chi2=p.gate_chi2,
-            init_vel_var=p.init_vel_var,
-            init_range_rate_var=p.init_range_rate_var,
-        )
+    ball = cls is DetectionClass.BALL
     return FilterParams(
-        q_pixel=p.q_pixel,
-        q_range=p.q_range,
+        q_pixel=p.q_pixel_ball if ball else p.q_pixel,
+        q_range=p.q_range_ball if ball else p.q_range,
         sigma_px=p.sigma_px,
         sigma_range=p.sigma_range,
-        init_range=None,
+        init_range=p.init_range_ball if ball else None,
         loss_timeout=p.loss_timeout,
         gate_chi2=p.gate_chi2,
         init_vel_var=p.init_vel_var,
@@ -137,48 +126,18 @@ class _DroneRuntime:
             ball_params=_filter_params(cfg, DetectionClass.BALL),
         )
         self.percep.selection.switch_range = cfg.perception.switch_range
-        gains = GuidanceGains(
-            kp_yaw=dcfg.gains.kp_yaw,
-            kd_yaw=dcfg.gains.kd_yaw,
-            kp_z=dcfg.gains.kp_z,
-            kd_z=dcfg.gains.kd_z,
-            kp_range=dcfg.gains.kp_range,
-            kd_range=dcfg.gains.kd_range,
-            r_des=cfg.mission.grabber_standoff,
-        )
+        gains = GuidanceGains(**vars(dcfg.gains), r_des=cfg.mission.grabber_standoff)
         limits = CommandLimits(
             v_max_xy=dcfg.limits.v_xy,
             v_max_z=dcfg.limits.v_z,
             yaw_rate_max=dcfg.limits.yaw_rate,
         )
-        settings = MissionSettings(
-            takeoff_altitude=cfg.mission.takeoff_altitude,
-            takeoff_speed=cfg.mission.takeoff_speed,
-            explore_area=tuple(cfg.mission.explore_area),
-            explore_speed=cfg.mission.explore_speed,
-            lane_spacing=cfg.mission.lane_spacing,
-            yaw_gain=cfg.mission.yaw_gain,
-            tracker_standoff=cfg.mission.tracker_standoff,
-            grabber_standoff=cfg.mission.grabber_standoff,
-            drone_approach_range=cfg.mission.drone_approach_range,
-            approach_speed=cfg.mission.approach_speed,
-            arrival_radius=cfg.mission.arrival_radius,
-            scan_yaw_rate=cfg.mission.scan_yaw_rate,
-            align_px=cfg.mission.align_px,
-            align_range_tol=cfg.mission.align_range_tol,
-            grab_ramp_rate=cfg.mission.grab_ramp_rate,
-            grab_closing_bias=cfg.mission.grab_closing_bias,
-            grab_time_budget=cfg.mission.grab_time_budget,
-            sighting_period=cfg.mission.sighting_period,
-            land_speed=cfg.mission.land_speed,
-            home_tolerance=cfg.mission.home_tolerance,
-            memory_timeout=cfg.mission.memory_timeout,
-            mission_budget=(
-                cfg.mission.mission_budget
-                if cfg.mission.mission_budget is not None
-                else math.inf
-            ),
-        )
+        m = cfg.mission
+        settings = MissionSettings(**{
+            **vars(m),
+            "explore_area": tuple(m.explore_area),
+            "mission_budget": math.inf if m.mission_budget is None else m.mission_budget,
+        })
         self.agent = DroneAgent(
             drone_id=dcfg.id,
             role=dcfg.role,
@@ -475,8 +434,12 @@ class _Run:
             for uav, cmd in zip(plant.uavs, plant.cmds)
         ):
             return True
+        return self.nonfinite(t)
+
+    def nonfinite(self, t: float) -> bool:
+        """Log ``nonfinite_state`` and mark the run invalid; returns False."""
         self.invalid = True
-        log.append({"kind": "event", "t": t, "event": "nonfinite_state", "drone": None, "data": {}})
+        self.log.append({"kind": "event", "t": t, "event": "nonfinite_state", "drone": None, "data": {}})
         return False
 
     def contact(self, t: float) -> None:
@@ -497,16 +460,30 @@ class _Run:
                  "data": {"ball_p": list(bp)}}
             )
 
-    def integrate(self, t: float) -> None:
-        """Advance the plant to t + dt; flag the first over-swing."""
-        self.plant.step()
-        ball = self.plant.ball
+    def integrate(self, t: float) -> bool:
+        """Advance the plant to t + dt; flag the first over-swing. Returns
+        False, after ``nonfinite_state``, when the step overflows or leaves
+        the ball or target state not finite."""
+        plant = self.plant
+        try:
+            plant.step()
+        except OverflowError:
+            return self.nonfinite(t)
+        ball = plant.ball
+        sx, sy, sz = plant.support_pos
+        isfinite = math.isfinite
+        if not (
+            isfinite(ball.theta) and isfinite(ball.phi) and isfinite(ball.theta_dot)
+            and isfinite(ball.phi_dot) and isfinite(sx) and isfinite(sy) and isfinite(sz)
+        ):
+            return self.nonfinite(t)
         if ball.attached and abs(ball.theta) >= math.pi / 2 and not self.swing_flagged:
             self.swing_flagged = True
             self.log.append(
                 {"kind": "event", "t": t, "event": "invalid_swing", "drone": None,
                  "data": {"theta": ball.theta}}
             )
+        return True
 
     def verdict(self) -> dict:
         if self.t_capture is not None:
@@ -575,7 +552,8 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
             break
         if plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB:
             run.contact(t)
-        run.integrate(t)
+        if not run.integrate(t):
+            break
         # Phases change only on control ticks.
         if control_tick and all(d.agent.phase in coord.TERMINAL_PHASES for d in run.drones):
             break
@@ -588,7 +566,11 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
 # ---------------------------------------------------------------------------
 
 def _max_abs_error(actual: Vec3, logged) -> float:
-    return max(abs(a - b) for a, b in zip(actual, logged))
+    """Largest per-coordinate error; inf when a coordinate compared is not
+    finite, which ``max`` alone would drop as a NaN."""
+    (ax, ay, az), (bx, by, bz) = actual, logged
+    ex, ey, ez = abs(ax - bx), abs(ay - by), abs(az - bz)
+    return max(ex, ey, ez) if math.isfinite(ex + ey + ez) else math.inf
 
 
 def replay_divergence(log: SimLog) -> float:
@@ -643,10 +625,14 @@ def replay_divergence(log: SimLog) -> float:
 # ---------------------------------------------------------------------------
 
 def _mc_single(args) -> dict:
+    """One batch run; an exception becomes an ``error`` verdict naming its
+    type, so one seed cannot end the batch."""
     config_dict, seed = args
-    cfg = config_from_dict(config_dict).with_seed(seed)
-    log = run_scenario(cfg, detail=False)
-    rec = log.verdict_record
+    try:
+        cfg = config_from_dict(config_dict).with_seed(seed)
+        rec = run_scenario(cfg, detail=False).verdict_record
+    except Exception as e:  # the batch boundary: report the run and go on
+        return {"seed": seed, "verdict": "error", "t_capture": None, "failure": type(e).__name__}
     return {
         "seed": seed,
         "verdict": rec["verdict"],

@@ -54,9 +54,9 @@ class FilterParams:
     def measurement_cov(self) -> np.ndarray:
         return np.diag(
             [
-                max(self.sigma_px**2, self._R_PX_FLOOR),
-                max(self.sigma_px**2, self._R_PX_FLOOR),
-                max(self.sigma_range**2, self._R_RANGE_FLOOR),
+                max(self.sigma_px * self.sigma_px, self._R_PX_FLOOR),
+                max(self.sigma_px * self.sigma_px, self._R_PX_FLOOR),
+                max(self.sigma_range * self.sigma_range, self._R_RANGE_FLOOR),
             ]
         )
 

@@ -180,6 +180,9 @@ class TrajectoryPattern:
         return math.inf
 
 
+_NAN3 = (math.nan, math.nan, math.nan)
+
+
 def target_pose(pattern: TrajectoryPattern, t: float) -> tuple[Vec3, Vec3]:
     """Target position and exact velocity at time t >= 0."""
     if t < 0.0:
@@ -193,6 +196,8 @@ def target_pose(pattern: TrajectoryPattern, t: float) -> tuple[Vec3, Vec3]:
         d = pattern.speed * t
         return (cx + ch * d, cy + sh * d, cz + 0.0), pattern._line_velocity
     a, w = pattern.extent, pattern.omega
+    if not math.isfinite(2.0 * w * t):  # sin and cos raise on it; a NaN pose ends the run
+        return _NAN3, _NAN3
     s, c = math.sin(w * t), math.cos(w * t)
     x = a * s
     y = a * s * c

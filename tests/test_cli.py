@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from skygrab import engine
 from skygrab.cli import main
 from skygrab.logs import SimLog
 
@@ -74,6 +75,28 @@ class TestMonteCarlo:
         assert [r[0] for r in rows[1:]] == ["5", "6", "7"]
         summary = json.loads((out / "mc_summary.json").read_text())
         assert summary["n_runs"] == 3
+
+    def test_one_raising_run_is_an_error_row(self, tmp_path, monkeypatch):
+        inner = engine.run_scenario
+
+        def raise_for_seed_6(config, detail=True):
+            if config.seed == 6:
+                raise OverflowError("math range error")
+            return inner(config, detail=detail)
+
+        monkeypatch.setattr(engine, "run_scenario", raise_for_seed_6)
+        out = tmp_path / "mc"
+        assert main(["mc", "--config", NOMINAL, "--runs", "3", "--seed-base", "5",
+                     "--out", str(out)]) == 0
+        with open(out / "verdicts.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [
+            ["5", "captured", rows[1][2], ""],
+            ["6", "error", "", "OverflowError"],
+            ["7", "captured", rows[3][2], ""],
+        ]
+        summary = json.loads((out / "mc_summary.json").read_text())
+        assert (summary["captured"], summary["failures"]) == (2, {"OverflowError": 1})
 
     def test_repeat_invocation_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

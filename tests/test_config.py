@@ -3,7 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from skygrab.config import ConfigError, ScenarioConfig, load_config, parse_config, validate_config
+from skygrab.config import (
+    MAX_LANES,
+    ConfigError,
+    ScenarioConfig,
+    load_config,
+    parse_config,
+    validate_config,
+)
+from skygrab.guidance import lawnmower_waypoints
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -146,8 +154,51 @@ class TestRealValuedScalarsAreFloats:
             as_float.to_dict(), sort_keys=True
         )
 
+    @pytest.mark.parametrize("doc,path", [
+        ("world: {gravity: %d}", "world.gravity"),
+        ("target: {center: [%d, 0.0, 5.0]}", "target.center[0]"),
+        ("drones: [{camera: {width: %d}}]", "drones[0].camera.width"),
+        ("seed: %d", "seed"),
+    ])
+    def test_integer_beyond_float_range_is_rejected(self, doc, path):
+        # float() of it would raise OverflowError, in validation or in the run
+        with pytest.raises(ConfigError) as e:
+            parse_config(doc % 10**400)
+        assert str(e.value) == f"{path}: must be finite"
+
     def test_integer_fields_stay_integers(self):
         cfg = parse_config("seed: 7\nrates:\n  vision: 200\n")
         assert type(cfg.seed) is int and type(cfg.schema_version) is int
         assert type(cfg.drones[0].camera.width) is int
         assert type(cfg.rates.vision) is float
+
+
+class TestCostCaps:
+    """Every accepted config must finish: step count, multirate ratios
+    and lane count are capped, each checked in float before any int()."""
+
+    @pytest.mark.parametrize(
+        "doc,path",
+        [
+            ("rates: {dynamics: 1.0e+300, control: 1.0e-300}", "duration"),
+            ("rates: {dynamics: 1.0e+9}", "duration"),
+            ("duration: 25000.01", "duration"),
+            ("duration: 1.0e-3", "duration"),
+            ("duration: 1.0\nrates: {dynamics: 1.0e+6, vision: 0.999}", "rates.vision"),
+            ("duration: 1.0\nrates: {dynamics: 1.0e+6, control: 0.999}", "rates.control"),
+            ("mission: {lane_spacing: 1.0e-300}", "mission.lane_spacing"),
+            ("mission: {lane_spacing: 1.0e-6}", "mission.lane_spacing"),
+            ("mission: {explore_area: [-15.0, 15.0, 0.0, 999.0], lane_spacing: 0.999}", "mission.lane_spacing"),
+        ],
+    )
+    def test_past_a_cap_is_rejected_naming_the_path(self, doc, path):
+        with pytest.raises(ConfigError) as e:
+            parse_config(doc)
+        assert str(e.value).startswith(f"{path}: ")
+
+    def test_at_the_caps_is_accepted(self):
+        parse_config("duration: 25000.0\n")
+        parse_config("duration: 1.0e-6\nrates: {dynamics: 1.0e+6, vision: 1.0, control: 1.0}\n")
+        cfg = parse_config("mission: {explore_area: [-15.0, 15.0, 0.0, 999.0], lane_spacing: 1.0}\n")
+        m = cfg.mission
+        assert len(lawnmower_waypoints(m.explore_area, m.lane_spacing, 3.5)) == 2 * MAX_LANES

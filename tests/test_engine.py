@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +176,11 @@ class TestDisturbedRun:
         assert replay_divergence(nominal_static_log) < 1e-9
         assert replay_divergence(disturbed_log) < 1e-9
 
+    def test_nan_in_logged_truth_reads_as_infinite_divergence(self, nominal_static_log):
+        log = SimLog(header=nominal_static_log.header, records=copy.deepcopy(nominal_static_log.records))
+        next(log.iter_kind("state"))["drones"]["grabber"]["p"][0] = math.nan
+        assert replay_divergence(log) == math.inf
+
 
 class TestPlant:
     def test_wind_not_stepped_after_detach(self):
@@ -206,6 +213,26 @@ class TestInvalidRuns:
         log = run_scenario(config_from_dict(d), detail=detail)
         validate_log(log)
         assert len(list(log.iter_kind("verdict"))) == 1
+        rec = log.verdict_record
+        assert (rec["verdict"], rec["failure"]) == ("invalid", "nonfinite_state")
+        assert len(log.events("nonfinite_state")) == 1
+
+
+    @pytest.mark.parametrize("detail", [False, True])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"world": {"gravity": 1.0e300}},  # OverflowError in the first step
+            {"world": {"wind": {"mean": [1.0e9, 0.0, 0.0], "tau": 0.5}}},  # ... in the second
+            {"world": {"wind": {"mean": [1.0e300, 0.0, 0.0]}}},  # a NaN ball state
+            {"target": {"speed": 1.7e308}},  # the target position overflows to inf
+            {"target": {"pattern": "figure_eight", "speed": 1.0e300, "extent": 1.0e-300}},  # inf phase
+        ],
+        ids=["gravity", "wind_overflow", "wind_nan", "target_inf", "figure_eight_phase"],
+    )
+    def test_plant_overflow_ends_invalid_without_raising(self, overrides, detail):
+        log = run_scenario(config_from_dict({"duration": 3.0, **overrides}), detail=detail)
+        validate_log(log)
         rec = log.verdict_record
         assert (rec["verdict"], rec["failure"]) == ("invalid", "nonfinite_state")
         assert len(log.events("nonfinite_state")) == 1
