@@ -97,10 +97,10 @@ def _export_timeseries(log: SimLog, path: Path):
 def cmd_run(args) -> int:
     try:
         cfg = _load(args.config)
+        if args.seed is not None:
+            cfg = cfg.with_seed(args.seed)
     except ConfigError as e:
         return _fail(str(e))
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
     out = Path(args.out) / f"{Path(args.config).stem}-seed{cfg.seed}"
     out.mkdir(parents=True, exist_ok=True)
 
@@ -128,9 +128,12 @@ def cmd_montecarlo(args) -> int:
     if args.runs < 1:
         return _fail("--runs must be >= 1")
     seed_base = args.seed_base if args.seed_base is not None else cfg.seed
+    try:
+        summary = monte_carlo(cfg, args.runs, seed_base, n_jobs=args.jobs)
+    except ConfigError as e:
+        return _fail(str(e))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = monte_carlo(cfg, args.runs, seed_base, n_jobs=args.jobs)
 
     import csv
     with open(out / "verdicts.csv", "w", newline="", encoding="utf-8") as fh:

@@ -260,9 +260,11 @@ class ScenarioConfig:
         return asdict(self)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        """A deep copy with the seed replaced; it shares nothing with self."""
+        """A deep copy with the seed replaced; it shares nothing with self.
+        Raises ConfigError when the seed field's Rule rejects seed."""
+        rule = next(f.metadata["rule"] for f in fields(self) if f.name == "seed")
         cfg = copy.deepcopy(self)
-        cfg.seed = int(seed)
+        cfg.seed = rule.check(seed, "seed")
         return cfg
 
 

@@ -7,8 +7,14 @@ position. The grabber either flies to the communicated position
 (collaborative mode) or explores on its own (single mode), servos onto
 the ball, ramps its standoff down to contact, and confirms the grab.
 
-Every phase transition must be an edge of the per-role graphs declared
-at the bottom of this module; the run-log validator enforces that.
+Each role's policy is a table, ``POLICIES``, with one handler per
+non-terminal phase of the role's declared phase graph (both at the
+bottom of this module). ``DroneAgent.step`` does the work every phase
+shares (target memory, inbox, the terminal and budget checks) and then
+runs the handler of the current phase, which may change the phase and
+returns the command and at most one message. Every phase transition
+must be an edge of the declared graph; the run-log validator enforces
+that.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import numpy as np
 from . import camera as cam
 from .frames import Vec3, wrap_angle
 from .camera import CameraIntrinsics, CameraMount, DetectionClass
+from .config import MissionConfig
 from .guidance import (
     CommandLimits,
     ExplorePlan,
@@ -177,36 +184,8 @@ def grab_detect(ball_pos, ball_vel, uav: UavState, geom: CaptureGeometry) -> boo
 
 
 # ---------------------------------------------------------------------------
-# Mission state machines
+# Mission agent
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MissionSettings:
-    """Shared coordination parameters (see configs for the documented set)."""
-
-    takeoff_altitude: float = 3.5
-    takeoff_speed: float = 1.0
-    explore_area: tuple[float, float, float, float] = (-15.0, 15.0, -10.0, 10.0)
-    explore_speed: float = 1.5
-    lane_spacing: float = 4.0
-    yaw_gain: float = 1.5
-    tracker_standoff: float = 5.0
-    grabber_standoff: float = 2.5
-    drone_approach_range: float = 5.0
-    approach_speed: float = 2.5
-    arrival_radius: float = 3.0
-    scan_yaw_rate: float = 0.6
-    align_px: float = 60.0
-    align_range_tol: float = 1.0
-    grab_ramp_rate: float = 0.5
-    grab_closing_bias: float = 0.8
-    grab_time_budget: float = 10.0
-    sighting_period: float = 0.2
-    land_speed: float = 0.7
-    home_tolerance: float = 1.0
-    memory_timeout: float = 12.0
-    mission_budget: float = math.inf
-
 
 def ball_world_estimate(
     percep: PerceptionState,
@@ -227,7 +206,7 @@ class DroneAgent:
 
     drone_id: str
     role: str  # "tracker" or "grabber"
-    settings: MissionSettings
+    settings: MissionConfig
     gains: GuidanceGains
     limits: CommandLimits
     intr: CameraIntrinsics
@@ -253,10 +232,27 @@ class DroneAgent:
             )
 
     def step(self, percep, uav, inbox, grab_flag, t):
+        """One control tick; returns (command, message or None).
+
+        Remembers the target, folds the inbox, holds still once terminal,
+        fails out past the mission budget, and otherwise runs the handler
+        that ``POLICIES`` holds for this role and phase. ``grab_flag`` says
+        the ball is in the basket: the engine's contact check tells the
+        grabber, a ``GRAB_CONFIRMED`` in the inbox tells the tracker.
+        """
         self._remember_target(percep, uav, t)
-        if self.role == "tracker":
-            return tracker_step(self, percep, uav, inbox, t)
-        return grabber_step(self, percep, uav, inbox, grab_flag, t)
+        for m in inbox:
+            if m.kind is MessageKind.GRAB_CONFIRMED:
+                grab_flag = True
+            elif m.t_sent > self.latest_sighting_t:
+                self.latest_sighting = m.position
+                self.latest_sighting_t = m.t_sent
+        if self.phase in TERMINAL_PHASES:
+            return VelocityCommand(), None
+        budget = self.settings.mission_budget
+        if budget is not None and t > budget:
+            return _hold(self, MissionPhase.FAILED)
+        return POLICIES[self.role][self.phase](self, percep, uav, grab_flag, t)
 
     def _remember_target(self, percep, uav, t):
         # Own memory of where the target group was last seen, used to
@@ -274,15 +270,10 @@ class DroneAgent:
             self.last_target_t = t
 
 
-def _finish(agent, cmd, msgs, transitions, new_phase=None):
-    if new_phase is not None and new_phase is not agent.phase:
-        transitions.append((agent.phase, new_phase))
-        agent.phase = new_phase
-    return cmd, msgs, transitions
-
-
-def _zero(agent) -> VelocityCommand:
-    return VelocityCommand()
+def _hold(agent, phase):
+    """Enter phase with a zero command and no message."""
+    agent.phase = phase
+    return VelocityCommand(), None
 
 
 def _takeoff_cmd(agent, uav) -> VelocityCommand:
@@ -301,196 +292,178 @@ def _servo(agent, track, uav, r_des, closing_bias=0.0) -> VelocityCommand:
     return saturate(cmd, agent.limits)
 
 
-def _search_cmd(agent, percep, uav, t=None) -> VelocityCommand:
+def _search_cmd(agent, percep, uav, t) -> VelocityCommand:
     """Pre-lock guidance: home on any usable track; failing that, search
     near the remembered target position; failing that, fly the pattern."""
+    st = agent.settings
     active = percep.active_track()
     if active.status is not TrackStatus.UNINITIALIZED:
-        r_des = (
-            agent.settings.drone_approach_range
-            if active.cls is DetectionClass.DRONE
-            else agent.settings.tracker_standoff
-        )
+        r_des = st.drone_approach_range if active.cls is DetectionClass.DRONE else st.tracker_standoff
         try:
             return _servo(agent, active, uav, r_des)
         except GuidanceError:
             pass
-    if (
-        t is not None
-        and agent.last_target_point is not None
-        and t - agent.last_target_t < agent.settings.memory_timeout
-    ):
+    if agent.last_target_point is not None and t - agent.last_target_t < st.memory_timeout:
         goal = agent.last_target_point
-        if math.dist(goal, uav.position) > agent.settings.arrival_radius:
-            return saturate(
-                goto_command(goal, uav, agent.settings.approach_speed, agent.settings.yaw_gain),
-                agent.limits,
-            )
+        if math.dist(goal, uav.position) > st.arrival_radius:
+            return saturate(goto_command(goal, uav, st.approach_speed, st.yaw_gain), agent.limits)
     return saturate(
         explore_command(
-            agent.explore, uav, agent.settings.explore_speed, agent.settings.yaw_gain,
+            agent.explore, uav, st.explore_speed, st.yaw_gain,
             t=t, scan_amplitude=_EXPLORE_SCAN_AMPLITUDE,
         ),
         agent.limits,
     )
 
 
-def tracker_step(agent, percep, uav, inbox, t):
-    """Tracker policy: explore, hold the ball in FOV from a standoff,
-    broadcast sightings, finish only once the grab is confirmed."""
-    msgs: list[DroneMessage] = []
-    transitions: list[tuple[MissionPhase, MissionPhase]] = []
-    st = agent.settings
+def _reacquire_phase(agent) -> MissionPhase:
+    """Where a grabber that lost the ball goes: to the communicated
+    position when it has one, else back to its own exploration."""
+    if agent.collaborative and agent.latest_sighting is not None:
+        return MissionPhase.APPROACH_HANDOFF
+    return MissionPhase.EXPLORE
 
-    if agent.phase in TERMINAL_PHASES:
-        return _finish(agent, _zero(agent), msgs, transitions)
-    if t > st.mission_budget:
-        return _finish(agent, _zero(agent), msgs, transitions, MissionPhase.FAILED)
-    if any(m.kind is MessageKind.GRAB_CONFIRMED for m in inbox) and agent.phase in (
-        MissionPhase.TAKEOFF,
-        MissionPhase.EXPLORE,
-        MissionPhase.TRACK_DRONE,
-    ):
-        return _finish(agent, _zero(agent), msgs, transitions, MissionPhase.DONE)
 
-    if agent.phase is MissionPhase.IDLE:
-        return _finish(agent, _zero(agent), msgs, transitions, MissionPhase.TAKEOFF)
+# Mission policies, one handler per non-terminal phase and role (the
+# table ``POLICIES`` below). A handler is called as
+# handler(agent, percep, uav, grab_flag, t); it sets ``agent.phase`` on a
+# transition and returns (command, message or None).
 
-    if agent.phase is MissionPhase.TAKEOFF:
-        if _at_altitude(agent, uav):
-            return _finish(agent, _search_cmd(agent, percep, uav, t), msgs, transitions, MissionPhase.EXPLORE)
-        return _finish(agent, _takeoff_cmd(agent, uav), msgs, transitions)
+def _tracker_idle(agent, percep, uav, grab_flag, t):
+    return _hold(agent, MissionPhase.TAKEOFF)
 
+
+def _tracker_takeoff(agent, percep, uav, grab_flag, t):
+    if grab_flag:
+        return _hold(agent, MissionPhase.DONE)
+    if _at_altitude(agent, uav):
+        agent.phase = MissionPhase.EXPLORE
+        return _search_cmd(agent, percep, uav, t), None
+    return _takeoff_cmd(agent, uav), None
+
+
+def _tracker_explore(agent, percep, uav, grab_flag, t):
+    if grab_flag:
+        return _hold(agent, MissionPhase.DONE)
     ball = percep.ball_track
+    if ball.status is TrackStatus.TRACKING:
+        agent.phase = MissionPhase.TRACK_DRONE
+        return _servo(agent, ball, uav, agent.settings.tracker_standoff), None
+    return _search_cmd(agent, percep, uav, t), None
 
-    if agent.phase is MissionPhase.EXPLORE:
-        if ball.status is TrackStatus.TRACKING:
-            cmd = _servo(agent, ball, uav, st.tracker_standoff)
-            return _finish(agent, cmd, msgs, transitions, MissionPhase.TRACK_DRONE)
-        return _finish(agent, _search_cmd(agent, percep, uav, t), msgs, transitions)
 
-    # TRACK_DRONE: hold standoff on the ball, fall back to exploring on loss.
+def _tracker_track(agent, percep, uav, grab_flag, t):
+    """Hold the standoff on the ball and broadcast sightings; explore
+    again once the track is gone."""
+    if grab_flag:
+        return _hold(agent, MissionPhase.DONE)
+    st, ball = agent.settings, percep.ball_track
     if ball.status is TrackStatus.UNINITIALIZED:
-        return _finish(agent, _search_cmd(agent, percep, uav, t), msgs, transitions, MissionPhase.EXPLORE)
+        agent.phase = MissionPhase.EXPLORE
+        return _search_cmd(agent, percep, uav, t), None
     cmd = _servo(agent, ball, uav, st.tracker_standoff)
-    if ball.status is TrackStatus.TRACKING and t - agent.last_sighting_sent >= st.sighting_period - 1e-9:
-        msgs.append(
-            DroneMessage(
-                sender=agent.drone_id,
-                t_sent=t,
-                kind=MessageKind.BALL_SIGHTING,
-                position=ball_world_estimate(percep, uav, agent.mount, agent.intr),
-            )
-        )
-        agent.last_sighting_sent = t
-    return _finish(agent, cmd, msgs, transitions)
+    if ball.status is not TrackStatus.TRACKING or t - agent.last_sighting_sent < st.sighting_period - 1e-9:
+        return cmd, None
+    agent.last_sighting_sent = t
+    return cmd, DroneMessage(
+        sender=agent.drone_id,
+        t_sent=t,
+        kind=MessageKind.BALL_SIGHTING,
+        position=ball_world_estimate(percep, uav, agent.mount, agent.intr),
+    )
 
 
-def grabber_step(agent, percep, uav, inbox, grab_flag, t):
-    """Grabber policy: reach the ball (via handoff or own exploration),
-    servo to standoff, ramp in to contact, confirm, retreat, land."""
-    msgs: list[DroneMessage] = []
-    transitions: list[tuple[MissionPhase, MissionPhase]] = []
-    st = agent.settings
+def _grabber_idle(agent, percep, uav, grab_flag, t):
+    """Wait for the first sighting; a single grabber leaves at once."""
+    if agent.collaborative and agent.latest_sighting is None:
+        return VelocityCommand(), None
+    agent.phase = MissionPhase.TAKEOFF
+    return _takeoff_cmd(agent, uav), None
 
-    for m in inbox:
-        if m.kind is MessageKind.BALL_SIGHTING and m.t_sent > agent.latest_sighting_t:
-            agent.latest_sighting = m.position
-            agent.latest_sighting_t = m.t_sent
 
-    if agent.phase in TERMINAL_PHASES:
-        return _finish(agent, _zero(agent), msgs, transitions)
-    if t > st.mission_budget:
-        return _finish(agent, _zero(agent), msgs, transitions, MissionPhase.FAILED)
+def _grabber_takeoff(agent, percep, uav, grab_flag, t):
+    if _at_altitude(agent, uav):
+        return _hold(agent, MissionPhase.APPROACH_HANDOFF if agent.collaborative else MissionPhase.EXPLORE)
+    return _takeoff_cmd(agent, uav), None
 
+
+def _grabber_explore(agent, percep, uav, grab_flag, t):
     ball = percep.ball_track
+    if ball.status is TrackStatus.TRACKING:
+        agent.phase = MissionPhase.SERVO_BALL
+        return _servo(agent, ball, uav, agent.settings.grabber_standoff), None
+    return _search_cmd(agent, percep, uav, t), None
 
-    if agent.phase is MissionPhase.IDLE:
-        if not agent.collaborative or agent.latest_sighting is not None:
-            return _finish(agent, _takeoff_cmd(agent, uav), msgs, transitions, MissionPhase.TAKEOFF)
-        return _finish(agent, _zero(agent), msgs, transitions)
 
-    if agent.phase is MissionPhase.TAKEOFF:
-        if _at_altitude(agent, uav):
-            nxt = MissionPhase.APPROACH_HANDOFF if agent.collaborative else MissionPhase.EXPLORE
-            return _finish(agent, _zero(agent), msgs, transitions, nxt)
-        return _finish(agent, _takeoff_cmd(agent, uav), msgs, transitions)
-
-    if agent.phase is MissionPhase.EXPLORE:
-        if ball.status is TrackStatus.TRACKING:
-            return _finish(
-                agent, _servo(agent, ball, uav, st.grabber_standoff), msgs, transitions, MissionPhase.SERVO_BALL
-            )
-        return _finish(agent, _search_cmd(agent, percep, uav, t), msgs, transitions)
-
-    if agent.phase is MissionPhase.APPROACH_HANDOFF:
-        if ball.status is TrackStatus.TRACKING:
-            return _finish(
-                agent, _servo(agent, ball, uav, st.grabber_standoff), msgs, transitions, MissionPhase.SERVO_BALL
-            )
-        goal = agent.latest_sighting
-        if math.dist(goal, uav.position) > st.arrival_radius:
-            cmd = goto_command(goal, uav, st.approach_speed, st.yaw_gain)
-        else:
-            # On station without a ball track: face the communicated point
-            # while the sighting is fresh, otherwise sweep the camera.
-            bearing_err = 0.0
-            dx, dy = goal[0] - uav.position[0], goal[1] - uav.position[1]
-            if abs(dx) + abs(dy) > 1e-9:
-                bearing_err = wrap_angle(math.atan2(dy, dx) - uav.yaw)
-            fresh = t - agent.latest_sighting_t < 1.0
-            yaw_rate = st.yaw_gain * bearing_err if fresh else st.scan_yaw_rate
-            cmd = VelocityCommand(
-                vz=min(max(1.0 * (goal[2] - uav.position[2]), -st.land_speed), st.land_speed),
-                yaw_rate=yaw_rate,
-            )
-        return _finish(agent, saturate(cmd, agent.limits), msgs, transitions)
-
-    def _reapproach():
-        if agent.collaborative and agent.latest_sighting is not None:
-            return MissionPhase.APPROACH_HANDOFF
-        return MissionPhase.EXPLORE
-
-    if agent.phase is MissionPhase.SERVO_BALL:
-        if ball.status is TrackStatus.UNINITIALIZED:
-            return _finish(agent, _search_cmd(agent, percep, uav, t), msgs, transitions, _reapproach())
-        cmd = _servo(agent, ball, uav, st.grabber_standoff)
-        x, y = ball.pixel
-        aligned = (
-            ball.status is TrackStatus.TRACKING
-            and abs(x - agent.intr.cx) <= st.align_px
-            and abs(y - agent.intr.cy) <= st.align_px
-            and abs(ball.range - st.grabber_standoff) <= st.align_range_tol
+def _grabber_approach(agent, percep, uav, grab_flag, t):
+    """Fly to the communicated position; on station without a ball track,
+    face it while the sighting is fresh, otherwise sweep the camera."""
+    st, ball = agent.settings, percep.ball_track
+    if ball.status is TrackStatus.TRACKING:
+        agent.phase = MissionPhase.SERVO_BALL
+        return _servo(agent, ball, uav, st.grabber_standoff), None
+    goal = agent.latest_sighting
+    if math.dist(goal, uav.position) > st.arrival_radius:
+        cmd = goto_command(goal, uav, st.approach_speed, st.yaw_gain)
+    else:
+        bearing_err = 0.0
+        dx, dy = goal[0] - uav.position[0], goal[1] - uav.position[1]
+        if abs(dx) + abs(dy) > 1e-9:
+            bearing_err = wrap_angle(math.atan2(dy, dx) - uav.yaw)
+        fresh = t - agent.latest_sighting_t < 1.0
+        yaw_rate = st.yaw_gain * bearing_err if fresh else st.scan_yaw_rate
+        cmd = VelocityCommand(
+            vz=min(max(1.0 * (goal[2] - uav.position[2]), -st.land_speed), st.land_speed),
+            yaw_rate=yaw_rate,
         )
-        if aligned:
-            agent.grab_entered_t = t
-            return _finish(agent, cmd, msgs, transitions, MissionPhase.GRAB)
-        return _finish(agent, cmd, msgs, transitions)
+    return saturate(cmd, agent.limits), None
 
-    if agent.phase is MissionPhase.GRAB:
-        if grab_flag:
-            if not agent.confirm_sent:
-                msgs.append(
-                    DroneMessage(sender=agent.drone_id, t_sent=t, kind=MessageKind.GRAB_CONFIRMED)
-                )
-                agent.confirm_sent = True
-            return _finish(agent, _zero(agent), msgs, transitions, MissionPhase.RETREAT_LAND)
-        if ball.status is TrackStatus.UNINITIALIZED or t - agent.grab_entered_t > st.grab_time_budget:
-            return _finish(agent, _search_cmd(agent, percep, uav, t), msgs, transitions, _reapproach())
-        ramp = st.grabber_standoff - st.grab_ramp_rate * (t - agent.grab_entered_t)
-        cmd = _servo(agent, ball, uav, max(0.0, ramp), closing_bias=st.grab_closing_bias)
-        return _finish(agent, cmd, msgs, transitions)
 
-    # RETREAT_LAND: home first at altitude, then descend.
-    dx = agent.home[0] - uav.position[0]
-    dy = agent.home[1] - uav.position[1]
-    if math.hypot(dx, dy) > st.home_tolerance:
-        goal = (agent.home[0], agent.home[1], st.takeoff_altitude)
-        cmd = saturate(goto_command(goal, uav, st.approach_speed, st.yaw_gain), agent.limits)
-        return _finish(agent, cmd, msgs, transitions)
+def _grabber_servo(agent, percep, uav, grab_flag, t):
+    """Servo to the standoff; enter the grab once aligned with the ball."""
+    st, ball = agent.settings, percep.ball_track
+    if ball.status is TrackStatus.UNINITIALIZED:
+        agent.phase = _reacquire_phase(agent)
+        return _search_cmd(agent, percep, uav, t), None
+    cmd = _servo(agent, ball, uav, st.grabber_standoff)
+    x, y = ball.pixel
+    if (
+        ball.status is TrackStatus.TRACKING
+        and abs(x - agent.intr.cx) <= st.align_px
+        and abs(y - agent.intr.cy) <= st.align_px
+        and abs(ball.range - st.grabber_standoff) <= st.align_range_tol
+    ):
+        agent.grab_entered_t = t
+        agent.phase = MissionPhase.GRAB
+    return cmd, None
+
+
+def _grabber_grab(agent, percep, uav, grab_flag, t):
+    """Ramp the standoff down to contact; confirm the grab once."""
+    st, ball = agent.settings, percep.ball_track
+    if grab_flag:
+        msg = None
+        if not agent.confirm_sent:
+            msg = DroneMessage(sender=agent.drone_id, t_sent=t, kind=MessageKind.GRAB_CONFIRMED)
+            agent.confirm_sent = True
+        agent.phase = MissionPhase.RETREAT_LAND
+        return VelocityCommand(), msg
+    if ball.status is TrackStatus.UNINITIALIZED or t - agent.grab_entered_t > st.grab_time_budget:
+        agent.phase = _reacquire_phase(agent)
+        return _search_cmd(agent, percep, uav, t), None
+    ramp = st.grabber_standoff - st.grab_ramp_rate * (t - agent.grab_entered_t)
+    return _servo(agent, ball, uav, max(0.0, ramp), closing_bias=st.grab_closing_bias), None
+
+
+def _grabber_retreat(agent, percep, uav, grab_flag, t):
+    """Home first at altitude, then descend."""
+    st, home = agent.settings, agent.home
+    if math.hypot(home[0] - uav.position[0], home[1] - uav.position[1]) > st.home_tolerance:
+        goal = (home[0], home[1], st.takeoff_altitude)
+        return saturate(goto_command(goal, uav, st.approach_speed, st.yaw_gain), agent.limits), None
     if uav.position[2] <= 0.05:
-        return _finish(agent, _zero(agent), msgs, transitions, MissionPhase.DONE)
-    return _finish(agent, VelocityCommand(vz=-st.land_speed), msgs, transitions)
+        return _hold(agent, MissionPhase.DONE)
+    return VelocityCommand(vz=-st.land_speed), None
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +493,25 @@ GRABBER_GRAPH: dict[MissionPhase, set[MissionPhase]] = {
 del P
 
 PHASE_GRAPHS = {"tracker": TRACKER_GRAPH, "grabber": GRABBER_GRAPH}
+
+# Per role, the handler of each non-terminal phase of its graph.
+POLICIES = {
+    "tracker": {
+        MissionPhase.IDLE: _tracker_idle,
+        MissionPhase.TAKEOFF: _tracker_takeoff,
+        MissionPhase.EXPLORE: _tracker_explore,
+        MissionPhase.TRACK_DRONE: _tracker_track,
+    },
+    "grabber": {
+        MissionPhase.IDLE: _grabber_idle,
+        MissionPhase.TAKEOFF: _grabber_takeoff,
+        MissionPhase.EXPLORE: _grabber_explore,
+        MissionPhase.APPROACH_HANDOFF: _grabber_approach,
+        MissionPhase.SERVO_BALL: _grabber_servo,
+        MissionPhase.GRAB: _grabber_grab,
+        MissionPhase.RETREAT_LAND: _grabber_retreat,
+    },
+}
 
 
 def validate_phase_trace(transitions, role: str) -> None:

@@ -37,7 +37,6 @@ from .coordination import (
     CaptureGeometry,
     DroneAgent,
     MissionPhase,
-    MissionSettings,
 )
 from .frames import Vec3
 from .guidance import CommandLimits, GuidanceGains
@@ -132,16 +131,10 @@ class _DroneRuntime:
             v_max_z=dcfg.limits.v_z,
             yaw_rate_max=dcfg.limits.yaw_rate,
         )
-        m = cfg.mission
-        settings = MissionSettings(**{
-            **vars(m),
-            "explore_area": tuple(m.explore_area),
-            "mission_budget": math.inf if m.mission_budget is None else m.mission_budget,
-        })
         self.agent = DroneAgent(
             drone_id=dcfg.id,
             role=dcfg.role,
-            settings=settings,
+            settings=cfg.mission,
             gains=gains,
             limits=limits,
             intr=self.intr,
@@ -362,7 +355,8 @@ class _Run:
                 )
 
     def control(self, t: float) -> bool:
-        """Deliver messages, step every agent and hold its command.
+        """Deliver messages, step every agent, hold its command and log
+        its phase change.
 
         Returns False, after logging ``nonfinite_state``, when a drone's
         state or new command is not finite; the run then ends invalid
@@ -379,14 +373,17 @@ class _Run:
         captured = self.t_capture is not None
         outbox = []
         for i, d in enumerate(self.drones):
-            cmd, msgs, transitions = d.agent.step(
+            src = d.agent.phase
+            cmd, msg = d.agent.step(
                 d.percep, plant.uavs[i], d.inbox, captured and d.role == "grabber", t
             )
             d.inbox = []
             plant.cmds[i] = cmd
-            outbox.extend(msgs)
-            for src, dst in transitions:
-                if dst is MissionPhase.SERVO_BALL and d.role == "grabber":
+            if msg is not None:
+                outbox.append(msg)
+            dst = d.agent.phase
+            if dst is not src:
+                if dst is MissionPhase.SERVO_BALL:  # a grabber-only phase
                     self.engaged = True
                 log.append(
                     {"kind": "phase", "t": t, "drone": d.id, "from": src.value, "to": dst.value}
@@ -655,14 +652,16 @@ def monte_carlo(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    config_dict = config.to_dict()
+    # with_seed raises ConfigError on an invalid seed_base before any run.
+    config_dict = config.with_seed(seed_base).to_dict()
     jobs = [(config_dict, seed_base + i) for i in range(n_runs)]
-    if n_jobs > 1:
+    workers = min(n_jobs, n_runs)  # the pool forks all its workers at the first submit
+    if workers > 1:
         # Imported here: the process pool costs ~20 ms of import that
         # single-process runs never need.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             runs = list(ex.map(_mc_single, jobs))
     else:
         runs = [_mc_single(j) for j in jobs]

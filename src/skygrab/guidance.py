@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .frames import vehicle_to_world, wrap_angle
+from .frames import Vec3, vehicle_to_world, wrap_angle
 from .perception import TrackEstimate, TrackStatus
 from .world import UavState, VelocityCommand
 
@@ -112,7 +112,7 @@ def lawnmower_waypoints(
     area: tuple[float, float, float, float],
     lane_spacing: float,
     altitude: float,
-) -> list[np.ndarray]:
+) -> list[Vec3]:
     """Serpentine coverage of a rectangle (x_min, x_max, y_min, y_max).
 
     Lanes run along x and are spaced at most lane_spacing apart, with
@@ -123,12 +123,10 @@ def lawnmower_waypoints(
     if x1 <= x0 or y1 <= y0 or lane_spacing <= 0.0:
         raise ValueError("degenerate exploration area or lane spacing")
     n_lanes = max(2, int(math.ceil((y1 - y0) / lane_spacing)) + 1)
-    ys = np.linspace(y0, y1, n_lanes)
     pts = []
-    for i, y in enumerate(ys):
-        xs = (x0, x1) if i % 2 == 0 else (x1, x0)
-        pts.append(np.array([xs[0], y, altitude]))
-        pts.append(np.array([xs[1], y, altitude]))
+    for i, y in enumerate(np.linspace(y0, y1, n_lanes).tolist()):
+        xa, xb = (x0, x1) if i % 2 == 0 else (x1, x0)
+        pts += [(xa, y, altitude), (xb, y, altitude)]
     return pts
 
 
@@ -136,7 +134,7 @@ def lawnmower_waypoints(
 class ExplorePlan:
     """Progress through a lawnmower pattern; loops when exhausted."""
 
-    waypoints: list[np.ndarray]
+    waypoints: list[Vec3]
     index: int = 0
     started: bool = False
 
@@ -144,7 +142,7 @@ class ExplorePlan:
     def lawnmower(cls, area, lane_spacing, altitude) -> "ExplorePlan":
         return cls(waypoints=lawnmower_waypoints(area, lane_spacing, altitude))
 
-    def active_waypoint(self, position) -> np.ndarray:
+    def active_waypoint(self, position: Vec3) -> Vec3:
         """Current goal, advancing past any waypoint already reached.
 
         The first call enters the pattern at the nearest waypoint instead
@@ -152,18 +150,12 @@ class ExplorePlan:
         """
         if not self.started:
             self.started = True
-            px, py, pz = float(position[0]), float(position[1]), float(position[2])
             self.index = min(
-                range(len(self.waypoints)),
-                key=lambda i: math.dist((self.waypoints[i][0], self.waypoints[i][1], self.waypoints[i][2]), (px, py, pz)),
+                range(len(self.waypoints)), key=lambda i: math.dist(self.waypoints[i], position)
             )
         for _ in range(len(self.waypoints)):
             wp = self.waypoints[self.index]
-            d = math.dist(
-                (wp[0], wp[1], wp[2]),
-                (float(position[0]), float(position[1]), float(position[2])),
-            )
-            if d > WAYPOINT_CAPTURE_RADIUS:
+            if math.dist(wp, position) > WAYPOINT_CAPTURE_RADIUS:
                 return wp
             self.index = (self.index + 1) % len(self.waypoints)
         return self.waypoints[self.index]
@@ -185,9 +177,9 @@ def explore_command(
     abeam of the lanes.
     """
     wp = plan.active_waypoint(state.position)
-    dx = float(wp[0]) - state.position[0]
-    dy = float(wp[1]) - state.position[1]
-    dz = float(wp[2]) - state.position[2]
+    dx = wp[0] - state.position[0]
+    dy = wp[1] - state.position[1]
+    dz = wp[2] - state.position[2]
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if dist < 1e-9:
         return VelocityCommand()
@@ -200,15 +192,15 @@ def explore_command(
 
 
 def goto_command(
-    target: np.ndarray,
+    target: Vec3,
     state: UavState,
     speed: float,
     yaw_gain: float,
 ) -> VelocityCommand:
     """World-frame velocity toward a point, yawing to face it."""
-    dx = float(target[0]) - state.position[0]
-    dy = float(target[1]) - state.position[1]
-    dz = float(target[2]) - state.position[2]
+    dx = target[0] - state.position[0]
+    dy = target[1] - state.position[1]
+    dz = target[2] - state.position[2]
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
     if abs(dx) + abs(dy) > 1e-9:
         yaw_err = wrap_angle(math.atan2(dy, dx) - state.yaw)

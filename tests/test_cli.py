@@ -57,6 +57,11 @@ class TestRun:
         summary = json.loads((tmp_path / "o" / "short-seed1" / "summary.json").read_text())
         assert summary["verdict"] == "timeout"
 
+    def test_negative_seed_exits_1_naming_seed(self, tmp_path, capsys):
+        assert main(["run", "--config", NOMINAL, "--seed", "-1", "--out", str(tmp_path)]) == 1
+        assert "error: seed: must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_override_changes_output_dir_and_log(self, tmp_path):
         assert main(["run", "--config", NOMINAL, "--seed", "9", "--out", str(tmp_path)]) == 0
         log = SimLog.read(tmp_path / "nominal_static-seed9" / "log.jsonl")
@@ -97,6 +102,13 @@ class TestMonteCarlo:
         ]
         summary = json.loads((out / "mc_summary.json").read_text())
         assert (summary["captured"], summary["failures"]) == (2, {"OverflowError": 1})
+
+    def test_negative_seed_base_exits_1_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "mc"
+        assert main(["mc", "--config", NOMINAL, "--runs", "2", "--seed-base", "-1",
+                     "--out", str(out)]) == 1
+        assert "error: seed: must be >= 0" in capsys.readouterr().err
+        assert not (out / "verdicts.csv").exists()
 
     def test_repeat_invocation_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

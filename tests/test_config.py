@@ -145,6 +145,18 @@ class TestConfigsShareNothing:
         assert out.world is not cfg.world and out.drones[0] is not cfg.drones[0]
 
 
+class TestWithSeed:
+    @pytest.mark.parametrize("seed", [-1, 2.7, True, "3", None], ids=repr)
+    def test_seed_rule_applies(self, seed):
+        with pytest.raises(ConfigError) as e:
+            ScenarioConfig().with_seed(seed)
+        assert str(e.value).startswith("seed: ")
+
+    def test_valid_seed_is_stored(self):
+        cfg = ScenarioConfig().with_seed(0)
+        assert type(cfg.seed) is int and cfg.seed == 0
+
+
 class TestRealValuedScalarsAreFloats:
     def test_integer_and_float_spellings_give_one_header(self):
         # One scenario must have one log header, however YAML spells it.

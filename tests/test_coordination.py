@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from skygrab.camera import CameraIntrinsics, CameraMount, DetectionClass
+from skygrab.config import MissionConfig
 from skygrab.coordination import (
     Channel,
     ChannelModel,
@@ -13,7 +14,9 @@ from skygrab.coordination import (
     GRABBER_GRAPH,
     MessageKind,
     MissionPhase,
-    MissionSettings,
+    PHASE_GRAPHS,
+    POLICIES,
+    TERMINAL_PHASES,
     TRACKER_GRAPH,
     ball_world_estimate,
     grab_detect,
@@ -128,14 +131,21 @@ def make_agent(role, collaborative=True):
     return DroneAgent(
         drone_id=role,
         role=role,
-        settings=MissionSettings(),
+        settings=MissionConfig(),
         gains=GuidanceGains(),
         limits=CommandLimits(),
         intr=CameraIntrinsics(),
-        mount=CameraMount(translation=np.array([0.4, 0.0, 0.0])),
-        home=np.array([-14.0, -6.0, 0.0]),
+        mount=CameraMount(translation=(0.4, 0.0, 0.0)),
+        home=(-14.0, -6.0, 0.0),
         collaborative=collaborative,
     )
+
+
+def step(agent, percep, uav, inbox, grab_flag, t):
+    """``agent.step`` plus the tick's (phase before, phase after) pair."""
+    before = agent.phase
+    cmd, msg = agent.step(percep, uav, inbox, grab_flag, t)
+    return cmd, msg, (before, agent.phase)
 
 
 def make_percep():
@@ -151,140 +161,187 @@ def tracking_ball(percep, r=4.0):
     return percep
 
 
+def confirmation():
+    return DroneMessage(sender="grabber", t_sent=9.0, kind=MessageKind.GRAB_CONFIRMED)
+
+
+class TestPolicyTable:
+    @pytest.mark.parametrize("role", ["tracker", "grabber"])
+    def test_handlers_are_the_non_terminal_phases_of_the_graph(self, role):
+        graph = PHASE_GRAPHS[role]
+        non_terminal = {p for p in graph if p not in TERMINAL_PHASES}
+        assert set(POLICIES[role]) == non_terminal
+        assert non_terminal == {p for p, nxt in graph.items() if nxt}
+
+    @pytest.mark.parametrize("role", ["tracker", "grabber"])
+    @pytest.mark.parametrize("phase", TERMINAL_PHASES, ids=lambda p: p.value)
+    def test_terminal_agent_holds_still_and_stays(self, role, phase):
+        agent = make_agent(role)
+        agent.phase = phase
+        percep = tracking_ball(make_percep(), r=2.5)
+        cmd, msg, change = step(agent, percep, make_uav(), [confirmation()], True, 1.0)
+        assert (cmd.vx, cmd.vy, cmd.vz, cmd.yaw_rate) == (0.0, 0.0, 0.0, 0.0)
+        assert msg is None
+        assert change == (phase, phase)
+
+
 class TestTrackerFsm:
     def test_idle_transitions_to_takeoff(self):
         agent = make_agent("tracker")
-        cmd, msgs, transitions = agent.step(make_percep(), make_uav(z=0.0), [], False, 0.0)
-        assert transitions == [(MissionPhase.IDLE, MissionPhase.TAKEOFF)]
+        cmd, msg, change = step(agent, make_percep(), make_uav(z=0.0), [], False, 0.0)
+        assert change == (MissionPhase.IDLE, MissionPhase.TAKEOFF)
+        assert msg is None
 
     def test_takeoff_commands_climb(self):
         agent = make_agent("tracker")
         agent.phase = MissionPhase.TAKEOFF
-        cmd, _, _ = agent.step(make_percep(), make_uav(z=0.5), [], False, 1.0)
+        cmd, _, _ = step(agent, make_percep(), make_uav(z=0.5), [], False, 1.0)
         assert cmd.vz > 0.0
 
     def test_ball_lock_enters_track_phase_and_emits_sighting(self):
         agent = make_agent("tracker")
         agent.phase = MissionPhase.EXPLORE
         percep = tracking_ball(make_percep())
-        cmd, msgs, transitions = agent.step(percep, make_uav(), [], False, 5.0)
-        assert transitions == [(MissionPhase.EXPLORE, MissionPhase.TRACK_DRONE)]
-        _, msgs, _ = agent.step(percep, make_uav(), [], False, 5.05)
-        assert len(msgs) == 1 and msgs[0].kind is MessageKind.BALL_SIGHTING
+        cmd, msg, change = step(agent, percep, make_uav(), [], False, 5.0)
+        assert change == (MissionPhase.EXPLORE, MissionPhase.TRACK_DRONE)
+        assert msg is None
+        _, msg, _ = step(agent, percep, make_uav(), [], False, 5.05)
+        assert msg is not None and msg.kind is MessageKind.BALL_SIGHTING
 
     def test_sighting_rate_limited_by_period(self):
         agent = make_agent("tracker")
         agent.phase = MissionPhase.TRACK_DRONE
         percep = tracking_ball(make_percep())
-        _, m1, _ = agent.step(percep, make_uav(), [], False, 5.0)
-        _, m2, _ = agent.step(percep, make_uav(), [], False, 5.05)
-        _, m3, _ = agent.step(percep, make_uav(), [], False, 5.25)
-        assert len(m1) == 1 and len(m2) == 0 and len(m3) == 1
+        _, m1, _ = step(agent, percep, make_uav(), [], False, 5.0)
+        _, m2, _ = step(agent, percep, make_uav(), [], False, 5.05)
+        _, m3, _ = step(agent, percep, make_uav(), [], False, 5.25)
+        assert m1 is not None and m2 is None and m3 is not None
 
     def test_grab_confirmed_finishes_within_one_tick(self):
         agent = make_agent("tracker")
         agent.phase = MissionPhase.TRACK_DRONE
-        inbox = [DroneMessage(sender="grabber", t_sent=9.0, kind=MessageKind.GRAB_CONFIRMED)]
-        _, _, transitions = agent.step(tracking_ball(make_percep()), make_uav(), inbox, False, 9.1)
-        assert transitions == [(MissionPhase.TRACK_DRONE, MissionPhase.DONE)]
+        _, _, change = step(agent, tracking_ball(make_percep()), make_uav(), [confirmation()], False, 9.1)
+        assert change == (MissionPhase.TRACK_DRONE, MissionPhase.DONE)
+
+    def test_grab_confirmed_ignored_while_idle(self):
+        agent = make_agent("tracker")
+        _, _, change = step(agent, make_percep(), make_uav(z=0.0), [confirmation()], False, 9.1)
+        assert change == (MissionPhase.IDLE, MissionPhase.TAKEOFF)
+
+    def test_mission_budget_checked_before_confirmation(self):
+        agent = make_agent("tracker")
+        agent.settings.mission_budget = 9.0
+        agent.phase = MissionPhase.TRACK_DRONE
+        _, _, change = step(agent, tracking_ball(make_percep()), make_uav(), [confirmation()], False, 9.1)
+        assert change == (MissionPhase.TRACK_DRONE, MissionPhase.FAILED)
 
 
 class TestGrabberFsm:
     def test_collaborative_idle_without_sighting(self):
         agent = make_agent("grabber")
-        cmd, msgs, transitions = agent.step(make_percep(), make_uav(z=0.0), [], False, 0.0)
-        assert transitions == []
-        assert agent.phase is MissionPhase.IDLE
+        cmd, msg, change = step(agent, make_percep(), make_uav(z=0.0), [], False, 0.0)
+        assert change == (MissionPhase.IDLE, MissionPhase.IDLE)
+        assert msg is None
         assert (cmd.vx, cmd.vy, cmd.vz) == (0.0, 0.0, 0.0)
 
     def test_single_mode_takes_off_immediately(self):
         agent = make_agent("grabber", collaborative=False)
-        _, _, transitions = agent.step(make_percep(), make_uav(z=0.0), [], False, 0.0)
-        assert transitions == [(MissionPhase.IDLE, MissionPhase.TAKEOFF)]
+        _, _, change = step(agent, make_percep(), make_uav(z=0.0), [], False, 0.0)
+        assert change == (MissionPhase.IDLE, MissionPhase.TAKEOFF)
 
     def test_sighting_triggers_takeoff_then_approach(self):
         agent = make_agent("grabber")
         sighting = DroneMessage(
             sender="tracker", t_sent=0.0, kind=MessageKind.BALL_SIGHTING,
-            position=np.array([5.0, 2.0, 3.5]),
+            position=(5.0, 2.0, 3.5),
         )
-        _, _, tr1 = agent.step(make_percep(), make_uav(z=0.0), [sighting], False, 0.0)
-        assert tr1 == [(MissionPhase.IDLE, MissionPhase.TAKEOFF)]
-        _, _, tr2 = agent.step(make_percep(), make_uav(z=3.5), [], False, 1.0)
-        assert tr2 == [(MissionPhase.TAKEOFF, MissionPhase.APPROACH_HANDOFF)]
+        _, _, change1 = step(agent, make_percep(), make_uav(z=0.0), [sighting], False, 0.0)
+        assert change1 == (MissionPhase.IDLE, MissionPhase.TAKEOFF)
+        _, _, change2 = step(agent, make_percep(), make_uav(z=3.5), [], False, 1.0)
+        assert change2 == (MissionPhase.TAKEOFF, MissionPhase.APPROACH_HANDOFF)
 
     def test_approach_flies_toward_sighting(self):
         agent = make_agent("grabber")
         agent.phase = MissionPhase.APPROACH_HANDOFF
-        p = np.array([8.0, 3.0, 3.5])
+        p = (8.0, 3.0, 3.5)
         agent.latest_sighting = p
         agent.latest_sighting_t = 0.0
-        cmd, _, _ = agent.step(make_percep(), make_uav(), [], False, 0.05)
+        cmd, _, _ = step(agent, make_percep(), make_uav(), [], False, 0.05)
         ip = cmd.vx * (p[0] - 0.0) + cmd.vy * (p[1] - 0.0)
         assert ip > 0.0
 
     def test_ball_lock_enters_servo(self):
         agent = make_agent("grabber")
         agent.phase = MissionPhase.APPROACH_HANDOFF
-        agent.latest_sighting = np.array([5.0, 0.0, 3.5])
+        agent.latest_sighting = (5.0, 0.0, 3.5)
         agent.latest_sighting_t = 0.0
         percep = tracking_ball(make_percep())
-        _, _, transitions = agent.step(percep, make_uav(), [], False, 1.0)
-        assert transitions == [(MissionPhase.APPROACH_HANDOFF, MissionPhase.SERVO_BALL)]
+        _, _, change = step(agent, percep, make_uav(), [], False, 1.0)
+        assert change == (MissionPhase.APPROACH_HANDOFF, MissionPhase.SERVO_BALL)
 
     def test_aligned_servo_enters_grab(self):
         agent = make_agent("grabber")
         agent.phase = MissionPhase.SERVO_BALL
         percep = tracking_ball(make_percep(), r=2.5)
-        _, _, transitions = agent.step(percep, make_uav(), [], False, 2.0)
-        assert transitions == [(MissionPhase.SERVO_BALL, MissionPhase.GRAB)]
+        _, _, change = step(agent, percep, make_uav(), [], False, 2.0)
+        assert change == (MissionPhase.SERVO_BALL, MissionPhase.GRAB)
 
     def test_grab_flag_confirms_once_and_retreats(self):
         agent = make_agent("grabber")
         agent.phase = MissionPhase.GRAB
         agent.grab_entered_t = 0.0
         percep = tracking_ball(make_percep(), r=0.5)
-        cmd, msgs, transitions = agent.step(percep, make_uav(), [], True, 1.0)
-        assert transitions == [(MissionPhase.GRAB, MissionPhase.RETREAT_LAND)]
-        assert [m.kind for m in msgs] == [MessageKind.GRAB_CONFIRMED]
+        cmd, msg, change = step(agent, percep, make_uav(), [], True, 1.0)
+        assert change == (MissionPhase.GRAB, MissionPhase.RETREAT_LAND)
+        assert msg is not None and msg.kind is MessageKind.GRAB_CONFIRMED
         # a second flagged call must not emit again
         agent.phase = MissionPhase.GRAB
-        _, msgs2, _ = agent.step(percep, make_uav(), [], True, 1.05)
-        assert msgs2 == []
+        _, msg2, _ = step(agent, percep, make_uav(), [], True, 1.05)
+        assert msg2 is None
 
     def test_track_loss_in_grab_reapproaches_with_sighting(self):
         agent = make_agent("grabber")
         agent.phase = MissionPhase.GRAB
         agent.grab_entered_t = 0.0
-        agent.latest_sighting = np.array([5.0, 0.0, 3.5])
+        agent.latest_sighting = (5.0, 0.0, 3.5)
         agent.latest_sighting_t = 0.9
-        _, _, transitions = agent.step(make_percep(), make_uav(), [], False, 1.0)
-        assert transitions == [(MissionPhase.GRAB, MissionPhase.APPROACH_HANDOFF)]
+        _, _, change = step(agent, make_percep(), make_uav(), [], False, 1.0)
+        assert change == (MissionPhase.GRAB, MissionPhase.APPROACH_HANDOFF)
 
     def test_track_loss_single_mode_reexplores(self):
         agent = make_agent("grabber", collaborative=False)
         agent.phase = MissionPhase.GRAB
         agent.grab_entered_t = 0.0
-        _, _, transitions = agent.step(make_percep(), make_uav(), [], False, 1.0)
-        assert transitions == [(MissionPhase.GRAB, MissionPhase.EXPLORE)]
+        _, _, change = step(agent, make_percep(), make_uav(), [], False, 1.0)
+        assert change == (MissionPhase.GRAB, MissionPhase.EXPLORE)
 
     def test_retreat_descends_at_home_then_done(self):
         agent = make_agent("grabber")
         agent.phase = MissionPhase.RETREAT_LAND
         home_uav = make_uav(x=-14.0, y=-6.0, z=2.0)
-        cmd, _, _ = agent.step(make_percep(), home_uav, [], True, 50.0)
+        cmd, _, _ = step(agent, make_percep(), home_uav, [], True, 50.0)
         assert cmd.vz < 0.0
         landed = make_uav(x=-14.0, y=-6.0, z=0.02)
-        _, _, transitions = agent.step(make_percep(), landed, [], True, 60.0)
-        assert transitions == [(MissionPhase.RETREAT_LAND, MissionPhase.DONE)]
+        _, _, change = step(agent, make_percep(), landed, [], True, 60.0)
+        assert change == (MissionPhase.RETREAT_LAND, MissionPhase.DONE)
 
     def test_mission_budget_fails_out(self):
         agent = make_agent("grabber")
         agent.settings.mission_budget = 10.0
         agent.phase = MissionPhase.APPROACH_HANDOFF
-        agent.latest_sighting = np.array([5.0, 0.0, 3.5])
-        _, _, transitions = agent.step(make_percep(), make_uav(), [], False, 10.1)
-        assert transitions == [(MissionPhase.APPROACH_HANDOFF, MissionPhase.FAILED)]
+        agent.latest_sighting = (5.0, 0.0, 3.5)
+        _, _, change = step(agent, make_percep(), make_uav(), [], False, 10.1)
+        assert change == (MissionPhase.APPROACH_HANDOFF, MissionPhase.FAILED)
+
+    def test_sighting_folded_before_budget_check(self):
+        agent = make_agent("grabber")
+        agent.settings.mission_budget = 10.0
+        sighting = DroneMessage(
+            sender="tracker", t_sent=10.05, kind=MessageKind.BALL_SIGHTING, position=(5.0, 0.0, 3.5),
+        )
+        _, _, change = step(agent, make_percep(), make_uav(z=0.0), [sighting], False, 10.1)
+        assert change == (MissionPhase.IDLE, MissionPhase.FAILED)
+        assert (agent.latest_sighting, agent.latest_sighting_t) == ((5.0, 0.0, 3.5), 10.05)
 
     def test_nominal_collaborative_phase_sequence(self):
         # the canonical happy path: idle, takeoff, approach, servo, grab,

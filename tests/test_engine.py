@@ -280,6 +280,46 @@ class TestMonteCarlo:
         assert s["captured"] == 2
         assert s["capture_time"]["min"] <= s["capture_time"]["max"]
 
+    def test_pool_never_larger_than_the_batch(self, monkeypatch):
+        # A recorder in place of the process pool: it starts no process
+        # and maps in this one, so a huge --jobs is safe to pass.
+        import concurrent.futures
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = load_config(CONFIGS / "nominal_static.yaml")
+        cfg.duration = 1.0
+        s = monte_carlo(cfg, 2, 5, n_jobs=5000)
+        assert pools == [2]
+        assert [r["seed"] for r in s["runs"]] == [5, 6]
+        monte_carlo(cfg, 1, 5, n_jobs=4)
+        assert pools == [2]  # one run needs no pool
+
+    def test_invalid_seed_base_rejected_before_any_run(self, monkeypatch):
+        from skygrab import engine
+        from skygrab.config import ConfigError
+
+        def no_run(args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(engine, "_mc_single", no_run)
+        with pytest.raises(ConfigError, match="^seed: "):
+            monte_carlo(load_config(CONFIGS / "nominal_static.yaml"), 2, -1)
+
     def test_n_runs_validated(self):
         with pytest.raises(ValueError):
             monte_carlo(load_config(CONFIGS / "nominal_static.yaml"), 0, 1)

@@ -161,6 +161,7 @@ class TestExploration:
     def test_coverage_within_half_lane_spacing(self):
         spacing = 4.0
         wps = lawnmower_waypoints(self.AREA, spacing, 3.5)
+        assert all(type(w) is tuple and list(map(type, w)) == [float] * 3 for w in wps)
         assert all(w[2] == 3.5 for w in wps)
         xs = np.linspace(self.AREA[0], self.AREA[1], 41)
         ys = np.linspace(self.AREA[2], self.AREA[3], 33)
@@ -175,7 +176,7 @@ class TestExploration:
     def test_waypoint_advance_at_capture_radius(self):
         plan = ExplorePlan.lawnmower(self.AREA, 4.0, 3.5)
         plan.started = True  # pin the pattern entry point for the check
-        first = plan.waypoints[0].copy()
+        first = plan.waypoints[0]
         wp = plan.active_waypoint(first)
         assert not np.allclose(wp, first)
 
