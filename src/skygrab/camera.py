@@ -32,7 +32,6 @@ class CameraIntrinsics:
     width: int = 640
     height: int = 480
     focal_px: float = 600.0
-    frame_rate: float = 30.0
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0 or self.focal_px <= 0.0:

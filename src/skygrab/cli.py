@@ -127,6 +127,8 @@ def cmd_montecarlo(args) -> int:
         return _fail(str(e))
     if args.runs < 1:
         return _fail("--runs must be >= 1")
+    if args.jobs < 1:
+        return _fail("--jobs must be >= 1")
     seed_base = args.seed_base if args.seed_base is not None else cfg.seed
     try:
         summary = monte_carlo(cfg, args.runs, seed_base, n_jobs=args.jobs)

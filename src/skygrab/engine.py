@@ -108,7 +108,6 @@ class _DroneRuntime:
             width=dcfg.camera.width,
             height=dcfg.camera.height,
             focal_px=dcfg.camera.focal_px,
-            frame_rate=cfg.rates.vision,
         )
         self.mount = CameraMount(translation=tuple(dcfg.camera.mount))
         self.noise = DetectionNoise(
@@ -123,8 +122,8 @@ class _DroneRuntime:
         self.percep = PerceptionState(
             drone_params=_filter_params(cfg, DetectionClass.DRONE),
             ball_params=_filter_params(cfg, DetectionClass.BALL),
+            switch_range=cfg.perception.switch_range,
         )
-        self.percep.selection.switch_range = cfg.perception.switch_range
         gains = GuidanceGains(**vars(dcfg.gains), r_des=cfg.mission.grabber_standoff)
         limits = CommandLimits(
             v_max_xy=dcfg.limits.v_xy,
@@ -152,7 +151,7 @@ def _det_record(det) -> dict | None:
 
 
 def _track_record(track) -> dict:
-    x, y, x_rate, y_rate, r, r_rate = track.state.tolist()
+    x, y, x_rate, y_rate, r, r_rate = track.state
     return {
         "status": track.status.value,
         "x": x,
@@ -348,7 +347,7 @@ class _Run:
                             "drone": _track_record(d.percep.drone_track),
                             "ball": _track_record(d.percep.ball_track),
                         },
-                        "selection": d.percep.selection.active.value,
+                        "selection": d.percep.active.value,
                         "ball_depth": cam.point_depth(bp, uav, d.mount),
                         "ball_range": math.dist(bp, cam.camera_position(uav, d.mount)),
                     }
@@ -652,6 +651,8 @@ def monte_carlo(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
     # with_seed raises ConfigError on an invalid seed_base before any run.
     config_dict = config.with_seed(seed_base).to_dict()
     jobs = [(config_dict, seed_base + i) for i in range(n_runs)]

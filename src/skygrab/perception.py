@@ -3,12 +3,13 @@
 One track per object with state (x, y, x_rate, y_rate, range,
 range_rate) in px, px/s, m, m/s. Image x, image y and range are three
 independent constant-velocity filters driven by continuous white
-acceleration noise: the model (``transition_matrix``, ``process_noise``,
-``measurement_cov``) and the initial covariance are block-diagonal over
-the three (value, rate) pairs, so predict and update run in closed form
-on each pair's 2x2 block with a scalar gain, and the covariance between
-axes stays exactly zero. No matrix product or solve runs here, so the
-estimates do not depend on the host's BLAS kernel. Measurements are
+acceleration noise. The model and the initial covariance are
+block-diagonal over the three (value, rate) pairs, so a track stores six
+floats and the three pairs' 2x2 covariance blocks, and predict and update
+run in closed form on each block with a scalar gain. The tracker calls no
+numpy, so the estimates do not depend on the host's BLAS kernel; the 6x6
+``transition_matrix``, ``process_noise``, ``measurement_cov`` and
+``TrackEstimate.covariance`` are the reference model. Measurements are
 the detection center plus the known-size range estimate. A chi-square
 gate on the pixel innovation rejects outliers; a lifecycle layer
 handles initialization near the sensor, coasting through missed
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,18 +52,21 @@ class FilterParams:
     _R_PX_FLOOR = 1.0
     _R_RANGE_FLOOR = 0.04
 
+    def measurement_var(self) -> tuple[float, float, float]:
+        """R's diagonal: the x, y and range measurement variances."""
+        var_px = max(self.sigma_px * self.sigma_px, self._R_PX_FLOOR)
+        return var_px, var_px, max(self.sigma_range * self.sigma_range, self._R_RANGE_FLOOR)
+
     def measurement_cov(self) -> np.ndarray:
-        return np.diag(
-            [
-                max(self.sigma_px * self.sigma_px, self._R_PX_FLOOR),
-                max(self.sigma_px * self.sigma_px, self._R_PX_FLOOR),
-                max(self.sigma_range * self.sigma_range, self._R_RANGE_FLOOR),
-            ]
-        )
+        return np.diag(self.measurement_var())
 
 
 # The (value, rate) state indices of image x, image y and range.
 _AXES = ((0, 2), (1, 3), (4, 5))
+
+# One axis's covariance block, (P_pp, P_pv, P_vv); a track holds those of
+# image x, image y and range.
+Block = tuple[float, float, float]
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -87,30 +91,50 @@ def process_noise(dt: float, params: FilterParams) -> np.ndarray:
 
 @dataclass
 class TrackEstimate:
-    """Filter state, covariance, and lifecycle status for one object."""
+    """Filter state, per-axis covariance blocks, and lifecycle status for one object."""
 
     cls: DetectionClass
-    state: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    covariance: np.ndarray = field(default_factory=lambda: np.eye(6))
+    state: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    blocks: tuple[Block, Block, Block] = ((1.0, 0.0, 1.0),) * 3
     status: TrackStatus = TrackStatus.UNINITIALIZED
     last_update: float = -math.inf   # time of the last accepted measurement
     t: float = 0.0                   # epoch of the state estimate
 
     @property
+    def covariance(self) -> np.ndarray:
+        """The 6x6 covariance; entries between axes are zero."""
+        P = np.zeros((6, 6))
+        for (i, j), (a, b, c) in zip(_AXES, self.blocks):
+            P[i, i], P[i, j], P[j, i], P[j, j] = a, b, b, c
+        return P
+
+    @property
     def pixel(self) -> tuple[float, float]:
-        return float(self.state[0]), float(self.state[1])
+        return self.state[0], self.state[1]
 
     @property
     def pixel_rate(self) -> tuple[float, float]:
-        return float(self.state[2]), float(self.state[3])
+        return self.state[2], self.state[3]
 
     @property
     def range(self) -> float:
-        return float(self.state[4])
+        return self.state[4]
 
     @property
     def range_rate(self) -> float:
-        return float(self.state[5])
+        return self.state[5]
+
+
+def _coasting(track: TrackEstimate) -> TrackEstimate:
+    return TrackEstimate(track.cls, track.state, track.blocks, TrackStatus.COASTING,
+                         track.last_update, track.t)
+
+
+def _predict_block(block: Block, dt: float, q: float) -> Block:
+    """F P F^T + Q on one axis's block."""
+    a, b, c = block
+    b1 = b + dt * c
+    return (a + dt * b + dt * b1 + q * (dt**3 / 3.0), b1 + q * (dt**2 / 2.0), c + q * dt)
 
 
 def kf_predict(
@@ -131,19 +155,23 @@ def kf_predict(
         raise ValueError("cannot predict an uninitialized track")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    x = track.state.tolist()
-    P = track.covariance.tolist()
-    Q = process_noise(dt, params).tolist()
-    cov = np.zeros((6, 6))
-    for i, j in _AXES:
-        a, b, c = P[i][i], P[i][j], P[j][j]
-        b1 = b + dt * c
-        x[i] += dt * x[j]
-        cov[i, i] = a + dt * b + dt * b1 + Q[i][i]
-        cov[i, j] = cov[j, i] = b1 + Q[i][j]
-        cov[j, j] = c + Q[j][j]
-    x[0] += ego_px_rate * dt
-    return replace(track, state=np.array(x), covariance=cov, t=track.t + dt)
+    x, y, x_rate, y_rate, r, r_rate = track.state
+    block_x, block_y, block_r = track.blocks
+    state = (x + dt * x_rate + ego_px_rate * dt, y + dt * y_rate, x_rate, y_rate,
+             r + dt * r_rate, r_rate)
+    blocks = (_predict_block(block_x, dt, params.q_pixel),
+              _predict_block(block_y, dt, params.q_pixel),
+              _predict_block(block_r, dt, params.q_range))
+    return TrackEstimate(track.cls, state, blocks, track.status, track.last_update, track.t + dt)
+
+
+def _update_axis(
+    value: float, rate: float, block: Block, nu: float, s: float, r: float
+) -> tuple[float, float, Block]:
+    """Scalar measurement update of one axis with gain (P_pp, P_pv) / s."""
+    a, b, c = block
+    k_p, k_v = a / s, b / s
+    return value + k_p * nu, rate + k_v * nu, (k_p * r, k_v * r, c - k_v * b)
 
 
 def kf_update(
@@ -161,35 +189,24 @@ def kf_update(
     """
     if track.status is TrackStatus.UNINITIALIZED:
         raise ValueError("cannot update an uninitialized track")
-    z = (float(det.x), float(det.y), float(range_meas))
+    z_x, z_y, z_r = z = (float(det.x), float(det.y), float(range_meas))
     if not all(map(math.isfinite, z)):
         raise ValueError("non-finite measurement")
 
-    R = params.measurement_cov().diagonal().tolist()
-    x = track.state.tolist()
-    P = track.covariance.tolist()
-    nu = [zk - x[i] for zk, (i, _) in zip(z, _AXES)]
-    S = [P[i][i] + rk for (i, _), rk in zip(_AXES, R)]
+    var_x, var_y, var_r = params.measurement_var()
+    x, y, x_rate, y_rate, r, r_rate = track.state
+    block_x, block_y, block_r = track.blocks
+    nu_x, nu_y, nu_r = z_x - x, z_y - y, z_r - r
+    s_x, s_y, s_r = block_x[0] + var_x, block_y[0] + var_y, block_r[0] + var_r
 
-    if nu[0] * nu[0] / S[0] + nu[1] * nu[1] / S[1] > params.gate_chi2:
-        return replace(track, status=TrackStatus.COASTING)
+    if nu_x * nu_x / s_x + nu_y * nu_y / s_y > params.gate_chi2:
+        return _coasting(track)
 
-    cov = np.zeros((6, 6))
-    for (i, j), nu_k, s_k, r_k in zip(_AXES, nu, S, R):
-        b, c = P[i][j], P[j][j]
-        k_p, k_v = P[i][i] / s_k, b / s_k
-        x[i] += k_p * nu_k
-        x[j] += k_v * nu_k
-        cov[i, i] = k_p * r_k
-        cov[i, j] = cov[j, i] = k_v * r_k
-        cov[j, j] = c - k_v * b
-    return replace(
-        track,
-        state=np.array(x),
-        covariance=cov,
-        status=TrackStatus.TRACKING,
-        last_update=det.t,
-    )
+    x, x_rate, block_x = _update_axis(x, x_rate, block_x, nu_x, s_x, var_x)
+    y, y_rate, block_y = _update_axis(y, y_rate, block_y, nu_y, s_y, var_y)
+    r, r_rate, block_r = _update_axis(r, r_rate, block_r, nu_r, s_r, var_r)
+    return TrackEstimate(track.cls, (x, y, x_rate, y_rate, r, r_rate), (block_x, block_y, block_r),
+                         TrackStatus.TRACKING, det.t, track.t)
 
 
 def initialize_track(
@@ -200,26 +217,11 @@ def initialize_track(
     t: float,
 ) -> TrackEstimate:
     """Fresh track from a first detection: zero rates, configured spread."""
-    R = params.measurement_cov()
-    state = np.array([det.x, det.y, 0.0, 0.0, range_meas, 0.0])
-    cov = np.diag(
-        [
-            R[0, 0],
-            R[1, 1],
-            params.init_vel_var,
-            params.init_vel_var,
-            max(R[2, 2], 0.25),
-            params.init_range_rate_var,
-        ]
-    )
-    return TrackEstimate(
-        cls=cls,
-        state=state,
-        covariance=cov,
-        status=TrackStatus.TRACKING,
-        last_update=t,
-        t=t,
-    )
+    var_x, var_y, var_r = params.measurement_var()
+    state = (float(det.x), float(det.y), 0.0, 0.0, float(range_meas), 0.0)
+    blocks = ((var_x, 0.0, params.init_vel_var), (var_y, 0.0, params.init_vel_var),
+              (max(var_r, 0.25), 0.0, params.init_range_rate_var))
+    return TrackEstimate(cls, state, blocks, TrackStatus.TRACKING, t, t)
 
 
 def track_lifecycle(
@@ -259,7 +261,7 @@ def track_lifecycle(
         else:
             events.append("measurement_rejected")
     else:
-        track = replace(track, status=TrackStatus.COASTING)
+        track = _coasting(track)
 
     if t - track.last_update > params.loss_timeout:
         track = TrackEstimate(cls=track.cls, t=t)
@@ -267,37 +269,30 @@ def track_lifecycle(
     return track, events
 
 
-@dataclass
-class TargetSelection:
-    """Which object guidance steers at; latches on the ball once chosen."""
-
-    active: DetectionClass = DetectionClass.DRONE
-    switch_range: float = 8.0
-
-
 def select_target(
     drone_track: TrackEstimate,
     ball_track: TrackEstimate,
-    selection: TargetSelection,
-) -> TargetSelection:
+    active: DetectionClass,
+    switch_range: float,
+) -> DetectionClass:
     """Switch attention from the drone to the ball near the target.
 
     The ball becomes active once the drone track reports a range inside
-    the switch limit while the ball track is live; it stays active while
+    switch_range while the ball track is live; it stays active while
     the ball track is tracking or coasting and reverts only if the ball
     track is dropped.
     """
-    if selection.active is DetectionClass.BALL:
+    if active is DetectionClass.BALL:
         if ball_track.status is TrackStatus.UNINITIALIZED:
-            return TargetSelection(DetectionClass.DRONE, selection.switch_range)
-        return selection
+            return DetectionClass.DRONE
+        return active
     if (
         ball_track.status is TrackStatus.TRACKING
         and drone_track.status is not TrackStatus.UNINITIALIZED
-        and drone_track.range <= selection.switch_range
+        and drone_track.range <= switch_range
     ):
-        return TargetSelection(DetectionClass.BALL, selection.switch_range)
-    return selection
+        return DetectionClass.BALL
+    return active
 
 
 @dataclass
@@ -306,13 +301,14 @@ class PerceptionState:
 
     drone_params: FilterParams
     ball_params: FilterParams
+    switch_range: float
     drone_track: TrackEstimate = field(
         default_factory=lambda: TrackEstimate(cls=DetectionClass.DRONE)
     )
     ball_track: TrackEstimate = field(
         default_factory=lambda: TrackEstimate(cls=DetectionClass.BALL)
     )
-    selection: TargetSelection = field(default_factory=TargetSelection)
+    active: DetectionClass = DetectionClass.DRONE
 
     def vision_update(
         self,
@@ -335,10 +331,11 @@ class PerceptionState:
             ego_px_rate=ego_px_rate,
         )
         events.extend((name, "ball") for name in ev)
-        self.selection = select_target(self.drone_track, self.ball_track, self.selection)
+        self.active = select_target(self.drone_track, self.ball_track, self.active,
+                                    self.switch_range)
         return events
 
     def active_track(self) -> TrackEstimate:
-        if self.selection.active is DetectionClass.BALL:
+        if self.active is DetectionClass.BALL:
             return self.ball_track
         return self.drone_track

@@ -110,6 +110,14 @@ class TestMonteCarlo:
         assert "error: seed: must be >= 0" in capsys.readouterr().err
         assert not (out / "verdicts.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exits_1_before_any_run(self, tmp_path, capsys, jobs):
+        out = tmp_path / "mc"
+        assert main(["mc", "--config", NOMINAL, "--runs", "2", "--jobs", jobs,
+                     "--out", str(out)]) == 1
+        assert "error: --jobs must be >= 1" in capsys.readouterr().err
+        assert not (out / "verdicts.csv").exists()
+
     def test_repeat_invocation_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -152,6 +152,7 @@ def make_percep():
     return PerceptionState(
         drone_params=FilterParams(init_range=None),
         ball_params=FilterParams(init_range=6.0),
+        switch_range=8.0,
     )
 
 

@@ -323,3 +323,14 @@ class TestMonteCarlo:
     def test_n_runs_validated(self):
         with pytest.raises(ValueError):
             monte_carlo(load_config(CONFIGS / "nominal_static.yaml"), 0, 1)
+
+    @pytest.mark.parametrize("n_jobs", [0, -4])
+    def test_n_jobs_validated_before_any_run(self, monkeypatch, n_jobs):
+        from skygrab import engine
+
+        def no_run(args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(engine, "_mc_single", no_run)
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            monte_carlo(load_config(CONFIGS / "nominal_static.yaml"), 2, 1, n_jobs=n_jobs)

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from skygrab import perception
 from skygrab.camera import DetectionClass, ImageDetection
+from skygrab.config import load_config
+from skygrab.engine import run_scenario
 from skygrab.perception import (
     FilterParams,
-    TargetSelection,
     TrackEstimate,
     TrackStatus,
     initialize_track,
@@ -17,6 +21,7 @@ from skygrab.perception import (
 )
 
 DT = 1.0 / 30.0
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def det(x, y, t, w=30.0):
@@ -38,7 +43,8 @@ class TestPredict:
 
     def test_linear_advance(self):
         tr = fresh_track()
-        tr.state[2] = 10.0  # px/s
+        x, y, _, y_rate, r, r_rate = tr.state
+        tr.state = (x, y, 10.0, y_rate, r, r_rate)  # 10 px/s
         out = kf_predict(tr, 0.1, FilterParams())
         assert out.state[0] == pytest.approx(tr.state[0] + 1.0)
 
@@ -62,7 +68,7 @@ class TestUpdate:
         params = FilterParams(sigma_px=2.0, sigma_range=0.3)
         tr = fresh_track(params=params)
         # crank the prior uncertainty so the gain approaches identity
-        tr.covariance = np.eye(6) * 1e9
+        tr.blocks = ((1e9, 0.0, 1e9),) * 3
         out = kf_update(tr, det(330.0, 250.0, DT), 5.5, params)
         assert out.state[0] == pytest.approx(330.0, abs=1e-3)
         assert out.state[1] == pytest.approx(250.0, abs=1e-3)
@@ -93,7 +99,7 @@ class TestUpdate:
     def test_gate_rejects_outlier_and_keeps_state(self):
         params = FilterParams()
         tr = kf_predict(fresh_track(params=params), DT, params)
-        before = tr.state.copy()
+        before = tr.state
         out = kf_update(tr, det(520.0, 440.0, DT), 5.0, params)
         assert out.status is TrackStatus.COASTING
         assert np.allclose(out.state, before)
@@ -169,13 +175,14 @@ def matrix_update(track, z, params):
 def random_track(rng):
     """A live track with a random block-diagonal covariance."""
     tr = fresh_track()
-    tr.state = rng.normal([320.0, 240.0, 0.0, 0.0, 5.0, 0.0], [100.0, 80.0, 300.0, 300.0, 2.0, 2.0])
-    cov = np.zeros((6, 6))
-    for (i, j), (var_p, var_v) in zip(((0, 2), (1, 3), (4, 5)), ((1e3, 4e5), (1e3, 4e5), (4.0, 10.0))):
+    tr.state = tuple(
+        rng.normal([320.0, 240.0, 0.0, 0.0, 5.0, 0.0], [100.0, 80.0, 300.0, 300.0, 2.0, 2.0]).tolist()
+    )
+    blocks = []
+    for var_p, var_v in ((1e3, 4e5), (1e3, 4e5), (4.0, 10.0)):
         a, c = var_p * rng.uniform(1e-3, 1.0), var_v * rng.uniform(1e-3, 1.0)
-        cov[i, i], cov[j, j] = a, c
-        cov[i, j] = cov[j, i] = rng.uniform(-0.9, 0.9) * np.sqrt(a * c)
-    tr.covariance = cov
+        blocks.append((a, rng.uniform(-0.9, 0.9) * np.sqrt(a * c), c))
+    tr.blocks = tuple(blocks)
     return tr
 
 
@@ -199,7 +206,7 @@ class TestClosedFormAgainstMatrixFilter:
             np.testing.assert_allclose(cov[block], P_ref[block], rtol=1e-12, atol=0.0)
 
             spread = np.sqrt(np.diag(tr.covariance)[[0, 1, 4]] + np.diag(params.measurement_cov()))
-            z = tr.state[[0, 1, 4]] + 2.0 * spread * rng.standard_normal(3)
+            z = np.asarray(tr.state)[[0, 1, 4]] + 2.0 * spread * rng.standard_normal(3)
             ref = matrix_update(tr, z, params)
             out = kf_update(tr, det(z[0], z[1], 0.0), z[2], params)
             decisions.append(ref is not None)
@@ -284,6 +291,38 @@ class TestLifecycle:
         assert run() == run()
 
 
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"the tracker called numpy.{name}")
+
+
+class TestRunPathWithoutNumpy:
+    def test_lifecycle_and_lean_run_call_no_numpy(self, monkeypatch):
+        monkeypatch.setattr(perception, "np", _NoNumpy())
+        params = FilterParams(init_range=6.0, loss_timeout=0.2)
+        tr = TrackEstimate(cls=DetectionClass.BALL)
+
+        tr, ev = track_lifecycle(tr, det(320.0, 240.0, 0.0), 5.0, 0.0, params)
+        assert ev == ["track_init"]
+        tr, ev = track_lifecycle(tr, det(321.0, 241.0, DT), 5.1, DT, params, ego_px_rate=90.0)
+        assert tr.status is TrackStatus.TRACKING and ev == []
+        tr, ev = track_lifecycle(tr, det(600.0, 20.0, 2 * DT), 5.0, 2 * DT, params)
+        assert tr.status is TrackStatus.COASTING and ev == ["measurement_rejected"]
+        tr, ev = track_lifecycle(tr, None, None, 3 * DT, params)
+        assert tr.status is TrackStatus.COASTING and ev == []
+        tr, ev = track_lifecycle(tr, det(324.0, 242.0, 4 * DT), 5.0, 4 * DT, params)
+        assert tr.status is TrackStatus.TRACKING and ev == ["track_reacquired"]
+        events = []
+        for k in range(5, 15):
+            tr, ev = track_lifecycle(tr, None, None, k * DT, params)
+            events += ev
+        assert tr.status is TrackStatus.UNINITIALIZED and events == ["track_lost"]
+
+        log = run_scenario(load_config(CONFIGS / "nominal_static.yaml"), detail=False)
+        assert "track_init" in {r["event"] for r in log.iter_kind("event")}
+        assert log.verdict_record["verdict"] == "captured"
+
+
 class TestSelectTarget:
     def drone_track(self, r, status=TrackStatus.TRACKING):
         tr = fresh_track(r=r)
@@ -297,34 +336,36 @@ class TestSelectTarget:
         return tr
 
     def test_far_drone_keeps_drone_active(self):
-        sel = select_target(
+        active = select_target(
             self.drone_track(20.0), self.ball_track(TrackStatus.TRACKING),
-            TargetSelection(switch_range=8.0),
+            DetectionClass.DRONE, 8.0,
         )
-        assert sel.active is DetectionClass.DRONE
+        assert active is DetectionClass.DRONE
 
     def test_switches_to_ball_within_range(self):
-        sel = select_target(
+        active = select_target(
             self.drone_track(7.0), self.ball_track(TrackStatus.TRACKING),
-            TargetSelection(switch_range=8.0),
+            DetectionClass.DRONE, 8.0,
         )
-        assert sel.active is DetectionClass.BALL
+        assert active is DetectionClass.BALL
 
     def test_requires_ball_tracking_to_switch(self):
-        sel = select_target(
+        active = select_target(
             self.drone_track(7.0), self.ball_track(TrackStatus.COASTING),
-            TargetSelection(switch_range=8.0),
+            DetectionClass.DRONE, 8.0,
         )
-        assert sel.active is DetectionClass.DRONE
+        assert active is DetectionClass.DRONE
 
     def test_latched_through_coasting(self):
-        sel = TargetSelection(active=DetectionClass.BALL, switch_range=8.0)
-        out = select_target(self.drone_track(20.0), self.ball_track(TrackStatus.COASTING), sel)
-        assert out.active is DetectionClass.BALL
+        active = select_target(
+            self.drone_track(20.0), self.ball_track(TrackStatus.COASTING),
+            DetectionClass.BALL, 8.0,
+        )
+        assert active is DetectionClass.BALL
 
     def test_reverts_when_ball_dropped(self):
-        sel = TargetSelection(active=DetectionClass.BALL, switch_range=8.0)
-        out = select_target(
-            self.drone_track(7.0), TrackEstimate(cls=DetectionClass.BALL), sel
+        active = select_target(
+            self.drone_track(7.0), TrackEstimate(cls=DetectionClass.BALL),
+            DetectionClass.BALL, 8.0,
         )
-        assert out.active is DetectionClass.DRONE
+        assert active is DetectionClass.DRONE
