@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -11,6 +12,54 @@ from skygrab.engine import _Plant, monte_carlo, replay_divergence, run_scenario,
 from skygrab.logs import SimLog, validate_log
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Configs that pass validation yet overflow the plant: (overrides, t_end,
+# events as (name, t), {detail: log digest}). The overflow lands in the
+# first step (gravity), the second (wind_overflow, after an over-swing in
+# the first), as a NaN ball state (wind_nan), as a target position that
+# overflows to inf between two ticks (target_inf) and as an infinite
+# figure-eight phase.
+PLANT_OVERFLOWS = {
+    "gravity": (
+        {"world": {"gravity": 1.0e300}},
+        0.0,
+        [("nonfinite_state", 0.0)],
+        {False: "048922c08e302f2af12aeeb904d5188adeb1e683ee90f9267f07e11bce43bd47",
+         True: "cc5e837492c2afdf548a3d3e6ca74a2308a326e0a50ad5a438d9e02d98d50be3"},
+    ),
+    "wind_overflow": (
+        {"world": {"wind": {"mean": [1.0e9, 0.0, 0.0], "tau": 0.5}}},
+        0.0025,
+        [("invalid_swing", 0.0), ("nonfinite_state", 0.0025)],
+        {False: "aa771982e83814af0ac4271c9636b09c9b4f61d684aa007be0368dd5a23b2432",
+         True: "99a0d6be244e69887bf243c04a95e425a7237d4112abeb5d2723657af1fe08f7"},
+    ),
+    "wind_nan": (
+        {"world": {"wind": {"mean": [1.0e300, 0.0, 0.0]}}},
+        0.0025,
+        [("nonfinite_state", 0.0)],
+        {False: "dedbbd621cedff483d68f190a67161d93d36eb7c01894ab0532ddf88a1dcb05f",
+         True: "f95d746c7c393601e5f973151feff9674351e4641ac8330272af04feb39a5677"},
+    ),
+    "target_inf": (
+        {"target": {"speed": 1.7e308}},
+        1.0575,
+        [("nonfinite_state", 1.055)],
+        {False: "5ea7f7714ee6d5e660cf93f785321cde5dc3dc21a2112db58a11bef91ef54adc",
+         True: "2b4cd208022fbcbb6dd9f2a21840adec5c07707acff0965490219817fa888aad"},
+    ),
+    "figure_eight_phase": (
+        {"target": {"pattern": "figure_eight", "speed": 1.0e300, "extent": 1.0e-300}},
+        0.0025,
+        [("nonfinite_state", 0.0)],
+        {False: "ba2d72cc048ff39f39a5de15294aa9c236bebc0790768ef3c0a9d39547dd1df1",
+         True: "603727be50d9aa97bc84031f0389e25bafa8e6f3fcee635d31c273fd54599616"},
+    ),
+}
+
+
+def _digest(log) -> str:
+    return hashlib.sha256(log.to_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +251,10 @@ class TestEvents:
         log = run_scenario(cfg, detail=False)
         assert len(log.events("invalid_swing")) == 1  # flagged once, sim continues
         assert log.verdict in ("captured", "timeout")
+        assert [r["t"] for r in log.events("invalid_swing")] == [1.7875]
+        assert log.verdict_record["t_end"] == 8.0
+        detailed = run_scenario(cfg, detail=True)
+        assert _digest(detailed) == "ba7fe8eb92b060c14ad6445e2bdab3517c67351120dbab6fd0bcbb8bec7bcf78"
 
 
 class TestInvalidRuns:
@@ -219,23 +272,19 @@ class TestInvalidRuns:
 
 
     @pytest.mark.parametrize("detail", [False, True])
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"world": {"gravity": 1.0e300}},  # OverflowError in the first step
-            {"world": {"wind": {"mean": [1.0e9, 0.0, 0.0], "tau": 0.5}}},  # ... in the second
-            {"world": {"wind": {"mean": [1.0e300, 0.0, 0.0]}}},  # a NaN ball state
-            {"target": {"speed": 1.7e308}},  # the target position overflows to inf
-            {"target": {"pattern": "figure_eight", "speed": 1.0e300, "extent": 1.0e-300}},  # inf phase
-        ],
-        ids=["gravity", "wind_overflow", "wind_nan", "target_inf", "figure_eight_phase"],
-    )
-    def test_plant_overflow_ends_invalid_without_raising(self, overrides, detail):
+    @pytest.mark.parametrize("case", sorted(PLANT_OVERFLOWS))
+    def test_plant_overflow_ends_invalid_without_raising(self, case, detail):
+        overrides, t_end, events, digests = PLANT_OVERFLOWS[case]
         log = run_scenario(config_from_dict({"duration": 3.0, **overrides}), detail=detail)
         validate_log(log)
         rec = log.verdict_record
         assert (rec["verdict"], rec["failure"]) == ("invalid", "nonfinite_state")
         assert len(log.events("nonfinite_state")) == 1
+        # t_end counts a step that was taken and left a state non-finite,
+        # not a step that raised.
+        assert rec["t_end"] == t_end
+        assert [(r["event"], r["t"]) for r in log.iter_kind("event")] == events
+        assert _digest(log) == digests[detail]
 
 
 class TestMissionBudget:
