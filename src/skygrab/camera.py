@@ -118,6 +118,18 @@ def project(
     Returns None for points at or behind the camera plane and for
     projections falling outside the image bounds.
     """
+    imaged = _image_point(point_world, observer, mount, intr)
+    return None if imaged is None else imaged[:2]
+
+
+def _image_point(
+    point_world,
+    observer: UavState,
+    mount: CameraMount,
+    intr: CameraIntrinsics,
+) -> tuple[float, float, float] | None:
+    """``project``'s pixel and the point's ``point_depth``, as (x, y,
+    depth), from one camera-frame offset; None when not imageable."""
     cam = camera_position(observer, mount)
     dx = float(point_world[0]) - cam[0]
     dy = float(point_world[1]) - cam[1]
@@ -129,7 +141,7 @@ def project(
     y = intr.cy + intr.focal_px * (-dz) / fwd
     if not (0.0 <= x <= intr.width and 0.0 <= y <= intr.height):
         return None
-    return x, y
+    return x, y, fwd
 
 
 def back_project(
@@ -178,14 +190,13 @@ def synth_detection(
     the detection-probability draw fails, or when pixel noise pushes the
     reported center out of the image.
     """
-    proj = project(point_world, observer, mount, intr)
-    if proj is None:
+    imaged = _image_point(point_world, observer, mount, intr)
+    if imaged is None:
         return None
-    x_true, y_true = proj
+    x_true, y_true, depth = imaged
     if gate is not None and not gate.contains(x_true, y_true):
         return None
 
-    depth = point_depth(point_world, observer, mount)
     w_true = intr.focal_px * size_m / depth
     if w_true < noise.min_box_px:
         return None

@@ -8,9 +8,15 @@ camera) so toggling a noise source never shifts the others' draws; a
 run is a pure function of (config, seed) down to the log bytes.
 
 The world (target, wind, ball, own vehicles) is one plant with one
-integrate step. ``run_scenario`` closes the loop around it and
-``replay_divergence`` drives it open loop from a log's commands, so
-run and replay advance the world through the same code.
+``advance``, which integrates a block of dynamics steps in one call.
+``run_scenario`` runs the stages due on a step, then advances the plant
+to the next step where a stage is due: the next vision or control tick,
+or a single step while the ball may be grabbed. Nothing reads the world
+between those steps, and the commands are held, so a block gives the
+same floats as stepping one at a time. ``replay_divergence`` drives the
+same ``advance`` open loop from a log's commands, block by block from
+one control tick (or the logged detach) to the next, so run and replay
+advance the world through the same code.
 """
 
 from __future__ import annotations
@@ -164,15 +170,17 @@ def _track_record(track) -> dict:
 
 
 class _Plant:
-    """The simulated world, advanced one dynamics step at a time.
+    """The simulated world, advanced a block of dynamics steps at a time.
 
     It holds the target pose, the OU wind, the ball and every own
     drone's vehicle, indexed like ``config.drones``. ``run_scenario``
     drives it with the agents' commands and ``replay_divergence`` with
-    the logged ones, so both integrate the world through ``step``. Once
-    detached, the ball rides in the grabber's basket; the plant never
-    integrates free flight, and the wind, which acts only on the hanging
-    ball, is no longer stepped.
+    the logged ones, so both integrate the world through ``advance``.
+    Each vehicle's command is held over a block, so its state is stepped
+    once per block, for all the block's steps. Once detached, the ball
+    rides in the grabber's basket; the plant never integrates free
+    flight, and the wind, which acts only on the hanging ball, is no
+    longer stepped.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -224,22 +232,61 @@ class _Plant:
         """Detach the ball from the rod into the grabber's basket."""
         self.ball = detach(self.ball)
 
-    def step(self) -> None:
-        """Integrate t -> t + dt under the held commands."""
-        dt = self.dt
-        next_pos, next_vel = target_pose(self.pattern, (self.k + 1) * dt)
-        if self.ball.attached:
-            wind_force = self.wind.step(self.wind_rng, dt) if self.wind is not None else _NO_WIND
-            nx, ny, nz = next_vel
-            vx, vy, vz = self.support_vel
-            support_accel = ((nx - vx) / dt, (ny - vy) / dt, (nz - vz) / dt)
-            self.ball = step_ball(self.ball, support_accel, wind_force, self.ball_params, dt)
-        self.uavs = [
-            step_uav(uav, cmd, params, dt)
-            for uav, cmd, params in zip(self.uavs, self.cmds, self.uav_params)
-        ]
-        self.support_pos, self.support_vel = next_pos, next_vel
-        self.k += 1
+    def advance(self, n: int, swing_armed: bool) -> tuple[int, str | None]:
+        """Integrate up to n steps of dt under the held commands.
+
+        Each step poses the target, then steps the wind and the ball while
+        it hangs, then checks the ball and target state. The vehicles are
+        stepped after the ball loop, once each, by the steps taken.
+        Returns ``(steps, stop)``, where ``stop`` is None when all n steps
+        were taken, and otherwise why the block ended early:
+
+        - ``"overflow"``: a step raised OverflowError and was not taken;
+        - ``"nonfinite"``: the last step taken left the ball or target
+          state not finite;
+        - ``"swing"``: the last step taken swung the hanging ball to or
+          past horizontal, reported only when ``swing_armed``.
+        """
+        dt, k = self.dt, self.k
+        pattern, ball, ball_params = self.pattern, self.ball, self.ball_params
+        wind, wind_rng = self.wind, self.wind_rng
+        attached = ball.attached
+        pos, vel = self.support_pos, self.support_vel
+        isfinite = math.isfinite
+        done, stop = 0, None
+        for j in range(k + 1, k + n + 1):
+            try:
+                next_pos, next_vel = target_pose(pattern, j * dt)
+                if attached:
+                    wind_force = wind.step(wind_rng, dt) if wind is not None else _NO_WIND
+                    nx, ny, nz = next_vel
+                    vx, vy, vz = vel
+                    support_accel = ((nx - vx) / dt, (ny - vy) / dt, (nz - vz) / dt)
+                    ball = step_ball(ball, support_accel, wind_force, ball_params, dt)
+            except OverflowError:
+                stop = "overflow"
+                break
+            pos, vel = next_pos, next_vel
+            done += 1
+            sx, sy, sz = pos
+            if not (
+                isfinite(ball.theta) and isfinite(ball.phi) and isfinite(ball.theta_dot)
+                and isfinite(ball.phi_dot) and isfinite(sx) and isfinite(sy) and isfinite(sz)
+            ):
+                stop = "nonfinite"
+                break
+            if swing_armed and attached and abs(ball.theta) >= math.pi / 2:
+                stop = "swing"
+                break
+        self.ball = ball
+        self.support_pos, self.support_vel = pos, vel
+        if done:
+            self.uavs = [
+                step_uav(uav, cmd, params, dt, done)
+                for uav, cmd, params in zip(self.uavs, self.cmds, self.uav_params)
+            ]
+        self.k = k + done
+        return done, stop
 
 
 def _message_record(msg, t: float, status: str) -> dict:
@@ -258,8 +305,9 @@ class _Run:
     """One scenario in progress: the plant, each drone's onboard stack,
     the channel, the log, and the mission facts the verdict reads.
 
-    Each dynamics step runs the vision, control and contact stages on
-    the steps that select them, then the integrate stage.
+    ``run_scenario`` runs the vision, control and contact stages on the
+    steps that select them, then advances the plant to the next such
+    step.
     """
 
     def __init__(self, config: ScenarioConfig, detail: bool, log: SimLog):
@@ -456,31 +504,6 @@ class _Run:
                  "data": {"ball_p": list(bp)}}
             )
 
-    def integrate(self, t: float) -> bool:
-        """Advance the plant to t + dt; flag the first over-swing. Returns
-        False, after ``nonfinite_state``, when the step overflows or leaves
-        the ball or target state not finite."""
-        plant = self.plant
-        try:
-            plant.step()
-        except OverflowError:
-            return self.nonfinite(t)
-        ball = plant.ball
-        sx, sy, sz = plant.support_pos
-        isfinite = math.isfinite
-        if not (
-            isfinite(ball.theta) and isfinite(ball.phi) and isfinite(ball.theta_dot)
-            and isfinite(ball.phi_dot) and isfinite(sx) and isfinite(sy) and isfinite(sz)
-        ):
-            return self.nonfinite(t)
-        if ball.attached and abs(ball.theta) >= math.pi / 2 and not self.swing_flagged:
-            self.swing_flagged = True
-            self.log.append(
-                {"kind": "event", "t": t, "event": "invalid_swing", "drone": None,
-                 "data": {"theta": ball.theta}}
-            )
-        return True
-
     def verdict(self) -> dict:
         if self.t_capture is not None:
             verdict, failure = "captured", None
@@ -539,20 +562,45 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
     run = _Run(config, detail, SimLog(header=header))
     plant = run.plant
     grabber_agent = run.grabber.agent
-    for k in range(n_steps):
+    k = 0
+    while k < n_steps:
         t = k * dt
         if k % vision_every == 0:
             run.vision(t)
         control_tick = k % control_every == 0
         if control_tick and not run.control(t):
             break
-        if plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB:
+        contact_armed = plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB
+        if contact_armed:
             run.contact(t)
-        if not run.integrate(t):
-            break
         # Phases change only on control ticks.
-        if control_tick and all(d.agent.phase in coord.TERMINAL_PHASES for d in run.drones):
+        terminal = control_tick and all(d.agent.phase in coord.TERMINAL_PHASES for d in run.drones)
+        if contact_armed or terminal:
+            # Contact is checked on every step while armed; a terminal
+            # run ends after this step.
+            block = 1
+        else:
+            block = min(
+                (k // vision_every + 1) * vision_every,
+                (k // control_every + 1) * control_every,
+                n_steps,
+            ) - k
+        _, stop = plant.advance(block, not run.swing_flagged)
+        if stop == "swing":
+            run.swing_flagged = True
+            run.log.append(
+                {"kind": "event", "t": (plant.k - 1) * dt, "event": "invalid_swing", "drone": None,
+                 "data": {"theta": plant.ball.theta}}
+            )
+        elif stop == "nonfinite":  # logged at the step taken, which t_end counts
+            run.nonfinite((plant.k - 1) * dt)
             break
+        elif stop == "overflow":  # logged at the step that raised, which t_end does not count
+            run.nonfinite(plant.k * dt)
+            break
+        if terminal:
+            break
+        k = plant.k
     run.log.append(run.verdict())
     return run.log
 
@@ -573,12 +621,15 @@ def replay_divergence(log: SimLog) -> float:
     """Re-run the plant open loop from a log; return the largest position
     deviation against the logged ground truth.
 
-    Advances the same plant step as ``run_scenario``, fed with the
-    logged control-tick commands and released at the logged detach, and
-    compares every drone and the ball at every logged state record.
+    Advances the same plant as ``run_scenario``, fed with the logged
+    control-tick commands and released at the logged detach, block by
+    block from one control tick (or the detach) to the next. Compares
+    every drone and the ball at every logged state record; a plant step
+    that overflows reads as infinite divergence.
     """
     cfg = config_from_dict(log.header["config"])
     plant = _Plant(cfg)
+    dt = plant.dt
     control_every = max(1, round(cfg.rates.dynamics / cfg.rates.control))
     index = {d.id: i for i, d in enumerate(cfg.drones)}
 
@@ -592,14 +643,16 @@ def replay_divergence(log: SimLog) -> float:
     if not states:
         raise ValueError("log has no state records to replay against")
     t_detach = next((r["t"] for r in log.events("detach")), None)
+    k_detach = None if t_detach is None else round(t_detach / dt)
 
     by_time = {s["t"]: s for s in states}
     t_last = states[-1]["t"]
-    n_steps = round(t_last / plant.dt) + 1
+    n_steps = round(t_last / dt) + 1
 
     worst = 0.0
-    for k in range(n_steps):
-        t = k * plant.dt
+    k = 0
+    while k < n_steps:
+        t = k * dt
         if k % control_every == 0:
             for i, cmd in cmds.get(t, ()):
                 plant.cmds[i] = cmd
@@ -612,7 +665,13 @@ def replay_divergence(log: SimLog) -> float:
             break
         if t == t_detach:
             plant.release()
-        plant.step()
+        end = min((k // control_every + 1) * control_every, n_steps)
+        if k_detach is not None and k < k_detach < end:
+            end = k_detach
+        _, stop = plant.advance(end - k, False)
+        if stop == "overflow":
+            return math.inf
+        k = plant.k
     return worst
 
 

@@ -72,54 +72,66 @@ class UavParams:
     yaw_rate_max: float = 1.5   # rad/s
 
 
-def step_uav(state: UavState, cmd: VelocityCommand, params: UavParams, dt: float) -> UavState:
-    """Advance one vehicle by dt under a velocity command.
+def step_uav(
+    state: UavState, cmd: VelocityCommand, params: UavParams, dt: float, steps: int = 1
+) -> UavState:
+    """Advance one vehicle by ``steps`` steps of dt under a held velocity
+    command.
 
-    The velocity relaxes toward the commanded value with a first-order
-    lag, v' = v + (dt/tau)(v_cmd - v), is then saturated, and the position
-    is integrated with the updated velocity (semi-implicit Euler). Yaw
-    integrates the rate-limited yaw-rate command directly.
+    Each step, the velocity relaxes toward the commanded value with a
+    first-order lag, v' = v + (dt/tau)(v_cmd - v), is then saturated, and
+    the position is integrated with the updated velocity (semi-implicit
+    Euler). Yaw integrates the rate-limited yaw-rate command directly.
+    ``steps`` steps in one call equal as many chained one-step calls,
+    bit for bit.
 
     Computes on Python floats read once from the input state, which is
     left unchanged; returns a new state.
 
-    Raises ValueError for non-finite commands.
+    Raises ValueError for a non-positive dt, fewer than one step or a
+    non-finite command.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     isfinite = math.isfinite
     if not (
         isfinite(cmd.vx) and isfinite(cmd.vy) and isfinite(cmd.vz) and isfinite(cmd.yaw_rate)
     ):
         raise ValueError("non-finite velocity command rejected")
     cx, cy, cz = cmd.vx, cmd.vy, cmd.vz
-
-    v0x, v0y, v0z = state.velocity
     a = dt / params.tau
-    vx = v0x + a * (cx - v0x)
-    vy = v0y + a * (cy - v0y)
-    vz = v0z + a * (cz - v0z)
-
-    h = math.hypot(vx, vy)
-    if h > params.v_max_xy:
-        scale = params.v_max_xy / h
-        vx *= scale
-        vy *= scale
+    v_max_xy, v_max_z = params.v_max_xy, params.v_max_z
     # Clamps written out; they equal min(max(x, -limit), limit).
-    v_max_z = params.v_max_z
-    if vz < -v_max_z:
-        vz = -v_max_z
-    if vz > v_max_z:
-        vz = v_max_z
     rate, rate_max = cmd.yaw_rate, params.yaw_rate_max
     if rate < -rate_max:
         rate = -rate_max
     if rate > rate_max:
         rate = rate_max
-    yaw = wrap_angle(state.yaw + dt * rate)
+    hypot = math.hypot
 
+    vx, vy, vz = state.velocity
     px, py, pz = state.position
-    return UavState((px + dt * vx, py + dt * vy, pz + dt * vz), (vx, vy, vz), yaw, rate)
+    yaw = state.yaw
+    for _ in range(steps):
+        vx = vx + a * (cx - vx)
+        vy = vy + a * (cy - vy)
+        vz = vz + a * (cz - vz)
+        h = hypot(vx, vy)
+        if h > v_max_xy:
+            scale = v_max_xy / h
+            vx *= scale
+            vy *= scale
+        if vz < -v_max_z:
+            vz = -v_max_z
+        if vz > v_max_z:
+            vz = v_max_z
+        yaw = wrap_angle(yaw + dt * rate)
+        px = px + dt * vx
+        py = py + dt * vy
+        pz = pz + dt * vz
+    return UavState((px, py, pz), (vx, vy, vz), yaw, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -233,53 +245,6 @@ class BallParams:
     gravity: float = GRAVITY
 
 
-def _rod_vector_state(ball: BallState):
-    # Angles to rod direction u and its rate; u points pivot -> bob.
-    sth, cth = math.sin(ball.theta), math.cos(ball.theta)
-    sph, cph = math.sin(ball.phi), math.cos(ball.phi)
-    td, pd = ball.theta_dot, ball.phi_dot
-    u = (sth * cph, sth * sph, -cth)
-    du = (
-        td * cth * cph - pd * sth * sph,
-        td * cth * sph + pd * sth * cph,
-        td * sth,
-    )
-    return u, du
-
-
-def _angles_from_rod(u, du, prev_phi: float):
-    ux, uy, uz = u
-    s = math.hypot(ux, uy)
-    theta = math.atan2(s, -uz)
-    if s > 1e-12:
-        phi = math.atan2(uy, ux)
-        cph, sph = ux / s, uy / s
-        phi_dot = (-du[0] * sph + du[1] * cph) / s
-    else:
-        # Hanging vertically: azimuth is degenerate, keep the previous one.
-        phi = prev_phi
-        cph, sph = math.cos(phi), math.sin(phi)
-        phi_dot = 0.0
-    cth = -uz
-    theta_dot = du[0] * cth * cph + du[1] * cth * sph + du[2] * s
-    return theta, phi, theta_dot, phi_dot
-
-
-def _rod_accel(u, du, A, length, damping):
-    # Rigid-rod constrained point under apparent specific force A:
-    #   u'' = A/L - ((A.u)/L + |u'|^2) u - c u'
-    # The radial multiplier keeps |u| = 1; damping acts on the swing rate.
-    ux, uy, uz = u
-    dux, duy, duz = du
-    a_dot_u = A[0] * ux + A[1] * uy + A[2] * uz
-    lam = a_dot_u / length + (dux * dux + duy * duy + duz * duz)
-    return (
-        A[0] / length - lam * ux - damping * dux,
-        A[1] / length - lam * uy - damping * duy,
-        A[2] / length - lam * uz - damping * duz,
-    )
-
-
 def step_ball(
     ball: BallState,
     support_accel,
@@ -307,40 +272,74 @@ def step_ball(
     if not ball.attached:
         raise ValueError("a detached ball is not integrated")
 
+    # Apparent specific force A at the bob, and A/L, which every stage uses.
     m = params.mass
     wx, wy, wz = wind_force
     sx, sy, sz = support_accel
-    A = (wx / m - sx, wy / m - sy, wz / m - sz - params.gravity)
+    ax, ay, az = wx / m - sx, wy / m - sy, wz / m - sz - params.gravity
     L, c = params.length, params.damping
-    u, du = _rod_vector_state(ball)
-    ux, uy, uz = u
-    dx, dy, dz = du
+    alx, aly, alz = ax / L, ay / L, az / L
+
+    # Rod direction u (pivot -> bob) and its rate, from the angles.
+    sth, cth = math.sin(ball.theta), math.cos(ball.theta)
+    sph, cph = math.sin(ball.phi), math.cos(ball.phi)
+    td, pd = ball.theta_dot, ball.phi_dot
+    ux, uy, uz = sth * cph, sth * sph, -cth
+    dx = td * cth * cph - pd * sth * sph
+    dy = td * cth * sph + pd * sth * cph
+    dz = td * sth
     h, h6 = 0.5 * dt, dt / 6.0
 
-    # Classic RK4 on (u, u'); the rate of u at each stage is that
-    # stage's u', so k1u = du, k2u = d2, k3u = d3, k4u = d4.
-    a1x, a1y, a1z = _rod_accel(u, du, A, L, c)
-    d2 = (dx + h * a1x, dy + h * a1y, dz + h * a1z)
-    a2x, a2y, a2z = _rod_accel((ux + h * dx, uy + h * dy, uz + h * dz), d2, A, L, c)
-    d3 = (dx + h * a2x, dy + h * a2y, dz + h * a2z)
-    a3x, a3y, a3z = _rod_accel((ux + h * d2[0], uy + h * d2[1], uz + h * d2[2]), d3, A, L, c)
-    d4 = (dx + dt * a3x, dy + dt * a3y, dz + dt * a3z)
-    a4x, a4y, a4z = _rod_accel((ux + dt * d3[0], uy + dt * d3[1], uz + dt * d3[2]), d4, A, L, c)
+    # Classic RK4 on (u, u'); the rate of u at each stage is that stage's
+    # u', so k1u = du, k2u = d2, k3u = d3, k4u = d4, and stages 2-4 sit
+    # at the point q. Each stage's u'' is the rigid-rod constrained point
+    # under A:
+    #   u'' = A/L - ((A.u)/L + |u'|^2) u - c u'
+    # The radial multiplier keeps |u| = 1; damping acts on the swing rate.
+    lam = (ax * ux + ay * uy + az * uz) / L + (dx * dx + dy * dy + dz * dz)
+    a1x, a1y, a1z = alx - lam * ux - c * dx, aly - lam * uy - c * dy, alz - lam * uz - c * dz
+    d2x, d2y, d2z = dx + h * a1x, dy + h * a1y, dz + h * a1z
+    qx, qy, qz = ux + h * dx, uy + h * dy, uz + h * dz
+    lam = (ax * qx + ay * qy + az * qz) / L + (d2x * d2x + d2y * d2y + d2z * d2z)
+    a2x, a2y, a2z = alx - lam * qx - c * d2x, aly - lam * qy - c * d2y, alz - lam * qz - c * d2z
+    d3x, d3y, d3z = dx + h * a2x, dy + h * a2y, dz + h * a2z
+    qx, qy, qz = ux + h * d2x, uy + h * d2y, uz + h * d2z
+    lam = (ax * qx + ay * qy + az * qz) / L + (d3x * d3x + d3y * d3y + d3z * d3z)
+    a3x, a3y, a3z = alx - lam * qx - c * d3x, aly - lam * qy - c * d3y, alz - lam * qz - c * d3z
+    d4x, d4y, d4z = dx + dt * a3x, dy + dt * a3y, dz + dt * a3z
+    qx, qy, qz = ux + dt * d3x, uy + dt * d3y, uz + dt * d3z
+    lam = (ax * qx + ay * qy + az * qz) / L + (d4x * d4x + d4y * d4y + d4z * d4z)
+    a4x, a4y, a4z = alx - lam * qx - c * d4x, aly - lam * qy - c * d4y, alz - lam * qz - c * d4z
 
-    nx = ux + h6 * (dx + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
-    ny = uy + h6 * (dy + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
-    nz = uz + h6 * (dz + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
+    nx = ux + h6 * (dx + 2.0 * d2x + 2.0 * d3x + d4x)
+    ny = uy + h6 * (dy + 2.0 * d2y + 2.0 * d3y + d4y)
+    nz = uz + h6 * (dz + 2.0 * d2z + 2.0 * d3z + d4z)
     mx = dx + h6 * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
     my = dy + h6 * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
     mz = dz + h6 * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
 
-    # Re-project onto the constraint manifold (|u| = 1, u' tangent).
+    # Re-project onto the constraint manifold (|u| = 1, u' tangent). The
+    # powers stay: ``**`` raises OverflowError where a product gives inf,
+    # and the engine ends such a run invalid.
     norm = math.sqrt(nx ** 2 + ny ** 2 + nz ** 2)
     nx, ny, nz = nx / norm, ny / norm, nz / norm
     radial = mx * nx + my * ny + mz * nz
-    theta, phi, theta_dot, phi_dot = _angles_from_rod(
-        (nx, ny, nz), (mx - radial * nx, my - radial * ny, mz - radial * nz), ball.phi
-    )
+    ex, ey, ez = mx - radial * nx, my - radial * ny, mz - radial * nz
+
+    # Back to angles and their rates from the rod (n) and its rate (e).
+    s = math.hypot(nx, ny)
+    theta = math.atan2(s, -nz)
+    if s > 1e-12:
+        phi = math.atan2(ny, nx)
+        cph, sph = nx / s, ny / s
+        phi_dot = (-ex * sph + ey * cph) / s
+    else:
+        # Hanging vertically: azimuth is degenerate, keep the previous one.
+        phi = ball.phi
+        cph, sph = math.cos(phi), math.sin(phi)
+        phi_dot = 0.0
+    cth = -nz
+    theta_dot = ex * cth * cph + ey * cth * sph + ez * s
     return BallState(theta, phi, theta_dot, phi_dot)
 
 

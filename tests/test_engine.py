@@ -10,8 +10,10 @@ import pytest
 from skygrab.config import config_from_dict, load_config, parse_config
 from skygrab.engine import _Plant, monte_carlo, replay_divergence, run_scenario, substream
 from skygrab.logs import SimLog, validate_log
+from skygrab.world import VelocityCommand
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.yaml"))
 
 # Configs that pass validation yet overflow the plant: (overrides, t_end,
 # events as (name, t), {detail: log digest}). The overflow lands in the
@@ -230,17 +232,48 @@ class TestDisturbedRun:
         next(log.iter_kind("state"))["drones"]["grabber"]["p"][0] = math.nan
         assert replay_divergence(log) == math.inf
 
+    def test_replay_through_an_overflowing_step_reads_as_infinite_divergence(self):
+        # The run ends at the step that overflows, so its own log never asks
+        # replay to take that step; a state record past it does.
+        log = run_scenario(config_from_dict({"duration": 3.0, "world": {"gravity": 1.0e300}}))
+        records = copy.deepcopy(log.records)
+        late = copy.deepcopy(next(r for r in records if r["kind"] == "state"))
+        late["t"] = 0.05
+        records.insert(records.index(log.verdict_record), late)
+        assert replay_divergence(SimLog(header=log.header, records=records)) == math.inf
+
 
 class TestPlant:
     def test_wind_not_stepped_after_detach(self):
         # the wind acts only on the hanging ball; nothing reads it after detach
         plant = _Plant(load_config(CONFIGS / "default.yaml"))
-        plant.step()
+        plant.advance(1, False)
         plant.release()
         force = plant.wind.force
-        plant.step()
-        plant.step()
+        plant.advance(1, False)
+        plant.advance(1, False)
         assert plant.wind.force == force
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_block_equals_single_steps_across_release(self, name):
+        cfg = load_config(CONFIGS / f"{name}.yaml")
+        commands = [VelocityCommand(0.8, -0.5, 0.3, 1.2), VelocityCommand(-4.0, 2.5, -2.0, -9.0)]
+
+        def drive(before, after):
+            plant = _Plant(cfg)
+            plant.cmds = [commands[i % 2] for i in range(len(plant.cmds))]
+            results = [plant.advance(n, False) for n in before]
+            plant.release()
+            results += [plant.advance(n, False) for n in after]
+            # repr spells every float exactly, signed zeros included
+            return results, repr((plant.k, plant.uavs, plant.ball, plant.support_pos,
+                                  plant.support_vel, plant.wind))
+
+        block_results, block_state = drive([37], [23])
+        single_results, single_state = drive([1] * 37, [1] * 23)
+        assert block_results == [(37, None), (23, None)]
+        assert single_results == [(1, None)] * 60
+        assert block_state == single_state
 
 
 class TestEvents:

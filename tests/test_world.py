@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skygrab import world
 from skygrab.camera import CameraMount, camera_position
@@ -103,6 +105,177 @@ class TestStepUav:
             step_uav(s, VelocityCommand(vx=math.nan), UavParams(), 0.05)
         with pytest.raises(ValueError):
             step_uav(s, VelocityCommand(), UavParams(), 0.0)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def held_command_cases(draw):
+    """A vehicle, its limits, a held command, dt and a step count. The
+    command reaches past both speed limits and the yaw-rate limit, and
+    the yaw starts anywhere, so runs cross the +-pi wrap."""
+    params = UavParams(
+        tau=draw(_finite(0.02, 2.0)),
+        v_max_xy=draw(_finite(0.5, 5.0)),
+        v_max_z=draw(_finite(0.2, 3.0)),
+        yaw_rate_max=draw(_finite(0.2, 3.0)),
+    )
+    cmd = VelocityCommand(
+        draw(_finite(-15.0, 15.0)), draw(_finite(-15.0, 15.0)),
+        draw(_finite(-9.0, 9.0)), draw(_finite(-6.0, 6.0)),
+    )
+    state = UavState(
+        (draw(_finite(-50.0, 50.0)), draw(_finite(-50.0, 50.0)), draw(_finite(0.0, 20.0))),
+        (draw(_finite(-6.0, 6.0)), draw(_finite(-6.0, 6.0)), draw(_finite(-4.0, 4.0))),
+        draw(_finite(-math.pi, math.pi)),
+    )
+    dt = draw(st.sampled_from([1.0 / 400.0, 1.0 / 200.0, 0.05]))
+    return state, cmd, params, dt, draw(st.integers(1, 60))
+
+
+class TestStepUavBlocks:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(held_command_cases())
+    # Both saturations, and yaw crossing +pi and -pi, for certain.
+    @example((UavState((0.0, 0.0, 5.0), (0.0, 0.0, 0.0), math.pi - 0.01),
+              VelocityCommand(12.0, -9.0, 8.0, 5.0), UavParams(tau=0.1), 0.05, 40))
+    @example((UavState((0.0, 0.0, 5.0), (2.0, 1.0, -1.0), -math.pi + 0.01),
+              VelocityCommand(-3.0, 4.0, -8.0, -5.0), UavParams(tau=0.1), 1.0 / 400.0, 60))
+    def test_block_equals_chained_single_steps(self, case):
+        state, cmd, params, dt, n = case
+        chained = state
+        for _ in range(n):
+            chained = step_uav(chained, cmd, params, dt)
+        # repr spells every float exactly, signed zeros included
+        assert repr(step_uav(state, cmd, params, dt, n)) == repr(chained)
+
+    def test_examples_reach_both_saturations_and_the_wrap(self):
+        out = step_uav(UavState((0.0, 0.0, 5.0), (0.0, 0.0, 0.0), math.pi - 0.01),
+                       VelocityCommand(12.0, -9.0, 8.0, 5.0), UavParams(tau=0.1), 0.05, 40)
+        assert math.hypot(*out.velocity[:2]) == pytest.approx(3.0)
+        assert out.velocity[2] == 1.5 and out.yaw_rate == 1.5
+        assert out.yaw < 0.0  # wrapped past +pi
+        out = step_uav(UavState((0.0, 0.0, 5.0), (2.0, 1.0, -1.0), -math.pi + 0.01),
+                       VelocityCommand(-3.0, 4.0, -8.0, -5.0), UavParams(tau=0.1), 1.0 / 400.0, 60)
+        assert out.velocity[2] == -1.5 and out.yaw_rate == -1.5
+        assert out.yaw > 0.0  # wrapped past -pi
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_fewer_than_one_step_raises(self, steps):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            step_uav(make_uav(), VelocityCommand(vx=1.0), UavParams(), DT, steps)
+
+
+# Reference ball step: the RK4 written with the three rod helpers it was
+# first built from. ``step_ball`` inlines them with every float operation
+# unchanged, so the two agree bit for bit.
+
+def _rod_vector_state(ball):
+    sth, cth = math.sin(ball.theta), math.cos(ball.theta)
+    sph, cph = math.sin(ball.phi), math.cos(ball.phi)
+    td, pd = ball.theta_dot, ball.phi_dot
+    u = (sth * cph, sth * sph, -cth)
+    du = (
+        td * cth * cph - pd * sth * sph,
+        td * cth * sph + pd * sth * cph,
+        td * sth,
+    )
+    return u, du
+
+
+def _angles_from_rod(u, du, prev_phi):
+    ux, uy, uz = u
+    s = math.hypot(ux, uy)
+    theta = math.atan2(s, -uz)
+    if s > 1e-12:
+        phi = math.atan2(uy, ux)
+        cph, sph = ux / s, uy / s
+        phi_dot = (-du[0] * sph + du[1] * cph) / s
+    else:
+        phi = prev_phi
+        cph, sph = math.cos(phi), math.sin(phi)
+        phi_dot = 0.0
+    cth = -uz
+    theta_dot = du[0] * cth * cph + du[1] * cth * sph + du[2] * s
+    return theta, phi, theta_dot, phi_dot
+
+
+def _rod_accel(u, du, A, length, damping):
+    ux, uy, uz = u
+    dux, duy, duz = du
+    a_dot_u = A[0] * ux + A[1] * uy + A[2] * uz
+    lam = a_dot_u / length + (dux * dux + duy * duy + duz * duz)
+    return (
+        A[0] / length - lam * ux - damping * dux,
+        A[1] / length - lam * uy - damping * duy,
+        A[2] / length - lam * uz - damping * duz,
+    )
+
+
+def reference_step_ball(ball, support_accel, wind_force, params, dt):
+    m = params.mass
+    wx, wy, wz = wind_force
+    sx, sy, sz = support_accel
+    A = (wx / m - sx, wy / m - sy, wz / m - sz - params.gravity)
+    L, c = params.length, params.damping
+    u, du = _rod_vector_state(ball)
+    ux, uy, uz = u
+    dx, dy, dz = du
+    h, h6 = 0.5 * dt, dt / 6.0
+    a1x, a1y, a1z = _rod_accel(u, du, A, L, c)
+    d2 = (dx + h * a1x, dy + h * a1y, dz + h * a1z)
+    a2x, a2y, a2z = _rod_accel((ux + h * dx, uy + h * dy, uz + h * dz), d2, A, L, c)
+    d3 = (dx + h * a2x, dy + h * a2y, dz + h * a2z)
+    a3x, a3y, a3z = _rod_accel((ux + h * d2[0], uy + h * d2[1], uz + h * d2[2]), d3, A, L, c)
+    d4 = (dx + dt * a3x, dy + dt * a3y, dz + dt * a3z)
+    a4x, a4y, a4z = _rod_accel((ux + dt * d3[0], uy + dt * d3[1], uz + dt * d3[2]), d4, A, L, c)
+    nx = ux + h6 * (dx + 2.0 * d2[0] + 2.0 * d3[0] + d4[0])
+    ny = uy + h6 * (dy + 2.0 * d2[1] + 2.0 * d3[1] + d4[1])
+    nz = uz + h6 * (dz + 2.0 * d2[2] + 2.0 * d3[2] + d4[2])
+    mx = dx + h6 * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
+    my = dy + h6 * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
+    mz = dz + h6 * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
+    norm = math.sqrt(nx ** 2 + ny ** 2 + nz ** 2)
+    nx, ny, nz = nx / norm, ny / norm, nz / norm
+    radial = mx * nx + my * ny + mz * nz
+    theta, phi, theta_dot, phi_dot = _angles_from_rod(
+        (nx, ny, nz), (mx - radial * nx, my - radial * ny, mz - radial * nz), ball.phi
+    )
+    return BallState(theta, phi, theta_dot, phi_dot)
+
+
+class TestStepBallAgainstReference:
+    def test_random_states_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        for i in range(5000):
+            ball = BallState(
+                theta=0.0 if i % 10 == 0 else float(rng.uniform(0.0, math.pi)),
+                phi=float(rng.uniform(-math.pi, math.pi)),
+                theta_dot=float(rng.normal(0.0, 2.0)),
+                phi_dot=float(rng.normal(0.0, 2.0)),
+            )
+            params = BallParams(
+                length=float(rng.uniform(0.3, 3.0)), mass=float(rng.uniform(0.02, 1.0)),
+                damping=float(rng.uniform(0.0, 0.5)), gravity=float(rng.uniform(0.0, 20.0)),
+            )
+            accel = tuple(rng.normal(0.0, 3.0, 3).tolist())
+            wind = tuple(rng.normal(0.0, 0.5, 3).tolist())
+            dt = float(rng.choice([1.0 / 400.0, 1.0 / 100.0, 0.05]))
+            assert repr(step_ball(ball, accel, wind, params, dt)) == repr(
+                reference_step_ball(ball, accel, wind, params, dt)
+            )
+
+    def test_vertical_branch_bit_for_bit(self):
+        # Hanging straight down with no sideways force: the rod stays
+        # vertical, the azimuth is kept and its rate is zero.
+        for phi in (0.0, 0.7, -2.9):
+            ball = BallState(theta=0.0, phi=phi, phi_dot=1.3)
+            out = step_ball(ball, (0.0, 0.0, 0.4), (0.0, 0.0, -0.01), BallParams(), DT)
+            assert (out.theta, out.phi, out.phi_dot) == (0.0, phi, 0.0)
+            ref = reference_step_ball(ball, (0.0, 0.0, 0.4), (0.0, 0.0, -0.01), BallParams(), DT)
+            assert repr(out) == repr(ref)
 
 
 class TestTargetPose:
