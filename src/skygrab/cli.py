@@ -29,11 +29,19 @@ def _fail(msg: str) -> int:
     return EXIT_USAGE
 
 
+def _unreadable(path, e: OSError | UnicodeDecodeError) -> str:
+    """The message for an input file that cannot be opened or decoded."""
+    return f"{path}: {getattr(e, 'strerror', None) or e}"
+
+
 def _load(path: str):
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"{path}: no such config file")
-    return load_config(p)
+    try:
+        return load_config(p)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(_unreadable(path, e)) from e
 
 
 def _write_json(path: Path, obj):
@@ -159,7 +167,9 @@ def cmd_plot(args) -> int:
         return _fail(f"{args.log}: no such log file")
     try:
         log = SimLog.read(path)
-    except (ValueError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError) as e:
+        return _fail(_unreadable(args.log, e))
+    except ValueError as e:  # includes json.JSONDecodeError
         return _fail(str(e))
     try:
         svg, sidecar = render_plot(args.kind, log, args.out)

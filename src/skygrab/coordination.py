@@ -29,9 +29,8 @@ import numpy as np
 from . import camera as cam
 from .frames import Vec3, wrap_angle
 from .camera import CameraIntrinsics, CameraMount, DetectionClass
-from .config import MissionConfig
+from .config import CaptureConfig, ChannelConfig, LimitsConfig, MissionConfig
 from .guidance import (
-    CommandLimits,
     ExplorePlan,
     GuidanceError,
     GuidanceGains,
@@ -85,17 +84,6 @@ class DroneMessage:
 # Message channel
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ChannelModel:
-    latency: float = 0.1
-    drop_probability: float = 0.05
-    rate_limit_hz: float = 5.0
-
-    def __post_init__(self):
-        if self.latency < 0.0 or not 0.0 <= self.drop_probability <= 1.0 or self.rate_limit_hz <= 0.0:
-            raise ValueError("invalid channel model")
-
-
 class Channel:
     """Lossy, delayed, rate-limited broadcast channel.
 
@@ -107,8 +95,8 @@ class Channel:
 
     _TIME_EPS = 1e-9
 
-    def __init__(self, model: ChannelModel, rng: np.random.Generator):
-        self.model = model
+    def __init__(self, config: ChannelConfig, rng: np.random.Generator):
+        self.config = config
         self.rng = rng
         self._queue: list[tuple[float, int, DroneMessage]] = []
         self._seq = 0
@@ -117,7 +105,7 @@ class Channel:
     def submit(self, messages, t: float) -> list[tuple[DroneMessage, str]]:
         """Admit messages at time t; returns (message, status) pairs with
         status in {sent, dropped, rate_limited}."""
-        period = 1.0 / self.model.rate_limit_hz
+        period = 1.0 / self.config.rate_hz
         out = []
         for msg in messages:
             key = (msg.sender, msg.kind)
@@ -126,10 +114,10 @@ class Channel:
                 out.append((msg, "rate_limited"))
                 continue
             self._last_send[key] = t
-            if self.rng.random() < self.model.drop_probability:
+            if self.rng.random() < self.config.drop_probability:
                 out.append((msg, "dropped"))
                 continue
-            heapq.heappush(self._queue, (t + self.model.latency, self._seq, msg))
+            heapq.heappush(self._queue, (t + self.config.latency, self._seq, msg))
             self._seq += 1
             out.append((msg, "sent"))
         return out
@@ -146,41 +134,31 @@ class Channel:
 # Grab detection
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CaptureGeometry:
-    """Geometric stand-in for the passive basket end effector."""
-
-    radius: float = 0.25
-    cone_half_angle: float = math.radians(45.0)
-    max_rel_speed: float = 1.5
-    gripper_offset: Vec3 = (0.4, 0.0, 0.0)
-
-
-def gripper_point(uav: UavState, geom: CaptureGeometry) -> Vec3:
+def gripper_point(uav: UavState, capture: CaptureConfig) -> Vec3:
     """World position of the capture reference point."""
     c, s = math.cos(uav.yaw), math.sin(uav.yaw)
-    ox, oy, oz = geom.gripper_offset
+    ox, oy, oz = capture.gripper_offset
     px, py, pz = uav.position
     return (px + c * ox - s * oy, py + s * ox + c * oy, pz + oz)
 
 
-def grab_detect(ball_pos, ball_vel, uav: UavState, geom: CaptureGeometry) -> bool:
-    """True when the ball sits in the capture volume.
+def grab_detect(ball_pos, ball_vel, uav: UavState, capture: CaptureConfig) -> bool:
+    """True when the ball sits in the capture volume of the passive basket.
 
     Requires the ball within the capture radius of the gripper point
     (inclusive), inside the forward approach cone, and with relative
     speed at most the configured bound.
     """
-    gp = gripper_point(uav, geom)
+    gp = gripper_point(uav, capture)
     dist = math.dist(ball_pos, gp)
-    if dist > geom.radius:
+    if dist > capture.radius:
         return False
     if dist > 1e-9:
         c, s = math.cos(uav.yaw), math.sin(uav.yaw)
         cos_ang = ((ball_pos[0] - gp[0]) * c + (ball_pos[1] - gp[1]) * s) / dist
-        if cos_ang < math.cos(geom.cone_half_angle) - 1e-12:
+        if cos_ang < math.cos(math.radians(capture.cone_half_angle_deg)) - 1e-12:
             return False
-    return math.dist(ball_vel, uav.velocity) <= geom.max_rel_speed
+    return math.dist(ball_vel, uav.velocity) <= capture.max_rel_speed
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +186,7 @@ class DroneAgent:
     role: str  # "tracker" or "grabber"
     settings: MissionConfig
     gains: GuidanceGains
-    limits: CommandLimits
+    limits: LimitsConfig
     intr: CameraIntrinsics
     mount: CameraMount
     home: Vec3

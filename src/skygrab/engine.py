@@ -37,15 +37,9 @@ from .camera import (
     synth_detection,
 )
 from .config import ScenarioConfig, config_from_dict
-from .coordination import (
-    Channel,
-    ChannelModel,
-    CaptureGeometry,
-    DroneAgent,
-    MissionPhase,
-)
+from .coordination import Channel, DroneAgent, MissionPhase
 from .frames import Vec3
-from .guidance import CommandLimits, GuidanceGains
+from .guidance import GuidanceGains
 from .logs import SCHEMA_NAME, SCHEMA_VERSION, SimLog
 from .perception import FilterParams, PerceptionState
 from .world import (
@@ -54,7 +48,6 @@ from .world import (
     OrnsteinUhlenbeckWind,
     PatternKind,
     TrajectoryPattern,
-    UavParams,
     UavState,
     VelocityCommand,
     ball_world_position,
@@ -130,18 +123,12 @@ class _DroneRuntime:
             ball_params=_filter_params(cfg, DetectionClass.BALL),
             switch_range=cfg.perception.switch_range,
         )
-        gains = GuidanceGains(**vars(dcfg.gains), r_des=cfg.mission.grabber_standoff)
-        limits = CommandLimits(
-            v_max_xy=dcfg.limits.v_xy,
-            v_max_z=dcfg.limits.v_z,
-            yaw_rate_max=dcfg.limits.yaw_rate,
-        )
         self.agent = DroneAgent(
             drone_id=dcfg.id,
             role=dcfg.role,
             settings=cfg.mission,
-            gains=gains,
-            limits=limits,
+            gains=GuidanceGains(**vars(dcfg.gains)),
+            limits=dcfg.limits,
             intr=self.intr,
             mount=self.mount,
             home=tuple(dcfg.start),
@@ -190,11 +177,13 @@ class _Plant:
         self.pattern = _build_pattern(config)
         self.support_pos, self.support_vel = target_pose(self.pattern, 0.0)
         self.wind = (
-            OrnsteinUhlenbeckWind(mean=tuple(w.wind.mean), sigma=w.wind.sigma, tau=w.wind.tau)
+            OrnsteinUhlenbeckWind(
+                mean=tuple(w.wind.mean), sigma=w.wind.sigma, tau=w.wind.tau,
+                rng=substream(config.seed, _STREAM_WIND),
+            )
             if w.wind.enabled
             else None
         )
-        self.wind_rng = substream(config.seed, _STREAM_WIND)
         self.ball_params = BallParams(
             length=w.rod_length,
             diameter=w.ball_diameter,
@@ -203,25 +192,16 @@ class _Plant:
             gravity=w.gravity,
         )
         self.ball = BallState()
-        self.geom = CaptureGeometry(
-            radius=config.capture.radius,
-            cone_half_angle=math.radians(config.capture.cone_half_angle_deg),
-            max_rel_speed=config.capture.max_rel_speed,
-            gripper_offset=tuple(config.capture.gripper_offset),
-        )
+        self.capture = config.capture
+        self.drones = config.drones
         self.grabber = next(i for i, d in enumerate(config.drones) if d.role == "grabber")
         self.uavs = [UavState.at(*d.start, yaw=d.yaw) for d in config.drones]
-        self.uav_params = [
-            UavParams(tau=d.tau, v_max_xy=d.limits.v_xy, v_max_z=d.limits.v_z,
-                      yaw_rate_max=d.limits.yaw_rate)
-            for d in config.drones
-        ]
         self.cmds = [VelocityCommand() for _ in config.drones]
 
     def ball_position(self) -> Vec3:
         if self.ball.attached:
             return ball_world_position(self.support_pos, self.ball, self.ball_params.length)
-        return coord.gripper_point(self.uavs[self.grabber], self.geom)
+        return coord.gripper_point(self.uavs[self.grabber], self.capture)
 
     def ball_velocity(self) -> Vec3:
         if self.ball.attached:
@@ -249,7 +229,7 @@ class _Plant:
         """
         dt, k = self.dt, self.k
         pattern, ball, ball_params = self.pattern, self.ball, self.ball_params
-        wind, wind_rng = self.wind, self.wind_rng
+        wind = self.wind
         attached = ball.attached
         pos, vel = self.support_pos, self.support_vel
         isfinite = math.isfinite
@@ -258,7 +238,7 @@ class _Plant:
             try:
                 next_pos, next_vel = target_pose(pattern, j * dt)
                 if attached:
-                    wind_force = wind.step(wind_rng, dt) if wind is not None else _NO_WIND
+                    wind_force = wind.step(dt) if wind is not None else _NO_WIND
                     nx, ny, nz = next_vel
                     vx, vy, vz = vel
                     support_accel = ((nx - vx) / dt, (ny - vy) / dt, (nz - vz) / dt)
@@ -282,8 +262,8 @@ class _Plant:
         self.support_pos, self.support_vel = pos, vel
         if done:
             self.uavs = [
-                step_uav(uav, cmd, params, dt, done)
-                for uav, cmd, params in zip(self.uavs, self.cmds, self.uav_params)
+                step_uav(uav, cmd, d.tau, d.limits, dt, done)
+                for uav, cmd, d in zip(self.uavs, self.cmds, self.drones)
             ]
         self.k = k + done
         return done, stop
@@ -315,14 +295,7 @@ class _Run:
         self.detail = detail
         self.log = log
         self.plant = _Plant(config)
-        self.channel = Channel(
-            ChannelModel(
-                latency=config.channel.latency,
-                drop_probability=config.channel.drop_probability,
-                rate_limit_hz=config.channel.rate_hz,
-            ),
-            substream(config.seed, _STREAM_CHANNEL),
-        )
+        self.channel = Channel(config.channel, substream(config.seed, _STREAM_CHANNEL))
         collaborative = any(d.role == "tracker" for d in config.drones)
         self.drones = [
             _DroneRuntime(dcfg, config, collaborative, substream(config.seed, _STREAM_CAMERA_BASE + i))
@@ -491,7 +464,7 @@ class _Run:
         plant, w = self.plant, self.config.world
         bp = plant.ball_position()
         if coord.grab_detect(
-            bp, plant.ball_velocity(), plant.uavs[plant.grabber], plant.geom
+            bp, plant.ball_velocity(), plant.uavs[plant.grabber], plant.capture
         ) and detach_check(w.claw_pull_force, w.detach_threshold):
             plant.release()
             self.t_capture = t

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import CameraIntrinsics
+from .config import LimitsConfig
 from .frames import Vec3, vehicle_to_world, wrap_angle
 from .perception import TrackEstimate, TrackStatus
 from .world import UavState, VelocityCommand
@@ -40,17 +41,6 @@ class GuidanceGains:
     def __post_init__(self):
         if self.kp_yaw <= 0.0 or self.kp_z <= 0.0 or self.kp_range <= 0.0:
             raise ValueError("proportional gains must be positive")
-
-
-@dataclass
-class CommandLimits:
-    v_max_xy: float = 3.0
-    v_max_z: float = 1.5
-    yaw_rate_max: float = 1.5
-
-    def __post_init__(self):
-        if min(self.v_max_xy, self.v_max_z, self.yaw_rate_max) <= 0.0:
-            raise ValueError("limits must be positive")
 
 
 def servo_command(
@@ -87,17 +77,17 @@ def servo_command(
     return VelocityCommand(vx=wx, vy=wy, vz=climb, yaw_rate=yaw_rate)
 
 
-def saturate(cmd: VelocityCommand, limits: CommandLimits) -> VelocityCommand:
-    """Clamp a command to the limits, scaling the horizontal pair so its
-    direction is preserved."""
+def saturate(cmd: VelocityCommand, limits: LimitsConfig) -> VelocityCommand:
+    """Clamp a command to the drone's limits, scaling the horizontal pair
+    so its direction is preserved."""
     vx, vy = cmd.vx, cmd.vy
     h = math.hypot(vx, vy)
-    if h > limits.v_max_xy:
-        scale = limits.v_max_xy / h
+    if h > limits.v_xy:
+        scale = limits.v_xy / h
         vx *= scale
         vy *= scale
-    vz = min(max(cmd.vz, -limits.v_max_z), limits.v_max_z)
-    yaw_rate = min(max(cmd.yaw_rate, -limits.yaw_rate_max), limits.yaw_rate_max)
+    vz = min(max(cmd.vz, -limits.v_z), limits.v_z)
+    yaw_rate = min(max(cmd.yaw_rate, -limits.yaw_rate), limits.yaw_rate)
     return VelocityCommand(vx=vx, vy=vy, vz=vz, yaw_rate=yaw_rate)
 
 

@@ -75,8 +75,10 @@ class SimLog:
         if not lines:
             raise ValueError(f"{path}: empty log file")
         header = json.loads(lines[0])
-        if header.get("schema") != SCHEMA_NAME:
+        if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME:
             raise ValueError(f"{path}: not a {SCHEMA_NAME} file")
+        if not isinstance(header.get("config"), dict):
+            raise ValueError(f"{path}: header has no config mapping")
         return cls(header=header, records=[json.loads(l) for l in lines[1:]])
 
 

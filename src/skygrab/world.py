@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import LimitsConfig
 from .frames import Vec3, wrap_angle
 
 GRAVITY = 9.81
@@ -62,24 +63,20 @@ class UavState:
         return cls((float(x), float(y), float(z)), (0.0, 0.0, 0.0), wrap_angle(yaw))
 
 
-@dataclass
-class UavParams:
-    """First-order velocity-lag model and its physical limits."""
-
-    tau: float = 0.4            # velocity loop time constant, s
-    v_max_xy: float = 3.0       # horizontal speed limit, m/s
-    v_max_z: float = 1.5        # climb/descent limit, m/s
-    yaw_rate_max: float = 1.5   # rad/s
-
-
 def step_uav(
-    state: UavState, cmd: VelocityCommand, params: UavParams, dt: float, steps: int = 1
+    state: UavState,
+    cmd: VelocityCommand,
+    tau: float,
+    limits: LimitsConfig,
+    dt: float,
+    steps: int = 1,
 ) -> UavState:
     """Advance one vehicle by ``steps`` steps of dt under a held velocity
     command.
 
     Each step, the velocity relaxes toward the commanded value with a
-    first-order lag, v' = v + (dt/tau)(v_cmd - v), is then saturated, and
+    first-order lag of time constant tau (s), v' = v + (dt/tau)(v_cmd - v),
+    is then saturated to the drone's ``limits`` (m/s and rad/s), and
     the position is integrated with the updated velocity (semi-implicit
     Euler). Yaw integrates the rate-limited yaw-rate command directly.
     ``steps`` steps in one call equal as many chained one-step calls,
@@ -101,10 +98,10 @@ def step_uav(
     ):
         raise ValueError("non-finite velocity command rejected")
     cx, cy, cz = cmd.vx, cmd.vy, cmd.vz
-    a = dt / params.tau
-    v_max_xy, v_max_z = params.v_max_xy, params.v_max_z
+    a = dt / tau
+    v_max_xy, v_max_z = limits.v_xy, limits.v_z
     # Clamps written out; they equal min(max(x, -limit), limit).
-    rate, rate_max = cmd.yaw_rate, params.yaw_rate_max
+    rate, rate_max = cmd.yaw_rate, limits.yaw_rate
     if rate < -rate_max:
         rate = -rate_max
     if rate > rate_max:
@@ -397,30 +394,27 @@ class OrnsteinUhlenbeckWind:
     dW = (mean - W) dt/tau + sigma sqrt(2 dt/tau) N(0,1), which has
     stationary standard deviation sigma per axis.
 
-    ``step`` draws its normal deviates ahead, a block of rows at a time,
-    from the generator it is given. ``standard_normal((n, 3))`` yields
-    exactly the draws of n calls of ``standard_normal(3)``, so the forces
-    equal one draw per step, provided the generator is this wind's
-    alone: anything else drawing from it would see the block's draws
-    gone. Handing ``step`` another generator discards the unused rest of
-    the block and starts drawing from the new one.
+    ``step`` draws its normal deviates from ``rng``, the wind's own
+    stream, a block of rows ahead at a time. ``standard_normal((n, 3))``
+    yields exactly the draws of n calls of ``standard_normal(3)``, so the
+    forces equal one draw per step, provided nothing else draws from
+    ``rng``: it would see the block's draws gone.
     """
 
     mean: Vec3 = (0.0, 0.0, 0.0)
     sigma: float = 0.0
     tau: float = 2.0
     force: Vec3 = (0.0, 0.0, 0.0)
+    rng: np.random.Generator = field(kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
-        self._rng = None
         self._rows: list[list[float]] = []
         self._next = 0
 
-    def step(self, rng: np.random.Generator, dt: float) -> Vec3:
+    def step(self, dt: float) -> Vec3:
         i = self._next
-        if rng is not self._rng or i == len(self._rows):
-            self._rng = rng
-            self._rows = rng.standard_normal((_WIND_BLOCK, 3)).tolist()
+        if i == len(self._rows):
+            self._rows = self.rng.standard_normal((_WIND_BLOCK, 3)).tolist()
             i = 0
         self._next = i + 1
         nx, ny, nz = self._rows[i]

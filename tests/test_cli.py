@@ -174,6 +174,19 @@ class TestPlot:
         assert main(["plot", "--kind", "depth_profile", "--log", str(tmp_path / "none.jsonl"),
                      "--out", str(tmp_path / "x.svg")]) == 1
 
+    def test_log_directory_exits_1_naming_it(self, tmp_path, capsys):
+        assert main(["plot", "--kind", "depth_profile", "--log", str(tmp_path),
+                     "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+
+    def test_log_header_without_config_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "bare.jsonl"
+        SimLog(header={"schema": "skygrab-log", "version": 1},
+               records=[{"kind": "verdict", "verdict": "timeout"}]).write(p)
+        assert main(["plot", "--kind", "depth_profile", "--log", str(p),
+                     "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == f"error: {p}: header has no config mapping\n"
+
 
 class TestCheck:
     def test_valid_config_exits_0(self, capsys):
@@ -185,3 +198,13 @@ class TestCheck:
         bad.write_text("rates:\n  control: 800.0\n")
         assert main(["check", "--config", str(bad)]) == 1
         assert "rates.control" in capsys.readouterr().err
+
+    def test_config_directory_exits_1_naming_it(self, tmp_path, capsys):
+        assert main(["check", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+
+    def test_non_utf8_config_exits_1_naming_it(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.yaml"
+        bad.write_bytes("target:\n  pattern: caf\u00e9\n".encode("latin-1"))
+        assert main(["check", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode")

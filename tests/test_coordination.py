@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from skygrab.camera import CameraIntrinsics, CameraMount, DetectionClass
-from skygrab.config import MissionConfig
+from skygrab.config import CaptureConfig, ChannelConfig, LimitsConfig, MissionConfig
 from skygrab.coordination import (
     Channel,
-    ChannelModel,
-    CaptureGeometry,
     DroneAgent,
     DroneMessage,
     GRABBER_GRAPH,
@@ -23,7 +21,7 @@ from skygrab.coordination import (
     gripper_point,
     validate_phase_trace,
 )
-from skygrab.guidance import CommandLimits, GuidanceGains
+from skygrab.guidance import GuidanceGains
 from skygrab.perception import FilterParams, PerceptionState, initialize_track
 from skygrab.camera import ImageDetection
 from skygrab.world import UavState
@@ -37,7 +35,7 @@ def make_uav(x=0.0, y=0.0, z=3.5, yaw=0.0, vel=None):
 
 
 class TestGrabDetect:
-    GEOM = CaptureGeometry()
+    GEOM = CaptureConfig()
 
     def test_ball_at_gripper_point(self):
         uav = make_uav()
@@ -80,27 +78,27 @@ class TestChannel:
         return DroneMessage(sender=sender, t_sent=t, kind=kind, position=pos)
 
     def test_lossless_zero_latency_delivers_same_tick(self):
-        ch = Channel(ChannelModel(latency=0.0, drop_probability=0.0), np.random.default_rng(0))
+        ch = Channel(ChannelConfig(latency=0.0, drop_probability=0.0), np.random.default_rng(0))
         statuses = ch.submit([self.msg()], 0.0)
         assert statuses[0][1] == "sent"
         assert len(ch.collect(0.0)) == 1
 
     def test_full_drop_delivers_nothing(self):
-        ch = Channel(ChannelModel(latency=0.0, drop_probability=1.0), np.random.default_rng(0))
+        ch = Channel(ChannelConfig(latency=0.0, drop_probability=1.0), np.random.default_rng(0))
         ch.submit([self.msg()], 0.0)
         assert ch.collect(0.0) == []
         assert ch.collect(100.0) == []
 
     def test_latency_is_exact_tick_count(self):
         # 0.2 s latency on a 20 Hz control grid: delivery on the 4th tick
-        ch = Channel(ChannelModel(latency=0.2, drop_probability=0.0), np.random.default_rng(0))
+        ch = Channel(ChannelConfig(latency=0.2, drop_probability=0.0), np.random.default_rng(0))
         dt = 1.0 / 20.0
         ch.submit([self.msg(t=0.0)], 0.0)
         arrivals = [k for k in range(1, 10) if ch.collect(k * dt)]
         assert arrivals == [4]
 
     def test_fifo_per_sender(self):
-        ch = Channel(ChannelModel(latency=0.1, drop_probability=0.0, rate_limit_hz=100.0),
+        ch = Channel(ChannelConfig(latency=0.1, drop_probability=0.0, rate_hz=100.0),
                      np.random.default_rng(0))
         for k in range(5):
             ch.submit([self.msg(t=k * 0.05)], k * 0.05)
@@ -109,7 +107,7 @@ class TestChannel:
         assert times == sorted(times) and len(times) == 5
 
     def test_rate_limit_refuses_at_send(self):
-        ch = Channel(ChannelModel(latency=0.0, drop_probability=0.0, rate_limit_hz=5.0),
+        ch = Channel(ChannelConfig(latency=0.0, drop_probability=0.0, rate_hz=5.0),
                      np.random.default_rng(0))
         s1 = ch.submit([self.msg(t=0.0)], 0.0)
         s2 = ch.submit([self.msg(t=0.05)], 0.05)
@@ -133,7 +131,7 @@ def make_agent(role, collaborative=True):
         role=role,
         settings=MissionConfig(),
         gains=GuidanceGains(),
-        limits=CommandLimits(),
+        limits=LimitsConfig(),
         intr=CameraIntrinsics(),
         mount=CameraMount(translation=(0.4, 0.0, 0.0)),
         home=(-14.0, -6.0, 0.0),

@@ -7,10 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skygrab.config import config_from_dict, load_config, parse_config
-from skygrab.engine import _Plant, monte_carlo, replay_divergence, run_scenario, substream
+from skygrab.camera import CameraIntrinsics, DetectionClass, DetectionNoise
+from skygrab.config import ScenarioConfig, config_from_dict, load_config, parse_config
+from skygrab.engine import (
+    _DroneRuntime,
+    _filter_params,
+    _Plant,
+    monte_carlo,
+    replay_divergence,
+    run_scenario,
+    substream,
+)
+from skygrab.guidance import GuidanceGains
 from skygrab.logs import SimLog, validate_log
-from skygrab.world import VelocityCommand
+from skygrab.perception import FilterParams
+from skygrab.world import BallParams, VelocityCommand
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.yaml"))
@@ -274,6 +285,30 @@ class TestPlant:
         assert block_results == [(37, None), (23, None)]
         assert single_results == [(1, None)] * 60
         assert block_state == single_state
+
+
+def _built_from_default_config() -> dict:
+    """Each parameter type the engine builds from a config section, as it
+    builds it from the default config."""
+    cfg = ScenarioConfig()
+    drone = _DroneRuntime(cfg.drones[0], cfg, True, substream(cfg.seed, 0))
+    return {
+        CameraIntrinsics: drone.intr,
+        DetectionNoise: drone.noise,
+        GuidanceGains: drone.agent.gains,
+        BallParams: _Plant(cfg).ball_params,
+        FilterParams: _filter_params(cfg, DetectionClass.DRONE),
+    }
+
+
+@pytest.mark.parametrize(
+    "cls", [CameraIntrinsics, DetectionNoise, GuidanceGains, BallParams, FilterParams],
+    ids=lambda cls: cls.__name__,
+)
+def test_parameter_type_defaults_equal_config_defaults(cls):
+    # Tests build these types with their own defaults and call them the
+    # shipped values; the engine fills them from the config sections.
+    assert _built_from_default_config()[cls] == cls()
 
 
 class TestEvents:

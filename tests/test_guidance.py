@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from skygrab.camera import CameraIntrinsics, DetectionClass
+from skygrab.config import LimitsConfig
 from skygrab.guidance import (
-    CommandLimits,
     ExplorePlan,
     GuidanceError,
     GuidanceGains,
@@ -137,21 +137,21 @@ class TestServoWorldFrame:
 class TestSaturate:
     def test_within_limits_unchanged(self):
         cmd = VelocityCommand(1.0, 0.5, 0.2, 0.3)
-        out = saturate(cmd, CommandLimits())
+        out = saturate(cmd, LimitsConfig())
         assert (out.vx, out.vy, out.vz, out.yaw_rate) == (1.0, 0.5, 0.2, 0.3)
 
     def test_horizontal_scaling_preserves_direction(self):
         cmd = VelocityCommand(4.0, 3.0, 0.0)
-        out = saturate(cmd, CommandLimits(v_max_xy=2.5))
+        out = saturate(cmd, LimitsConfig(v_xy=2.5))
         assert out.vx == pytest.approx(2.0)
         assert out.vy == pytest.approx(1.5)
 
     def test_yaw_rate_clamped(self):
-        out = saturate(VelocityCommand(yaw_rate=2.0), CommandLimits(yaw_rate_max=1.0))
+        out = saturate(VelocityCommand(yaw_rate=2.0), LimitsConfig(yaw_rate=1.0))
         assert out.yaw_rate == 1.0
 
     def test_vertical_clamped(self):
-        out = saturate(VelocityCommand(vz=-9.0), CommandLimits(v_max_z=1.5))
+        out = saturate(VelocityCommand(vz=-9.0), LimitsConfig(v_z=1.5))
         assert out.vz == -1.5
 
 
@@ -188,7 +188,7 @@ class TestExploration:
     def test_command_magnitude_bounded(self):
         plan = ExplorePlan.lawnmower(self.AREA, 4.0, 3.5)
         state = UavState.at(0.0, 0.0, 3.5)
-        cmd = saturate(explore_command(plan, state, 1.5, 1.5), CommandLimits())
+        cmd = saturate(explore_command(plan, state, 1.5, 1.5), LimitsConfig())
         assert math.hypot(cmd.vx, cmd.vy) <= 3.0 + 1e-9
         assert math.sqrt(cmd.vx**2 + cmd.vy**2 + cmd.vz**2) <= 1.5 + 1e-9
 

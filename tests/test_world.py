@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from skygrab import world
 from skygrab.camera import CameraMount, camera_position
-from skygrab.coordination import CaptureGeometry, gripper_point
+from skygrab.config import CaptureConfig, LimitsConfig
+from skygrab.coordination import gripper_point
 from skygrab.frames import wrap_angle
 from skygrab.world import (
     BallParams,
@@ -15,7 +16,6 @@ from skygrab.world import (
     OrnsteinUhlenbeckWind,
     PatternKind,
     TrajectoryPattern,
-    UavParams,
     UavState,
     VelocityCommand,
     ball_world_position,
@@ -38,7 +38,7 @@ def make_uav(**kw):
 class TestStepUav:
     def test_rest_zero_command_is_equilibrium(self):
         s = make_uav()
-        out = step_uav(s, VelocityCommand(), UavParams(), 0.05)
+        out = step_uav(s, VelocityCommand(), 0.4, LimitsConfig(), 0.05)
         assert np.allclose(out.position, s.position)
         assert np.allclose(out.velocity, 0.0)
         assert out.yaw == s.yaw
@@ -46,7 +46,7 @@ class TestStepUav:
     def test_first_order_lag_hand_value(self):
         # v' = v + (dt/tau)(v_cmd - v) with v=0, v_cmd=1, tau=0.5, dt=0.05
         s = make_uav()
-        out = step_uav(s, VelocityCommand(vx=1.0), UavParams(tau=0.5), 0.05)
+        out = step_uav(s, VelocityCommand(vx=1.0), 0.5, LimitsConfig(), 0.05)
         assert out.velocity[0] == pytest.approx(0.1, abs=1e-15)
         assert out.velocity[1] == 0.0 and out.velocity[2] == 0.0
 
@@ -56,7 +56,7 @@ class TestStepUav:
         cmd = VelocityCommand(vx=1.2, vy=-0.9)
         n = int(5 * tau / dt)
         for _ in range(n):
-            s = step_uav(s, cmd, UavParams(tau=tau), dt)
+            s = step_uav(s, cmd, tau, LimitsConfig(), dt)
         residual = np.linalg.norm(s.velocity - np.array([1.2, -0.9, 0.0]))
         # discrete-lag oracle: residual = |v_cmd| * (1 - dt/tau)^n
         oracle = math.hypot(1.2, 0.9) * (1.0 - dt / tau) ** n
@@ -72,7 +72,7 @@ class TestStepUav:
             s = make_uav()
             prev = 0.0
             for _ in range(200):
-                s = step_uav(s, cmd, UavParams(), DT)
+                s = step_uav(s, cmd, 0.4, LimitsConfig(), DT)
                 speed = math.hypot(s.velocity[0], s.velocity[1])
                 assert speed >= prev - 1e-12
                 assert speed <= mag + 1e-12
@@ -81,30 +81,30 @@ class TestStepUav:
     def test_saturation_limits_speed_and_yaw_rate(self):
         s = make_uav()
         cmd = VelocityCommand(vx=50.0, vy=40.0, vz=30.0, yaw_rate=9.0)
-        p = UavParams(tau=0.01, v_max_xy=3.0, v_max_z=1.5, yaw_rate_max=1.5)
-        out = step_uav(s, cmd, p, 0.05)
+        limits = LimitsConfig(v_xy=3.0, v_z=1.5, yaw_rate=1.5)
+        out = step_uav(s, cmd, 0.01, limits, 0.05)
         assert math.hypot(out.velocity[0], out.velocity[1]) <= 3.0 + 1e-12
         assert abs(out.velocity[2]) <= 1.5 + 1e-12
         assert out.yaw_rate == pytest.approx(1.5)
 
     def test_position_uses_updated_velocity(self):
         s = make_uav()
-        out = step_uav(s, VelocityCommand(vx=1.0), UavParams(tau=0.5), 0.05)
+        out = step_uav(s, VelocityCommand(vx=1.0), 0.5, LimitsConfig(), 0.05)
         assert out.position[0] == pytest.approx(0.05 * out.velocity[0])
 
     def test_yaw_wraps_into_half_open_interval(self):
         s = make_uav(yaw=math.pi - 0.01)
         out = step_uav(
-            s, VelocityCommand(yaw_rate=1.0), UavParams(), 0.05
+            s, VelocityCommand(yaw_rate=1.0), 0.4, LimitsConfig(), 0.05
         )
         assert -math.pi < out.yaw <= math.pi
 
     def test_rejects_bad_commands(self):
         s = make_uav()
         with pytest.raises(ValueError):
-            step_uav(s, VelocityCommand(vx=math.nan), UavParams(), 0.05)
+            step_uav(s, VelocityCommand(vx=math.nan), 0.4, LimitsConfig(), 0.05)
         with pytest.raises(ValueError):
-            step_uav(s, VelocityCommand(), UavParams(), 0.0)
+            step_uav(s, VelocityCommand(), 0.4, LimitsConfig(), 0.0)
 
 
 def _finite(lo, hi):
@@ -116,11 +116,11 @@ def held_command_cases(draw):
     """A vehicle, its limits, a held command, dt and a step count. The
     command reaches past both speed limits and the yaw-rate limit, and
     the yaw starts anywhere, so runs cross the +-pi wrap."""
-    params = UavParams(
-        tau=draw(_finite(0.02, 2.0)),
-        v_max_xy=draw(_finite(0.5, 5.0)),
-        v_max_z=draw(_finite(0.2, 3.0)),
-        yaw_rate_max=draw(_finite(0.2, 3.0)),
+    tau = draw(_finite(0.02, 2.0))
+    limits = LimitsConfig(
+        v_xy=draw(_finite(0.5, 5.0)),
+        v_z=draw(_finite(0.2, 3.0)),
+        yaw_rate=draw(_finite(0.2, 3.0)),
     )
     cmd = VelocityCommand(
         draw(_finite(-15.0, 15.0)), draw(_finite(-15.0, 15.0)),
@@ -132,7 +132,7 @@ def held_command_cases(draw):
         draw(_finite(-math.pi, math.pi)),
     )
     dt = draw(st.sampled_from([1.0 / 400.0, 1.0 / 200.0, 0.05]))
-    return state, cmd, params, dt, draw(st.integers(1, 60))
+    return state, cmd, tau, limits, dt, draw(st.integers(1, 60))
 
 
 class TestStepUavBlocks:
@@ -140,32 +140,32 @@ class TestStepUavBlocks:
     @given(held_command_cases())
     # Both saturations, and yaw crossing +pi and -pi, for certain.
     @example((UavState((0.0, 0.0, 5.0), (0.0, 0.0, 0.0), math.pi - 0.01),
-              VelocityCommand(12.0, -9.0, 8.0, 5.0), UavParams(tau=0.1), 0.05, 40))
+              VelocityCommand(12.0, -9.0, 8.0, 5.0), 0.1, LimitsConfig(), 0.05, 40))
     @example((UavState((0.0, 0.0, 5.0), (2.0, 1.0, -1.0), -math.pi + 0.01),
-              VelocityCommand(-3.0, 4.0, -8.0, -5.0), UavParams(tau=0.1), 1.0 / 400.0, 60))
+              VelocityCommand(-3.0, 4.0, -8.0, -5.0), 0.1, LimitsConfig(), 1.0 / 400.0, 60))
     def test_block_equals_chained_single_steps(self, case):
-        state, cmd, params, dt, n = case
+        state, cmd, tau, limits, dt, n = case
         chained = state
         for _ in range(n):
-            chained = step_uav(chained, cmd, params, dt)
+            chained = step_uav(chained, cmd, tau, limits, dt)
         # repr spells every float exactly, signed zeros included
-        assert repr(step_uav(state, cmd, params, dt, n)) == repr(chained)
+        assert repr(step_uav(state, cmd, tau, limits, dt, n)) == repr(chained)
 
     def test_examples_reach_both_saturations_and_the_wrap(self):
         out = step_uav(UavState((0.0, 0.0, 5.0), (0.0, 0.0, 0.0), math.pi - 0.01),
-                       VelocityCommand(12.0, -9.0, 8.0, 5.0), UavParams(tau=0.1), 0.05, 40)
+                       VelocityCommand(12.0, -9.0, 8.0, 5.0), 0.1, LimitsConfig(), 0.05, 40)
         assert math.hypot(*out.velocity[:2]) == pytest.approx(3.0)
         assert out.velocity[2] == 1.5 and out.yaw_rate == 1.5
         assert out.yaw < 0.0  # wrapped past +pi
         out = step_uav(UavState((0.0, 0.0, 5.0), (2.0, 1.0, -1.0), -math.pi + 0.01),
-                       VelocityCommand(-3.0, 4.0, -8.0, -5.0), UavParams(tau=0.1), 1.0 / 400.0, 60)
+                       VelocityCommand(-3.0, 4.0, -8.0, -5.0), 0.1, LimitsConfig(), 1.0 / 400.0, 60)
         assert out.velocity[2] == -1.5 and out.yaw_rate == -1.5
         assert out.yaw > 0.0  # wrapped past -pi
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_fewer_than_one_step_raises(self, steps):
         with pytest.raises(ValueError, match="steps must be >= 1"):
-            step_uav(make_uav(), VelocityCommand(vx=1.0), UavParams(), DT, steps)
+            step_uav(make_uav(), VelocityCommand(vx=1.0), 0.4, LimitsConfig(), DT, steps)
 
 
 # Reference ball step: the RK4 written with the three rod helpers it was
@@ -439,19 +439,19 @@ class TestBall:
 class TestWind:
     def test_stationary_statistics(self):
         rng = np.random.default_rng(11)
-        wind = OrnsteinUhlenbeckWind(sigma=0.3, tau=2.0)
+        wind = OrnsteinUhlenbeckWind(sigma=0.3, tau=2.0, rng=rng)
         samples = []
         for _ in range(200000):
-            samples.append(wind.step(rng, DT))
+            samples.append(wind.step(DT))
         arr = np.array(samples[40000:])
         assert abs(arr.mean()) < 0.02
         assert arr.std() == pytest.approx(0.3, rel=0.1)
 
     def test_mean_reversion(self):
         rng = np.random.default_rng(1)
-        wind = OrnsteinUhlenbeckWind(mean=np.array([1.0, 0.0, 0.0]), sigma=0.0, tau=0.5)
+        wind = OrnsteinUhlenbeckWind(mean=np.array([1.0, 0.0, 0.0]), sigma=0.0, tau=0.5, rng=rng)
         for _ in range(4000):
-            f = wind.step(rng, DT)
+            f = wind.step(DT)
         assert f[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_block_draws_equal_one_draw_per_step(self):
@@ -460,13 +460,13 @@ class TestWind:
         steps = 5000
         assert steps > 2 * world._WIND_BLOCK
         mean, sigma, tau = np.array([0.3, -0.2, 0.1]), 0.4, 1.5
-        wind = OrnsteinUhlenbeckWind(mean=mean.copy(), sigma=sigma, tau=tau)
         rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
+        wind = OrnsteinUhlenbeckWind(mean=mean.copy(), sigma=sigma, tau=tau, rng=rng)
         a = DT / tau
         f = np.zeros(3)
         for _ in range(steps):
             f = f + (mean - f) * a + sigma * math.sqrt(2.0 * a) * ref_rng.standard_normal(3)
-            assert np.array(wind.step(rng, DT)).tobytes() == f.tobytes()
+            assert np.array(wind.step(DT)).tobytes() == f.tobytes()
 
 
 class TestInputsUnchanged:
@@ -474,7 +474,7 @@ class TestInputsUnchanged:
         s = UavState(np.array([1.0, -2.0, 3.0]), np.array([0.4, 0.1, -0.2]), yaw=0.3, yaw_rate=0.1)
         pos, vel = s.position, s.velocity
         cmd = VelocityCommand(vx=5.0, vy=-4.0, vz=3.0, yaw_rate=2.0)
-        out = step_uav(s, cmd, UavParams(), DT)
+        out = step_uav(s, cmd, 0.4, LimitsConfig(), DT)
         assert s.position is pos and s.velocity is vel
         assert pos.tolist() == [1.0, -2.0, 3.0] and vel.tolist() == [0.4, 0.1, -0.2]
         assert (s.yaw, s.yaw_rate) == (0.3, 0.1)
@@ -494,17 +494,17 @@ def _three_vectors():
     """Each 3-vector the run path produces, by name."""
     uav = UavState.at(1.0, -2.0, 3.0, yaw=0.4)
     ball = BallState(theta=0.3, phi=0.2, theta_dot=0.5, phi_dot=-0.4)
-    stepped = step_uav(uav, VelocityCommand(1.0, -0.5, 0.2, 0.1), UavParams(), DT)
+    stepped = step_uav(uav, VelocityCommand(1.0, -0.5, 0.2, 0.1), 0.4, LimitsConfig(), DT)
     out = {"step_uav.position": stepped.position, "step_uav.velocity": stepped.velocity}
     for kind in PatternKind:
         pat = TrajectoryPattern(kind, center=(1.0, 2.0, 5.0), heading=0.3, speed=0.5)
         out[f"target_pose.{kind.value}.p"], out[f"target_pose.{kind.value}.v"] = target_pose(pat, 1.3)
     out["ball_world_position"] = ball_world_position((0.0, 0.0, 5.0), ball, 1.5)
     out["ball_world_velocity"] = ball_world_velocity((0.5, 0.0, 0.0), ball, 1.5)
-    wind = OrnsteinUhlenbeckWind(mean=(0.1, 0.0, 0.0), sigma=0.3)
-    out["wind_step"] = wind.step(np.random.default_rng(0), DT)
+    wind = OrnsteinUhlenbeckWind(mean=(0.1, 0.0, 0.0), sigma=0.3, rng=np.random.default_rng(0))
+    out["wind_step"] = wind.step(DT)
     out["camera_position"] = camera_position(uav, CameraMount((0.4, 0.1, -0.1)))
-    out["gripper_point"] = gripper_point(uav, CaptureGeometry())
+    out["gripper_point"] = gripper_point(uav, CaptureConfig())
     return out
 
 
