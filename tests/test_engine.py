@@ -369,6 +369,28 @@ class TestMissionBudget:
         assert rec["t_end"] < 7.0  # stops once every drone is terminal
 
 
+class TestTimeoutLabels:
+    # (config, seed, duration or None for the shipped one, failure, t_end):
+    # one run for each label a timeout can carry.
+    CASES = {
+        "never_engaged": ("default", 1000, 5.0, 5.0),
+        # SERVO_BALL is entered at 16.2 s; the capture comes at 23.93 s.
+        "wind_displacement": ("default", 1000, 20.1, 20.1),
+        "other": ("nominal_static", 1, 10.4, 10.4),
+        "terminal_track_loss": ("single_moving", 1011, None, 120.0),
+    }
+
+    @pytest.mark.parametrize("detail", [False, True])
+    @pytest.mark.parametrize("failure", sorted(CASES))
+    def test_timeout_label(self, failure, detail):
+        name, seed, duration, t_end = self.CASES[failure]
+        data = load_config(CONFIGS / f"{name}.yaml").with_seed(seed).to_dict()
+        if duration is not None:
+            data["duration"] = duration
+        rec = run_scenario(config_from_dict(data), detail=detail).verdict_record
+        assert (rec["verdict"], rec["failure"], rec["t_end"]) == ("timeout", failure, t_end)
+
+
 class TestMonteCarlo:
     def test_single_run_reduces_to_run_scenario(self):
         cfg = load_config(CONFIGS / "nominal_static.yaml")
