@@ -16,7 +16,8 @@ between those steps, and the commands are held, so a block gives the
 same floats as stepping one at a time. ``replay_divergence`` drives the
 same ``advance`` open loop from a log's commands, block by block from
 one control tick (or the logged detach) to the next, so run and replay
-advance the world through the same code.
+advance the world through the same code. ``outcome`` reads the verdict
+from the log's phase and event records.
 """
 
 from __future__ import annotations
@@ -197,6 +198,7 @@ class _Plant:
         self.grabber = next(i for i, d in enumerate(config.drones) if d.role == "grabber")
         self.uavs = [UavState.at(*d.start, yaw=d.yaw) for d in config.drones]
         self.cmds = [VelocityCommand() for _ in config.drones]
+        self.swung = False
 
     def ball_position(self) -> Vec3:
         if self.ball.attached:
@@ -212,7 +214,7 @@ class _Plant:
         """Detach the ball from the rod into the grabber's basket."""
         self.ball = detach(self.ball)
 
-    def advance(self, n: int, swing_armed: bool) -> tuple[int, str | None]:
+    def advance(self, n: int) -> tuple[int, str | None]:
         """Integrate up to n steps of dt under the held commands.
 
         Each step poses the target, then steps the wind and the ball while
@@ -225,12 +227,13 @@ class _Plant:
         - ``"nonfinite"``: the last step taken left the ball or target
           state not finite;
         - ``"swing"``: the last step taken swung the hanging ball to or
-          past horizontal, reported only when ``swing_armed``.
+          past horizontal, reported for the first such step only.
         """
         dt, k = self.dt, self.k
         pattern, ball, ball_params = self.pattern, self.ball, self.ball_params
         wind = self.wind
         attached = ball.attached
+        swing_armed = attached and not self.swung
         pos, vel = self.support_pos, self.support_vel
         isfinite = math.isfinite
         done, stop = 0, None
@@ -255,7 +258,8 @@ class _Plant:
             ):
                 stop = "nonfinite"
                 break
-            if swing_armed and attached and abs(ball.theta) >= math.pi / 2:
+            if swing_armed and abs(ball.theta) >= math.pi / 2:
+                self.swung = True
                 stop = "swing"
                 break
         self.ball = ball
@@ -281,9 +285,31 @@ def _message_record(msg, t: float, status: str) -> dict:
     }
 
 
+def outcome(log: SimLog) -> tuple[str, float | None, str | None]:
+    """A run's ``(verdict, t_capture, failure)``, read from the header's
+    config and the phase and event records, which lean logs keep too."""
+    cfg = log.header["config"]
+    events = log.events()
+    capture = next((r for r in events if r["event"] == "capture"), None)
+    if capture is not None:
+        return "captured", capture["t"], None
+    if any(r["event"] == "nonfinite_state" for r in events):
+        return "invalid", None, "nonfinite_state"
+    grabber = next(d["id"] for d in cfg["drones"] if d["role"] == "grabber")
+    if not any(r["to"] == "servo_ball" for r in log.iter_kind("phase")):
+        return "timeout", None, "never_engaged"
+    if any(
+        r["event"] == "track_lost" and r["drone"] == grabber and r["data"]["cls"] == "ball"
+        and r["data"]["phase"] in ("servo_ball", "grab")
+        for r in events
+    ):
+        return "timeout", None, "terminal_track_loss"
+    return "timeout", None, "wind_displacement" if cfg["world"]["wind"]["enabled"] else "other"
+
+
 class _Run:
     """One scenario in progress: the plant, each drone's onboard stack,
-    the channel, the log, and the mission facts the verdict reads.
+    the channel and the log, from which the verdict is read.
 
     ``run_scenario`` runs the vision, control and contact stages on the
     steps that select them, then advances the plant to the next such
@@ -302,11 +328,6 @@ class _Run:
             for i, dcfg in enumerate(config.drones)
         ]
         self.grabber = self.drones[self.plant.grabber]
-        self.t_capture = None
-        self.invalid = False
-        self.swing_flagged = False
-        self.engaged = False
-        self.terminal_track_loss = False
         self.vision_ticks = 0
         self.control_ticks = 0
 
@@ -338,13 +359,6 @@ class _Run:
                 ego_px_rate=d.intr.focal_px * uav.yaw_rate,
             )
             for name, cls in events:
-                if (
-                    name == "track_lost"
-                    and cls == "ball"
-                    and d.role == "grabber"
-                    and d.agent.phase in (MissionPhase.SERVO_BALL, MissionPhase.GRAB)
-                ):
-                    self.terminal_track_loss = True
                 log.append(
                     {
                         "kind": "event",
@@ -390,7 +404,7 @@ class _Run:
                     d.inbox.append(msg)
             if detail:
                 log.append(_message_record(msg, t, "delivered"))
-        captured = self.t_capture is not None
+        captured = not plant.ball.attached  # the ball detaches only in contact
         outbox = []
         for i, d in enumerate(self.drones):
             src = d.agent.phase
@@ -403,8 +417,6 @@ class _Run:
                 outbox.append(msg)
             dst = d.agent.phase
             if dst is not src:
-                if dst is MissionPhase.SERVO_BALL:  # a grabber-only phase
-                    self.engaged = True
                 log.append(
                     {"kind": "phase", "t": t, "drone": d.id, "from": src.value, "to": dst.value}
                 )
@@ -454,8 +466,7 @@ class _Run:
         return self.nonfinite(t)
 
     def nonfinite(self, t: float) -> bool:
-        """Log ``nonfinite_state`` and mark the run invalid; returns False."""
-        self.invalid = True
+        """Log ``nonfinite_state``, which ends the run invalid; returns False."""
         self.log.append({"kind": "event", "t": t, "event": "nonfinite_state", "drone": None, "data": {}})
         return False
 
@@ -467,7 +478,6 @@ class _Run:
             bp, plant.ball_velocity(), plant.uavs[plant.grabber], plant.capture
         ) and detach_check(w.claw_pull_force, w.detach_threshold):
             plant.release()
-            self.t_capture = t
             self.log.append(
                 {"kind": "event", "t": t, "event": "detach", "drone": self.grabber.id,
                  "data": {"pull_force": w.claw_pull_force}}
@@ -478,25 +488,12 @@ class _Run:
             )
 
     def verdict(self) -> dict:
-        if self.t_capture is not None:
-            verdict, failure = "captured", None
-        elif self.invalid:
-            verdict, failure = "invalid", "nonfinite_state"
-        else:
-            verdict = "timeout"
-            if not self.engaged:
-                failure = "never_engaged"
-            elif self.terminal_track_loss:
-                failure = "terminal_track_loss"
-            elif self.config.world.wind.enabled:
-                failure = "wind_displacement"
-            else:
-                failure = "other"
+        verdict, t_capture, failure = outcome(self.log)
         return {
             "kind": "verdict",
             "verdict": verdict,
             "t_end": self.plant.k * self.plant.dt,
-            "t_capture": self.t_capture,
+            "t_capture": t_capture,
             "failure": failure,
             "counters": {
                 "dynamics_steps": self.plant.k,
@@ -558,9 +555,8 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
                 (k // control_every + 1) * control_every,
                 n_steps,
             ) - k
-        _, stop = plant.advance(block, not run.swing_flagged)
+        _, stop = plant.advance(block)
         if stop == "swing":
-            run.swing_flagged = True
             run.log.append(
                 {"kind": "event", "t": (plant.k - 1) * dt, "event": "invalid_swing", "drone": None,
                  "data": {"theta": plant.ball.theta}}
@@ -641,7 +637,7 @@ def replay_divergence(log: SimLog) -> float:
         end = min((k // control_every + 1) * control_every, n_steps)
         if k_detach is not None and k < k_detach < end:
             end = k_detach
-        _, stop = plant.advance(end - k, False)
+        _, stop = plant.advance(end - k)
         if stop == "overflow":
             return math.inf
         k = plant.k

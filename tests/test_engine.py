@@ -258,11 +258,11 @@ class TestPlant:
     def test_wind_not_stepped_after_detach(self):
         # the wind acts only on the hanging ball; nothing reads it after detach
         plant = _Plant(load_config(CONFIGS / "default.yaml"))
-        plant.advance(1, False)
+        plant.advance(1)
         plant.release()
         force = plant.wind.force
-        plant.advance(1, False)
-        plant.advance(1, False)
+        plant.advance(1)
+        plant.advance(1)
         assert plant.wind.force == force
 
     @pytest.mark.parametrize("name", SHIPPED)
@@ -273,9 +273,9 @@ class TestPlant:
         def drive(before, after):
             plant = _Plant(cfg)
             plant.cmds = [commands[i % 2] for i in range(len(plant.cmds))]
-            results = [plant.advance(n, False) for n in before]
+            results = [plant.advance(n) for n in before]
             plant.release()
-            results += [plant.advance(n, False) for n in after]
+            results += [plant.advance(n) for n in after]
             # repr spells every float exactly, signed zeros included
             return results, repr((plant.k, plant.uavs, plant.ball, plant.support_pos,
                                   plant.support_vel, plant.wind))
@@ -323,6 +323,8 @@ class TestEvents:
         assert log.verdict_record["t_end"] == 8.0
         detailed = run_scenario(cfg, detail=True)
         assert _digest(detailed) == "ba7fe8eb92b060c14ad6445e2bdab3517c67351120dbab6fd0bcbb8bec7bcf78"
+        # replay's plant stops once at the over-swing and goes on
+        assert replay_divergence(detailed) <= 1e-9
 
 
 class TestInvalidRuns:

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from skygrab.config import config_from_dict, load_config
-from skygrab.engine import replay_divergence, run_scenario
+from skygrab.engine import outcome, replay_divergence, run_scenario
+from skygrab.logs import SimLog
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -84,8 +85,13 @@ def _always_logged(log):
     ]
 
 
+def _logged_outcome(log):
+    rec = log.verdict_record
+    return rec["verdict"], rec["t_capture"], rec["failure"]
+
+
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN), ids=lambda v: str(v))
-def test_golden_run(name, seed):
+def test_golden_run(name, seed, tmp_path):
     cfg = _config(name, seed)
     detailed = run_scenario(cfg, detail=True)
 
@@ -98,6 +104,11 @@ def test_golden_run(name, seed):
 
     lean = run_scenario(cfg, detail=False)
     assert _always_logged(lean) == _always_logged(detailed)
+
+    # The verdict is a function of the log, read back from disk or lean.
+    detailed.write(tmp_path / "log.jsonl")
+    for log in (detailed, SimLog.read(tmp_path / "log.jsonl"), lean):
+        assert outcome(log) == _logged_outcome(detailed)
 
     assert replay_divergence(detailed) <= 1e-9
 

@@ -5,9 +5,9 @@ dataclass field's metadata. The strategy below reads those rules, so
 the configs it draws cover every declared range, out to magnitudes of
 1e300, without a second copy of the ranges. The property is the
 simulator's contract: a config either fails validation with a
-ConfigError, or its run ends in exactly one verdict, its log passes
-``validate_log``, and, unless the verdict is ``invalid``, replay
-reproduces the logged truth.
+ConfigError, or its run ends in exactly one verdict, which ``outcome``
+reads back from the log, its log passes ``validate_log``, and, unless
+the verdict is ``invalid``, replay reproduces the logged truth.
 """
 
 import copy
@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skygrab.config import ConfigError, DroneConfig, ScenarioConfig, config_from_dict, load_config
-from skygrab.engine import replay_divergence, run_scenario
+from skygrab.engine import outcome, replay_divergence, run_scenario
 from skygrab.logs import validate_log
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -126,6 +126,8 @@ def test_every_accepted_config_ends_in_one_verdict(data):
     log = run_scenario(cfg, detail=True)
     assert len(list(log.iter_kind("verdict"))) == 1
     validate_log(log)
+    rec = log.verdict_record
+    assert outcome(log) == (rec["verdict"], rec["t_capture"], rec["failure"])
     if log.verdict != "invalid":
         assert replay_divergence(log) <= 1e-9
 
