@@ -17,7 +17,7 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .engine import monte_carlo, run_scenario
 from .logs import SimLog
-from .plotting import PLOT_KINDS, MissingStreamError, render_plot
+from .plotting import PLOT_KINDS, render_plot
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -29,8 +29,9 @@ def _fail(msg: str) -> int:
     return EXIT_USAGE
 
 
-def _unreadable(path, e: OSError | UnicodeDecodeError) -> str:
-    """The message for an input file that cannot be opened or decoded."""
+def _file_error(path, e: OSError | UnicodeDecodeError) -> str:
+    """The message for a file or directory that cannot be read, decoded,
+    made or written."""
     return f"{path}: {getattr(e, 'strerror', None) or e}"
 
 
@@ -41,7 +42,7 @@ def _load(path: str):
     try:
         return load_config(p)
     except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(_unreadable(path, e)) from e
+        raise ConfigError(_file_error(path, e)) from e
 
 
 def _write_json(path: Path, obj):
@@ -110,7 +111,10 @@ def cmd_run(args) -> int:
     except ConfigError as e:
         return _fail(str(e))
     out = Path(args.out) / f"{Path(args.config).stem}-seed{cfg.seed}"
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        return _fail(_file_error(e.filename or out, e))
 
     log = run_scenario(cfg)
     log.write(out / "log.jsonl")
@@ -131,19 +135,20 @@ def cmd_run(args) -> int:
 def cmd_montecarlo(args) -> int:
     try:
         cfg = _load(args.config)
+        seed_base = args.seed_base if args.seed_base is not None else cfg.seed
+        cfg = cfg.with_seed(seed_base)
     except ConfigError as e:
         return _fail(str(e))
     if args.runs < 1:
         return _fail("--runs must be >= 1")
     if args.jobs < 1:
         return _fail("--jobs must be >= 1")
-    seed_base = args.seed_base if args.seed_base is not None else cfg.seed
-    try:
-        summary = monte_carlo(cfg, args.runs, seed_base, n_jobs=args.jobs)
-    except ConfigError as e:
-        return _fail(str(e))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        return _fail(_file_error(e.filename or out, e))
+    summary = monte_carlo(cfg, args.runs, seed_base, n_jobs=args.jobs)
 
     import csv
     with open(out / "verdicts.csv", "w", newline="", encoding="utf-8") as fh:
@@ -168,15 +173,15 @@ def cmd_plot(args) -> int:
     try:
         log = SimLog.read(path)
     except (OSError, UnicodeDecodeError) as e:
-        return _fail(_unreadable(args.log, e))
+        return _fail(_file_error(args.log, e))
     except ValueError as e:  # includes json.JSONDecodeError
         return _fail(str(e))
     try:
         svg, sidecar = render_plot(args.kind, log, args.out)
-    except MissingStreamError as e:
+    except ValueError as e:  # includes MissingStreamError
         return _fail(str(e))
-    except ValueError as e:
-        return _fail(str(e))
+    except OSError as e:
+        return _fail(_file_error(e.filename or args.out, e))
     print(f"wrote {svg} and {sidecar}")
     return EXIT_OK
 

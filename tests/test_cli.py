@@ -62,6 +62,12 @@ class TestRun:
         assert "error: seed: must be >= 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_naming_a_file_exits_1_naming_it(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", "--config", NOMINAL, "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {taken / 'nominal_static-seed1'}: ")
+
     def test_seed_override_changes_output_dir_and_log(self, tmp_path):
         assert main(["run", "--config", NOMINAL, "--seed", "9", "--out", str(tmp_path)]) == 0
         log = SimLog.read(tmp_path / "nominal_static-seed9" / "log.jsonl")
@@ -108,7 +114,7 @@ class TestMonteCarlo:
         assert main(["mc", "--config", NOMINAL, "--runs", "2", "--seed-base", "-1",
                      "--out", str(out)]) == 1
         assert "error: seed: must be >= 0" in capsys.readouterr().err
-        assert not (out / "verdicts.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_exits_1_before_any_run(self, tmp_path, capsys, jobs):
@@ -117,6 +123,16 @@ class TestMonteCarlo:
                      "--out", str(out)]) == 1
         assert "error: --jobs must be >= 1" in capsys.readouterr().err
         assert not (out / "verdicts.csv").exists()
+
+    def test_out_naming_a_file_exits_1_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(engine, "_mc_single", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["mc", "--config", NOMINAL, "--runs", "2", "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {taken}: ")
 
     def test_repeat_invocation_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -169,6 +185,12 @@ class TestPlot:
                      "--out", str(tmp_path / "x.svg")])
         assert code == 1
         assert "vision" in capsys.readouterr().err
+
+    def test_out_in_a_missing_directory_exits_1_naming_it(self, run_dir, tmp_path, capsys):
+        out = tmp_path / "missing" / "fig"
+        assert main(["plot", "--kind", "depth_profile", "--log", str(run_dir / "log.jsonl"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out}.")  # the SVG or its sidecar
 
     def test_missing_log_file_exits_1(self, tmp_path):
         assert main(["plot", "--kind", "depth_profile", "--log", str(tmp_path / "none.jsonl"),
