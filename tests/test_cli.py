@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -37,6 +38,14 @@ class TestRun:
         assert "grabber_ball_range" in header
         assert len(data) > 100
         assert all(len(r) == len(header) for r in data)
+
+    def test_timeseries_bytes(self, tmp_path):
+        collab = str(CONFIGS / "nominal_collab_static.yaml")
+        assert main(["run", "--config", collab, "--seed", "1", "--out", str(tmp_path)]) == 0
+        csv_bytes = (tmp_path / "nominal_collab_static-seed1" / "timeseries.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == (
+            "be642878b1cf972334e63b0be2b27be1e1a9760edac314cb8ac4a5f10c4c9433"
+        )
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 1

@@ -253,6 +253,29 @@ class TestDisturbedRun:
         records.insert(records.index(log.verdict_record), late)
         assert replay_divergence(SimLog(header=log.header, records=records)) == math.inf
 
+    def test_replay_compares_the_state_before_a_detach_on_a_control_tick(self):
+        # default@1020 captures on a control tick, where the step's state
+        # record comes before its detach: replay must compare the hanging
+        # ball first and release it after.
+        log = run_scenario(load_config(CONFIGS / "default.yaml").with_seed(1020))
+        t = log.verdict_record["t_capture"]
+        k = round(t / log.header["multirate"]["dt"])
+        assert (t, k, k % log.header["multirate"]["control_every"]) == (25.0, 10_000, 0)
+        at_capture = [(r["kind"], r.get("event")) for r in log.records if r.get("t") == t]
+        assert at_capture.index(("state", None)) < at_capture.index(("event", "detach"))
+        assert replay_divergence(log) <= 1e-9
+
+    def test_replay_of_a_log_cut_after_a_mid_run_state_record(self, disturbed_log):
+        records = disturbed_log.records
+        states = [i for i, r in enumerate(records) if r["kind"] == "state"]
+        cut = SimLog(header=disturbed_log.header, records=records[: states[len(states) // 2] + 1])
+        assert replay_divergence(cut) <= 1e-9
+
+    def test_lean_log_has_nothing_to_replay(self):
+        log = run_scenario(load_config(CONFIGS / "nominal_static.yaml"), detail=False)
+        with pytest.raises(ValueError, match="no state records"):
+            replay_divergence(log)
+
 
 class TestPlant:
     def test_wind_not_stepped_after_detach(self):
