@@ -62,39 +62,25 @@ def _export_timeseries(log: SimLog, path: Path):
             f"{d}_cmd_vx", f"{d}_cmd_vy", f"{d}_cmd_vz", f"{d}_cmd_yaw_rate",
             f"{d}_ball_px_x", f"{d}_ball_px_y", f"{d}_ball_range",
         ]
-    commands: dict = {}
-    for r in log.iter_kind("command"):
-        commands.setdefault(r["t"], {})[r["drone"]] = r
+    # In log order, every drone's vision record at step 0 and its command
+    # record at a control tick come before that tick's state record.
     latest_track: dict = {}
-    vision_by_t: dict = {}
-    for r in log.iter_kind("vision"):
-        vision_by_t.setdefault(r["t"], {})[r["drone"]] = r
-
+    latest_cmd: dict = {}
     rows = []
-    vision_times = sorted(vision_by_t)
-    vi = 0
-    for s in log.iter_kind("state"):
-        t = s["t"]
-        while vi < len(vision_times) and vision_times[vi] <= t:
-            for d, r in vision_by_t[vision_times[vi]].items():
-                latest_track[d] = r["tracks"]["ball"]
-            vi += 1
-        row = [t, *s["target"]["p"], *s["ball"]["p"]]
-        for d in drones:
-            ds = s["drones"][d]
-            cmd = commands.get(t, {}).get(d)
-            tb = latest_track.get(d)
-            row += [*ds["p"], ds["yaw"]]
-            row += [cmd["phase"]] if cmd else [""]
-            row += (
-                [cmd["cmd"]["vx"], cmd["cmd"]["vy"], cmd["cmd"]["vz"], cmd["cmd"]["yaw_rate"]]
-                if cmd else ["", "", "", ""]
-            )
-            if tb and tb["status"] != "uninitialized":
-                row += [tb["x"], tb["y"], tb["r"]]
-            else:
-                row += ["", "", ""]
-        rows.append(row)
+    for r in log.records:
+        kind = r["kind"]
+        if kind == "vision":
+            latest_track[r["drone"]] = r["tracks"]["ball"]
+        elif kind == "command":
+            latest_cmd[r["drone"]] = r
+        elif kind == "state":
+            row = [r["t"], *r["target"]["p"], *r["ball"]["p"]]
+            for d in drones:
+                ds, cmd, tb = r["drones"][d], latest_cmd[d], latest_track[d]
+                c = cmd["cmd"]
+                row += [*ds["p"], ds["yaw"], cmd["phase"], c["vx"], c["vy"], c["vz"], c["yaw_rate"]]
+                row += [tb["x"], tb["y"], tb["r"]] if tb["status"] != "uninitialized" else ["", "", ""]
+            rows.append(row)
 
     import csv
     with open(path, "w", newline="", encoding="utf-8") as fh:

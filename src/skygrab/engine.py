@@ -13,11 +13,12 @@ The world (target, wind, ball, own vehicles) is one plant with one
 to the next step where a stage is due: the next vision or control tick,
 or a single step while the ball may be grabbed. Nothing reads the world
 between those steps, and the commands are held, so a block gives the
-same floats as stepping one at a time. ``replay_divergence`` drives the
-same ``advance`` open loop from a log's commands, block by block from
-one control tick (or the logged detach) to the next, so run and replay
-advance the world through the same code. ``outcome`` reads the verdict
-from the log's phase and event records.
+same floats as stepping one at a time. ``run_scenario`` alone decides
+that schedule, and the log records it: ``replay_divergence`` drives the
+same ``advance`` open loop from the log's command, state and detach
+records in log order, so run and replay advance the world through the
+same code. ``outcome`` reads the verdict from the log's phase and event
+records.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ class _Plant:
     It holds the target pose, the OU wind, the ball and every own
     drone's vehicle, indexed like ``config.drones``. ``run_scenario``
     drives it with the agents' commands and ``replay_divergence`` with
-    the logged ones, so both integrate the world through ``advance``.
+    the logged ones, read in log order, so both integrate the world
+    through ``advance``.
     Each vehicle's command is held over a block, so its state is stepped
     once per block, for all the block's steps. Once detached, the ball
     rides in the grabber's basket; the plant never integrates free
@@ -537,18 +539,15 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
         t = k * dt
         if k % vision_every == 0:
             run.vision(t)
-        control_tick = k % control_every == 0
-        if control_tick and not run.control(t):
-            break
-        contact_armed = plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB
-        if contact_armed:
+        if k % control_every == 0:
+            if not run.control(t):
+                break
+            # Phases change only on control ticks; a terminal run ends after this step.
+            if all(d.agent.phase in coord.TERMINAL_PHASES for d in run.drones):
+                n_steps = k + 1
+        if plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB:
             run.contact(t)
-        # Phases change only on control ticks.
-        terminal = control_tick and all(d.agent.phase in coord.TERMINAL_PHASES for d in run.drones)
-        if contact_armed or terminal:
-            # Contact is checked on every step while armed; a terminal
-            # run ends after this step.
-            block = 1
+            block = 1  # contact is checked on every step while armed
         else:
             block = min(
                 (k // vision_every + 1) * vision_every,
@@ -566,8 +565,6 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
             break
         elif stop == "overflow":  # logged at the step that raised, which t_end does not count
             run.nonfinite(plant.k * dt)
-            break
-        if terminal:
             break
         k = plant.k
     run.log.append(run.verdict())
@@ -590,57 +587,38 @@ def replay_divergence(log: SimLog) -> float:
     """Re-run the plant open loop from a log; return the largest position
     deviation against the logged ground truth.
 
-    Advances the same plant as ``run_scenario``, fed with the logged
-    control-tick commands and released at the logged detach, block by
-    block from one control tick (or the detach) to the next. Compares
-    every drone and the ball at every logged state record; a plant step
-    that overflows reads as infinite divergence.
+    Advances the same plant as ``run_scenario`` through the log's
+    command, state and detach records in log order: the plant is
+    advanced to each record's step, then holds the command, compares
+    every drone and the ball against the state, or releases the ball. A
+    plant step that overflows reads as infinite divergence.
     """
     cfg = config_from_dict(log.header["config"])
     plant = _Plant(cfg)
-    dt = plant.dt
-    control_every = max(1, round(cfg.rates.dynamics / cfg.rates.control))
     index = {d.id: i for i, d in enumerate(cfg.drones)}
-
-    cmds: dict = {}
-    for r in log.iter_kind("command"):
-        c = r["cmd"]
-        cmds.setdefault(r["t"], []).append(
-            (index[r["drone"]], VelocityCommand(c["vx"], c["vy"], c["vz"], c["yaw_rate"]))
-        )
-    states = list(log.iter_kind("state"))
-    if not states:
-        raise ValueError("log has no state records to replay against")
-    t_detach = next((r["t"] for r in log.events("detach")), None)
-    k_detach = None if t_detach is None else round(t_detach / dt)
-
-    by_time = {s["t"]: s for s in states}
-    t_last = states[-1]["t"]
-    n_steps = round(t_last / dt) + 1
-
-    worst = 0.0
-    k = 0
-    while k < n_steps:
-        t = k * dt
-        if k % control_every == 0:
-            for i, cmd in cmds.get(t, ()):
-                plant.cmds[i] = cmd
-        rec = by_time.get(t)
-        if rec is not None:
-            for drone_id, s in rec["drones"].items():
+    worst, compared = 0.0, False
+    for r in log.records:
+        kind = r["kind"]
+        if kind == "event" and r["event"] == "detach":
+            kind = "detach"
+        elif kind != "command" and kind != "state":
+            continue
+        k = round(r["t"] / plant.dt)
+        while plant.k < k:  # advance stops early at the over-swing; go on from there
+            if plant.advance(k - plant.k)[1] == "overflow":
+                return math.inf
+        if kind == "command":
+            c = r["cmd"]
+            plant.cmds[index[r["drone"]]] = VelocityCommand(c["vx"], c["vy"], c["vz"], c["yaw_rate"])
+        elif kind == "state":
+            compared = True
+            for drone_id, s in r["drones"].items():
                 worst = max(worst, _max_abs_error(plant.uavs[index[drone_id]].position, s["p"]))
-            worst = max(worst, _max_abs_error(plant.ball_position(), rec["ball"]["p"]))
-        if t >= t_last:
-            break
-        if t == t_detach:
+            worst = max(worst, _max_abs_error(plant.ball_position(), r["ball"]["p"]))
+        else:
             plant.release()
-        end = min((k // control_every + 1) * control_every, n_steps)
-        if k_detach is not None and k < k_detach < end:
-            end = k_detach
-        _, stop = plant.advance(end - k)
-        if stop == "overflow":
-            return math.inf
-        k = plant.k
+    if not compared:
+        raise ValueError("log has no state records to replay against")
     return worst
 
 
