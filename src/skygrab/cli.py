@@ -103,17 +103,20 @@ def cmd_run(args) -> int:
         return _fail(_file_error(e.filename or out, e))
 
     log = run_scenario(cfg)
-    log.write(out / "log.jsonl")
     verdict = log.verdict_record
-    _write_json(out / "summary.json", {
-        "seed": cfg.seed,
-        "verdict": verdict["verdict"],
-        "t_capture": verdict["t_capture"],
-        "t_end": verdict["t_end"],
-        "failure": verdict["failure"],
-        "counters": verdict["counters"],
-    })
-    _export_timeseries(log, out / "timeseries.csv")
+    try:
+        log.write(out / "log.jsonl")
+        _write_json(out / "summary.json", {
+            "seed": cfg.seed,
+            "verdict": verdict["verdict"],
+            "t_capture": verdict["t_capture"],
+            "t_end": verdict["t_end"],
+            "failure": verdict["failure"],
+            "counters": verdict["counters"],
+        })
+        _export_timeseries(log, out / "timeseries.csv")
+    except OSError as e:
+        return _fail(_file_error(e.filename or out, e))
     print(f"verdict: {verdict['verdict']}  (log in {out})")
     return EXIT_OK if verdict["verdict"] == "captured" else EXIT_MISSION_FAILED
 
@@ -137,14 +140,17 @@ def cmd_montecarlo(args) -> int:
     summary = monte_carlo(cfg, args.runs, seed_base, n_jobs=args.jobs)
 
     import csv
-    with open(out / "verdicts.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "verdict", "t_capture", "failure"])
-        for r in summary["runs"]:
-            w.writerow([r["seed"], r["verdict"],
-                        "" if r["t_capture"] is None else r["t_capture"],
-                        r["failure"] or ""])
-    _write_json(out / "mc_summary.json", summary)
+    try:
+        with open(out / "verdicts.csv", "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["seed", "verdict", "t_capture", "failure"])
+            for r in summary["runs"]:
+                w.writerow([r["seed"], r["verdict"],
+                            "" if r["t_capture"] is None else r["t_capture"],
+                            r["failure"] or ""])
+        _write_json(out / "mc_summary.json", summary)
+    except OSError as e:
+        return _fail(_file_error(e.filename or out, e))
     print(
         f"runs: {summary['n_runs']}  captured: {summary['captured']}  "
         f"success_rate: {summary['success_rate']:.3f}"

@@ -77,6 +77,13 @@ class TestRun:
         assert main(["run", "--config", NOMINAL, "--out", str(taken)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {taken / 'nominal_static-seed1'}: ")
 
+    @pytest.mark.parametrize("name", ["log.jsonl", "summary.json", "timeseries.csv"])
+    def test_unwritable_artifact_exits_1_naming_it(self, tmp_path, capsys, name):
+        blocked = tmp_path / "nominal_static-seed1" / name
+        blocked.mkdir(parents=True)
+        assert main(["run", "--config", NOMINAL, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {blocked}: ")
+
     def test_seed_override_changes_output_dir_and_log(self, tmp_path):
         assert main(["run", "--config", NOMINAL, "--seed", "9", "--out", str(tmp_path)]) == 0
         log = SimLog.read(tmp_path / "nominal_static-seed9" / "log.jsonl")
@@ -142,6 +149,14 @@ class TestMonteCarlo:
         taken.write_text("")
         assert main(["mc", "--config", NOMINAL, "--runs", "2", "--out", str(taken)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {taken}: ")
+
+    @pytest.mark.parametrize("name", ["verdicts.csv", "mc_summary.json"])
+    def test_unwritable_output_exits_1_naming_it(self, tmp_path, capsys, name):
+        blocked = tmp_path / "mc" / name
+        blocked.mkdir(parents=True)
+        assert main(["mc", "--config", NOMINAL, "--runs", "1",
+                     "--out", str(tmp_path / "mc")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {blocked}: ")
 
     def test_repeat_invocation_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
