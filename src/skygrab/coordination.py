@@ -32,7 +32,6 @@ from .camera import CameraIntrinsics, CameraMount, DetectionClass
 from .config import CaptureConfig, ChannelConfig, LimitsConfig, MissionConfig
 from .guidance import (
     ExplorePlan,
-    GuidanceError,
     GuidanceGains,
     explore_command,
     goto_command,
@@ -277,10 +276,7 @@ def _search_cmd(agent, percep, uav, t) -> VelocityCommand:
     active = percep.active_track()
     if active.status is not TrackStatus.UNINITIALIZED:
         r_des = st.drone_approach_range if active.cls is DetectionClass.DRONE else st.tracker_standoff
-        try:
-            return _servo(agent, active, uav, r_des)
-        except GuidanceError:
-            pass
+        return _servo(agent, active, uav, r_des)
     if agent.last_target_point is not None and t - agent.last_target_t < st.memory_timeout:
         goal = agent.last_target_point
         if math.dist(goal, uav.position) > st.arrival_radius:
