@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from skygrab import camera as cam
 from skygrab.camera import CameraIntrinsics, CameraMount, DetectionClass
 from skygrab.config import CaptureConfig, ChannelConfig, LimitsConfig, MissionConfig
 from skygrab.coordination import (
@@ -22,7 +23,7 @@ from skygrab.coordination import (
     validate_phase_trace,
 )
 from skygrab.guidance import GuidanceGains
-from skygrab.perception import FilterParams, PerceptionState, initialize_track
+from skygrab.perception import FilterParams, PerceptionState, TrackStatus, initialize_track
 from skygrab.camera import ImageDetection
 from skygrab.world import UavState
 
@@ -115,6 +116,20 @@ class TestChannel:
         assert s1[0][1] == "sent"
         assert s2[0][1] == "rate_limited"
         assert s3[0][1] == "sent"
+
+    def test_two_senders_arrive_in_global_send_order(self):
+        ch = Channel(ChannelConfig(latency=0.2, drop_probability=0.0, rate_hz=100.0),
+                     np.random.default_rng(0))
+        order = [("tracker", "grabber"), ("grabber", "tracker"), ("tracker", "grabber")]
+        sent = []
+        for k, senders in enumerate(order):
+            t = k * 0.05
+            ch.submit([self.msg(sender=s, t=t) for s in senders], t)
+            sent += [(s, t) for s in senders]
+        first = [(m.sender, m.t_sent) for m in ch.collect(0.2)]
+        rest = [(m.sender, m.t_sent) for m in ch.collect(10.0)]
+        assert first == sent[:2]
+        assert rest == sent[2:]
 
     def test_sighting_payload_required(self):
         with pytest.raises(ValueError):
@@ -215,6 +230,20 @@ class TestTrackerFsm:
         _, m2, _ = step(agent, percep, make_uav(), [], False, 5.05)
         _, m3, _ = step(agent, percep, make_uav(), [], False, 5.25)
         assert m1 is not None and m2 is None and m3 is not None
+
+    def test_sighting_position_is_the_back_projected_ball_track(self):
+        agent = make_agent("tracker")
+        agent.phase = MissionPhase.TRACK_DRONE
+        percep = make_percep()
+        det = ImageDetection(250.0, 300.0, 30.0, 30.0, DetectionClass.BALL, 0.0)
+        percep.ball_track = initialize_track(DetectionClass.BALL, det, 5.5, percep.ball_params, 0.0)
+        uav = make_uav(x=1.0, y=-2.0, z=4.0, yaw=0.7)
+        _, msg, _ = step(agent, percep, uav, [], False, 5.0)
+        track = percep.ball_track
+        assert track.status is TrackStatus.TRACKING
+        assert msg.kind is MessageKind.BALL_SIGHTING
+        x, y = track.pixel
+        assert msg.position == cam.back_project(x, y, track.range, uav, agent.mount, agent.intr)
 
     def test_grab_confirmed_finishes_within_one_tick(self):
         agent = make_agent("tracker")
@@ -384,15 +413,16 @@ class TestTraceValidator:
 
 class TestBallWorldEstimate:
     def test_reconstructs_truth_from_clean_track(self):
+        agent = make_agent("tracker")
+        agent.phase = MissionPhase.TRACK_DRONE
         percep = make_percep()
-        intr = CameraIntrinsics()
-        mount = CameraMount(translation=np.array([0.4, 0.0, 0.0]))
         uav = make_uav(x=1.0, y=2.0, z=3.5, yaw=0.3)
         truth = np.array([5.0, 3.0, 3.2])
         from skygrab.camera import point_depth, project
-        x, y = project(truth, uav, mount, intr)
-        depth = point_depth(truth, uav, mount)
+        x, y = project(truth, uav, agent.mount, agent.intr)
+        depth = point_depth(truth, uav, agent.mount)
         det = ImageDetection(x, y, 30.0, 30.0, DetectionClass.BALL, 0.0)
         percep.ball_track = initialize_track(DetectionClass.BALL, det, depth, percep.ball_params, 0.0)
-        pos = ball_world_estimate(percep, uav, mount, intr)
-        assert np.allclose(pos, truth, atol=1e-9)
+        _, msg, _ = step(agent, percep, uav, [], False, 5.0)
+        assert msg.kind is MessageKind.BALL_SIGHTING
+        assert np.allclose(msg.position, truth, atol=1e-9)
