@@ -112,24 +112,13 @@ def project(
     observer: UavState,
     mount: CameraMount,
     intr: CameraIntrinsics,
-) -> tuple[float, float] | None:
-    """Pinhole projection of a world point, or None when not imageable.
+) -> tuple[float, float, float] | None:
+    """Pinhole projection of a world point: its pixel and its
+    ``point_depth``, as (x, y, depth), or None when not imageable.
 
     Returns None for points at or behind the camera plane and for
     projections falling outside the image bounds.
     """
-    imaged = _image_point(point_world, observer, mount, intr)
-    return None if imaged is None else imaged[:2]
-
-
-def _image_point(
-    point_world,
-    observer: UavState,
-    mount: CameraMount,
-    intr: CameraIntrinsics,
-) -> tuple[float, float, float] | None:
-    """``project``'s pixel and the point's ``point_depth``, as (x, y,
-    depth), from one camera-frame offset; None when not imageable."""
     cam = camera_position(observer, mount)
     dx = float(point_world[0]) - cam[0]
     dy = float(point_world[1]) - cam[1]
@@ -190,7 +179,7 @@ def synth_detection(
     the detection-probability draw fails, or when pixel noise pushes the
     reported center out of the image.
     """
-    imaged = _image_point(point_world, observer, mount, intr)
+    imaged = project(point_world, observer, mount, intr)
     if imaged is None:
         return None
     x_true, y_true, depth = imaged
@@ -221,17 +210,16 @@ def estimate_range(det: ImageDetection, intr: CameraIntrinsics, true_size_m: flo
 
 def gate_below_drone(
     det: ImageDetection,
+    depth: float,
     intr: CameraIntrinsics,
-    drone_span_m: float,
     rod_length_m: float,
 ) -> PixelGate:
     """Search region for the ball hanging under a detected drone.
 
     The region spans a few drone-widths laterally and extends downward by
-    the rod length (plus swing margin) converted to pixels at the drone's
-    estimated depth.
+    the rod length (plus swing margin) converted to pixels at ``depth``,
+    the drone's range as ``estimate_range`` gives it for ``det``.
     """
-    depth = estimate_range(det, intr, drone_span_m)
     half_w = max(3.0 * det.w, 40.0)
     drop_px = intr.focal_px * (rod_length_m + 0.7) / depth
     return PixelGate(

@@ -20,8 +20,8 @@ that.
 from __future__ import annotations
 
 import enum
-import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +38,7 @@ from .guidance import (
     saturate,
     servo_command,
 )
-from .perception import PerceptionState, TrackStatus
+from .perception import TrackStatus
 from .world import UavState, VelocityCommand
 
 
@@ -87,9 +87,12 @@ class Channel:
     """Lossy, delayed, rate-limited broadcast channel.
 
     Messages are independently dropped, survivors are delivered at
-    t_sent + latency in send order (constant latency keeps per-sender
-    FIFO), and sends exceeding the per-sender-and-kind rate are refused
-    at the source.
+    t_sent + latency in send order, and sends exceeding the
+    per-sender-and-kind rate are refused at the source.
+
+    ``submit`` must be called at nondecreasing times. The latency is
+    constant, so delivery times never decrease either, and the queue is
+    a FIFO.
     """
 
     _TIME_EPS = 1e-9
@@ -97,8 +100,7 @@ class Channel:
     def __init__(self, config: ChannelConfig, rng: np.random.Generator):
         self.config = config
         self.rng = rng
-        self._queue: list[tuple[float, int, DroneMessage]] = []
-        self._seq = 0
+        self._queue: deque[tuple[float, DroneMessage]] = deque()
         self._last_send: dict[tuple[str, MessageKind], float] = {}
 
     def submit(self, messages, t: float) -> list[tuple[DroneMessage, str]]:
@@ -116,8 +118,7 @@ class Channel:
             if self.rng.random() < self.config.drop_probability:
                 out.append((msg, "dropped"))
                 continue
-            heapq.heappush(self._queue, (t + self.config.latency, self._seq, msg))
-            self._seq += 1
+            self._queue.append((t + self.config.latency, msg))
             out.append((msg, "sent"))
         return out
 
@@ -125,7 +126,7 @@ class Channel:
         """All messages whose delivery time has arrived, in send order."""
         ready = []
         while self._queue and self._queue[0][0] <= t + self._TIME_EPS:
-            ready.append(heapq.heappop(self._queue)[2])
+            ready.append(self._queue.popleft()[1])
         return ready
 
 
@@ -163,19 +164,6 @@ def grab_detect(ball_pos, ball_vel, uav: UavState, capture: CaptureConfig) -> bo
 # ---------------------------------------------------------------------------
 # Mission agent
 # ---------------------------------------------------------------------------
-
-def ball_world_estimate(
-    percep: PerceptionState,
-    uav: UavState,
-    mount: CameraMount,
-    intr: CameraIntrinsics,
-) -> Vec3:
-    """World-frame ball position from the own ball track: the filtered
-    pixel center back-projected at the filtered range."""
-    track = percep.ball_track
-    x, y = track.pixel
-    return cam.back_project(x, y, track.range, uav, mount, intr)
-
 
 @dataclass
 class DroneAgent:
@@ -343,7 +331,7 @@ def _tracker_track(agent, percep, uav, grab_flag, t):
         sender=agent.drone_id,
         t_sent=t,
         kind=MessageKind.BALL_SIGHTING,
-        position=ball_world_estimate(percep, uav, agent.mount, agent.intr),
+        position=agent.last_target_point,  # the ball track, back-projected this tick
     )
 
 

@@ -136,7 +136,6 @@ class _DroneRuntime:
             home=tuple(dcfg.start),
             collaborative=collaborative,
         )
-        self.inbox: list = []
 
 
 def _det_record(det) -> dict | None:
@@ -345,16 +344,14 @@ class _Run:
                 plant.support_pos, span, DetectionClass.DRONE,
                 uav, d.mount, d.intr, d.noise, d.rng, t,
             )
-            gate = (
-                gate_below_drone(drone_det, d.intr, span, plant.ball_params.length)
-                if drone_det is not None
-                else None
-            )
+            drone_range = gate = None
+            if drone_det is not None:
+                drone_range = estimate_range(drone_det, d.intr, span)
+                gate = gate_below_drone(drone_det, drone_range, d.intr, plant.ball_params.length)
             ball_det = synth_detection(
                 bp, diameter, DetectionClass.BALL,
                 uav, d.mount, d.intr, d.noise, d.rng, t, gate=gate,
             )
-            drone_range = estimate_range(drone_det, d.intr, span) if drone_det is not None else None
             ball_range = estimate_range(ball_det, d.intr, diameter) if ball_det is not None else None
             events = d.percep.vision_update(
                 drone_det, drone_range, ball_det, ball_range, t,
@@ -400,20 +397,16 @@ class _Run:
         """
         self.control_ticks += 1
         plant, log, detail = self.plant, self.log, self.detail
-        for msg in self.channel.collect(t):
-            for d in self.drones:
-                if d.id != msg.sender:
-                    d.inbox.append(msg)
-            if detail:
+        delivered = self.channel.collect(t)
+        if detail:
+            for msg in delivered:
                 log.append(_message_record(msg, t, "delivered"))
         captured = not plant.ball.attached  # the ball detaches only in contact
         outbox = []
         for i, d in enumerate(self.drones):
             src = d.agent.phase
-            cmd, msg = d.agent.step(
-                d.percep, plant.uavs[i], d.inbox, captured and d.role == "grabber", t
-            )
-            d.inbox = []
+            inbox = [m for m in delivered if m.sender != d.id]
+            cmd, msg = d.agent.step(d.percep, plant.uavs[i], inbox, captured and d.role == "grabber", t)
             plant.cmds[i] = cmd
             if msg is not None:
                 outbox.append(msg)
@@ -631,7 +624,7 @@ def _mc_single(args) -> dict:
     type, so one seed cannot end the batch."""
     config_dict, seed = args
     try:
-        cfg = config_from_dict(config_dict).with_seed(seed)
+        cfg = config_from_dict({**config_dict, "seed": seed})
         rec = run_scenario(cfg, detail=False).verdict_record
     except Exception as e:  # the batch boundary: report the run and go on
         return {"seed": seed, "verdict": "error", "t_capture": None, "failure": type(e).__name__}
@@ -672,7 +665,6 @@ def monte_carlo(
             runs = list(ex.map(_mc_single, jobs))
     else:
         runs = [_mc_single(j) for j in jobs]
-    runs.sort(key=lambda r: r["seed"])
 
     captured = [r for r in runs if r["verdict"] == "captured"]
     failures: dict = {}

@@ -37,12 +37,9 @@ class SimLog:
     def iter_kind(self, kind: str):
         return (r for r in self.records if r["kind"] == kind)
 
-    def first_kind(self, kind: str):
-        return next(self.iter_kind(kind), None)
-
     @property
     def verdict_record(self) -> dict | None:
-        return self.first_kind("verdict")
+        return next(self.iter_kind("verdict"), None)
 
     @property
     def verdict(self) -> str | None:

@@ -19,7 +19,6 @@ class MissingStreamError(ValueError):
 
     def __init__(self, record_kind: str):
         super().__init__(f"log contains no '{record_kind}' records")
-        self.record_kind = record_kind
 
 
 def _fmt(x: float) -> str:

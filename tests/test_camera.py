@@ -32,11 +32,11 @@ def obs(x=0.0, y=0.0, z=0.0, yaw=0.0):
 
 class TestProject:
     def test_optical_axis_maps_to_principal_point(self):
-        assert project([3.0, 0.0, 0.0], obs(), MOUNT, INTR) == pytest.approx((320.0, 240.0))
+        assert project([3.0, 0.0, 0.0], obs(), MOUNT, INTR)[:2] == pytest.approx((320.0, 240.0))
 
     def test_offset_point_pinhole_arithmetic(self):
         # 0.5 m to the camera's right at 3 m depth: f*X/Z = 600*0.5/3 = 100
-        x, y = project([3.0, -0.5, 0.0], obs(), MOUNT, INTR)
+        x, y, _ = project([3.0, -0.5, 0.0], obs(), MOUNT, INTR)
         assert x == pytest.approx(420.0, abs=1e-12)
         assert y == pytest.approx(240.0, abs=1e-12)
 
@@ -47,7 +47,7 @@ class TestProject:
         assert project([1.0, -5.0, 0.0], obs(), MOUNT, INTR) is None
 
     def test_yawed_observer(self):
-        x, y = project([0.0, 3.0, 0.0], obs(yaw=math.pi / 2), MOUNT, INTR)
+        x, y, _ = project([0.0, 3.0, 0.0], obs(yaw=math.pi / 2), MOUNT, INTR)
         assert (x, y) == pytest.approx((320.0, 240.0))
 
     def test_mount_translation_shifts_center(self):
@@ -58,7 +58,7 @@ class TestProject:
         o = obs(x=1.0, y=-2.0, z=3.0, yaw=0.6)
         p = np.array([1.0 + 4.0 * math.cos(0.6), -2.0 + 4.0 * math.sin(0.6), 3.2])
         p += np.array([-0.3 * math.sin(0.6), 0.3 * math.cos(0.6), 0.0])  # slightly off axis
-        x, y = project(p, o, MOUNT, INTR)
+        x, y, _ = project(p, o, MOUNT, INTR)
         depth = point_depth(p, o, MOUNT)
         assert np.allclose(back_project(x, y, depth, o, MOUNT, INTR), p, atol=1e-9)
 
@@ -220,6 +220,6 @@ class TestGateBelowDrone:
             ddet = synth_detection(
                 drone_p, 0.35, DetectionClass.DRONE, obs(), MOUNT, INTR, NOISE_FREE, rng, 0.0
             )
-            gate = gate_below_drone(ddet, INTR, 0.35, 1.5)
-            bx, by = project(ball_p, obs(), MOUNT, INTR)
+            gate = gate_below_drone(ddet, estimate_range(ddet, INTR, 0.35), INTR, 1.5)
+            bx, by, _ = project(ball_p, obs(), MOUNT, INTR)
             assert gate.contains(bx, by)

@@ -17,7 +17,6 @@ from skygrab.coordination import (
     POLICIES,
     TERMINAL_PHASES,
     TRACKER_GRAPH,
-    ball_world_estimate,
     grab_detect,
     gripper_point,
     validate_phase_trace,
@@ -418,9 +417,7 @@ class TestBallWorldEstimate:
         percep = make_percep()
         uav = make_uav(x=1.0, y=2.0, z=3.5, yaw=0.3)
         truth = np.array([5.0, 3.0, 3.2])
-        from skygrab.camera import point_depth, project
-        x, y = project(truth, uav, agent.mount, agent.intr)
-        depth = point_depth(truth, uav, agent.mount)
+        x, y, depth = cam.project(truth, uav, agent.mount, agent.intr)
         det = ImageDetection(x, y, 30.0, 30.0, DetectionClass.BALL, 0.0)
         percep.ball_track = initialize_track(DetectionClass.BALL, det, depth, percep.ball_params, 0.0)
         _, msg, _ = step(agent, percep, uav, [], False, 5.0)
