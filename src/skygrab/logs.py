@@ -67,16 +67,37 @@ class SimLog:
 
     @classmethod
     def read(cls, path) -> "SimLog":
+        """Parse a log file. Raises ValueError naming the path, and the
+        line where it applies, for a line that is not JSON, a header
+        without a config mapping or a list of drones, or a record that is
+        not a mapping with a kind."""
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
+            lines = [(n, line) for n, line in enumerate(fh.read().splitlines(), 1) if line.strip()]
         if not lines:
             raise ValueError(f"{path}: empty log file")
-        header = json.loads(lines[0])
+        parsed = []
+        for n, line in lines:
+            try:
+                parsed.append(json.loads(line))
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}: line {n}: {e}") from None
+        header, records = parsed[0], parsed[1:]
         if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME:
             raise ValueError(f"{path}: not a {SCHEMA_NAME} file")
-        if not isinstance(header.get("config"), dict):
+        config = header.get("config")
+        if not isinstance(config, dict):
             raise ValueError(f"{path}: header has no config mapping")
-        return cls(header=header, records=[json.loads(l) for l in lines[1:]])
+        drones = config.get("drones")
+        if not isinstance(drones, list) or not all(
+            isinstance(d, dict) and "id" in d and "role" in d for d in drones
+        ):
+            raise ValueError(
+                f"{path}: line {lines[0][0]}: header config has no list of drones with id and role"
+            )
+        for (n, _), r in zip(lines[1:], records):
+            if not isinstance(r, dict) or "kind" not in r:
+                raise ValueError(f"{path}: line {n}: record is not a mapping with a kind")
+        return cls(header=header, records=records)
 
 
 def validate_log(log: SimLog) -> None:

@@ -233,6 +233,27 @@ class TestPlot:
                      "--out", str(tmp_path / "x.svg")]) == 1
         assert capsys.readouterr().err == f"error: {p}: header has no config mapping\n"
 
+    @pytest.mark.parametrize(
+        "kind, lines, message",
+        [
+            ("phase_timeline",
+             ['{"config":{"drones":[]},"schema":"skygrab-log","version":1}', "5"],
+             "line 2: record is not a mapping with a kind"),
+            ("phase_timeline",
+             ['{"config":{"drones":[]},"schema":"skygrab-log","version":1}', '{"t": 0.0}'],
+             "line 2: record is not a mapping with a kind"),
+            ("depth_profile",
+             ['{"config":{},"schema":"skygrab-log","version":1}', '{"kind":"verdict"}'],
+             "line 1: header config has no list of drones with id and role"),
+        ],
+        ids=["record_not_a_mapping", "record_without_kind", "config_without_drones"],
+    )
+    def test_malformed_log_exits_1_naming_path_and_line(self, tmp_path, capsys, kind, lines, message):
+        p = tmp_path / "bad.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["plot", "--kind", kind, "--log", str(p), "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
 
 class TestCheck:
     def test_valid_config_exits_0(self, capsys):
