@@ -21,6 +21,14 @@ def run_dir(tmp_path_factory):
     return out / "nominal_static-seed1"
 
 
+@pytest.fixture(scope="module")
+def collab_log(tmp_path_factory):
+    out = tmp_path_factory.mktemp("collab")
+    collab = str(CONFIGS / "nominal_collab_static.yaml")
+    assert main(["run", "--config", collab, "--seed", "1", "--out", str(out)]) == 0
+    return out / "nominal_collab_static-seed1" / "log.jsonl"
+
+
 class TestRun:
     def test_artifacts_present(self, run_dir):
         assert (run_dir / "log.jsonl").exists()
@@ -166,6 +174,13 @@ class TestMonteCarlo:
         assert (out1 / "mc_summary.json").read_bytes() == (out2 / "mc_summary.json").read_bytes()
         assert (out1 / "verdicts.csv").read_bytes() == (out2 / "verdicts.csv").read_bytes()
 
+    def test_verdicts_bytes(self, tmp_path):
+        out = tmp_path / "mc"
+        assert main(["mc", "--config", NOMINAL, "--runs", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "verdicts.csv").read_bytes()).hexdigest() == (
+            "1bb0c53b18a4f062020db2ccee8d4ac5ad7d4b7df549232a3a1ac0e45ede3d6e"
+        )
+
 
 class TestPlot:
     @pytest.mark.parametrize("kind", ["depth_profile", "trajectory_3d", "pixel_error", "phase_timeline"])
@@ -196,6 +211,29 @@ class TestPlot:
             assert main(["plot", "--kind", "trajectory_3d", "--log", str(run_dir / "log.jsonl"),
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind, svg_digest, csv_digest",
+        [
+            ("depth_profile",
+             "1421850f8a5ca69f43471516b7834878d20836ee318b05e9e2767de0daa8b38e",
+             "7c4c4f64eadb428d81bfca08af6835aab189665a869da68315c48b3b074f1c4f"),
+            ("trajectory_3d",
+             "a0225214448a014d6fa5220c67668afadf282d6fc3bcf9239011ca47cb7b75fc",
+             "bdcc70de32d8b81c160b055c59e8f5c62dafad2ca13a3edf3fe9a73aa8d16d41"),
+            ("pixel_error",
+             "8bbca4214da89f9f27f32cc87fef8adf4886237c888a12ecd78dec7e22d50a34",
+             "6b9d954215fc7f60438c57f60df3fac1f454a3b7a12106ecb43b978895a8c093"),
+            ("phase_timeline",
+             "9c729c93ee79659a585abfd0a7e4bf45bde7f4c8af2e31136dd9eb64c81a657d",
+             "ec7bf2170ecff3488c7aca0e7940299fc6a9a4066bbea8a0cb5e4bc9cf1f6aa1"),
+        ],
+    )
+    def test_plot_bytes(self, collab_log, tmp_path, kind, svg_digest, csv_digest):
+        out = tmp_path / f"{kind}.svg"
+        assert main(["plot", "--kind", kind, "--log", str(collab_log), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == svg_digest
+        assert hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest() == csv_digest
 
     def test_missing_stream_exits_1_naming_kind(self, run_dir, tmp_path, capsys):
         log = SimLog.read(run_dir / "log.jsonl")
