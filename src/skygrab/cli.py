@@ -17,7 +17,7 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .engine import monte_carlo, run_scenario
 from .logs import SimLog
-from .plotting import PLOT_KINDS, render_plot
+from .plotting import PLOT_KINDS, render_plot, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,12 +81,7 @@ def _export_timeseries(log: SimLog, path: Path):
                 row += [*ds["p"], ds["yaw"], cmd["phase"], c["vx"], c["vy"], c["vz"], c["yaw_rate"]]
                 row += [tb["x"], tb["y"], tb["r"]] if tb["status"] != "uninitialized" else ["", "", ""]
             rows.append(row)
-
-    import csv
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    write_csv(path, header, rows)
 
 
 def cmd_run(args) -> int:
@@ -138,16 +133,11 @@ def cmd_montecarlo(args) -> int:
     except OSError as e:
         return _fail(_file_error(e.filename or out, e))
     summary = monte_carlo(cfg, args.runs, seed_base, n_jobs=args.jobs)
-
-    import csv
     try:
-        with open(out / "verdicts.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["seed", "verdict", "t_capture", "failure"])
-            for r in summary["runs"]:
-                w.writerow([r["seed"], r["verdict"],
-                            "" if r["t_capture"] is None else r["t_capture"],
-                            r["failure"] or ""])
+        write_csv(out / "verdicts.csv", ["seed", "verdict", "t_capture", "failure"], [
+            [r["seed"], r["verdict"], "" if r["t_capture"] is None else r["t_capture"], r["failure"] or ""]
+            for r in summary["runs"]
+        ])
         _write_json(out / "mc_summary.json", summary)
     except OSError as e:
         return _fail(_file_error(e.filename or out, e))

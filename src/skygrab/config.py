@@ -169,7 +169,7 @@ ROLES = ("grabber", "tracker")
 @dataclass
 class DroneConfig:
     id: str = spec("grabber", "label")
-    role: str = "grabber"  # one of ROLES; checked with the roster in validate_config
+    role: str = "grabber"  # one of ROLES; checked with the roster in config_from_dict
     start: list = vector(-14.0, -6.0, 0.0)
     yaw: float = real(0.0)
     tau: float = positive(0.4)
@@ -375,12 +375,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         "must be below perception.init_range_ball",
     )
     return cfg
-
-
-def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """A validated deep copy of cfg, as ``config_from_dict`` builds it;
-    the input is left unchanged."""
-    return config_from_dict(asdict(cfg))
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -35,6 +35,7 @@ from .guidance import (
     GuidanceGains,
     explore_command,
     goto_command,
+    lawnmower_waypoints,
     saturate,
     servo_command,
 )
@@ -56,10 +57,6 @@ class MissionPhase(enum.Enum):
 
 
 TERMINAL_PHASES = (MissionPhase.DONE, MissionPhase.FAILED)
-
-# Nose weave while flying exploration lanes, so the camera sweeps the
-# ground abeam of the track.
-_EXPLORE_SCAN_AMPLITUDE = 0.7  # rad
 
 
 class MessageKind(enum.Enum):
@@ -190,11 +187,11 @@ class DroneAgent:
 
     def __post_init__(self):
         if self.explore is None:
-            self.explore = ExplorePlan.lawnmower(
+            self.explore = ExplorePlan(lawnmower_waypoints(
                 self.settings.explore_area,
                 self.settings.lane_spacing,
                 self.settings.takeoff_altitude,
-            )
+            ))
 
     def step(self, percep, uav, inbox, grab_flag, t):
         """One control tick; returns (command, message or None).
@@ -269,13 +266,7 @@ def _search_cmd(agent, percep, uav, t) -> VelocityCommand:
         goal = agent.last_target_point
         if math.dist(goal, uav.position) > st.arrival_radius:
             return saturate(goto_command(goal, uav, st.approach_speed, st.yaw_gain), agent.limits)
-    return saturate(
-        explore_command(
-            agent.explore, uav, st.explore_speed, st.yaw_gain,
-            t=t, scan_amplitude=_EXPLORE_SCAN_AMPLITUDE,
-        ),
-        agent.limits,
-    )
+    return saturate(explore_command(agent.explore, uav, st.explore_speed, st.yaw_gain, t), agent.limits)
 
 
 def _reacquire_phase(agent) -> MissionPhase:

@@ -96,6 +96,10 @@ def saturate(cmd: VelocityCommand, limits: LimitsConfig) -> VelocityCommand:
 # ---------------------------------------------------------------------------
 
 WAYPOINT_CAPTURE_RADIUS = 0.5
+# Nose weave while flying exploration lanes, so the camera sweeps the
+# ground abeam of the track.
+SCAN_AMPLITUDE = 0.7  # rad
+SCAN_PERIOD = 8.0  # s
 
 
 def lawnmower_waypoints(
@@ -128,10 +132,6 @@ class ExplorePlan:
     index: int = 0
     started: bool = False
 
-    @classmethod
-    def lawnmower(cls, area, lane_spacing, altitude) -> "ExplorePlan":
-        return cls(waypoints=lawnmower_waypoints(area, lane_spacing, altitude))
-
     def active_waypoint(self, position: Vec3) -> Vec3:
         """Current goal, advancing past any waypoint already reached.
 
@@ -156,15 +156,13 @@ def explore_command(
     state: UavState,
     speed: float,
     yaw_gain: float,
-    t: float | None = None,
-    scan_amplitude: float = 0.0,
-    scan_period: float = 8.0,
+    t: float,
 ) -> VelocityCommand:
     """World-frame velocity toward the active waypoint, nose leading.
 
-    With a scan amplitude and the current time, the nose weaves
-    sinusoidally around the track so the camera sweeps ground that lies
-    abeam of the lanes.
+    At time t the nose weaves sinusoidally around the track (by
+    SCAN_AMPLITUDE, over SCAN_PERIOD) so the camera sweeps ground that
+    lies abeam of the lanes.
     """
     wp = plan.active_waypoint(state.position)
     dx = wp[0] - state.position[0]
@@ -175,8 +173,7 @@ def explore_command(
         return VelocityCommand()
     s = speed / dist
     yaw_des = math.atan2(dy, dx)
-    if t is not None and scan_amplitude > 0.0:
-        yaw_des += scan_amplitude * math.sin(2.0 * math.pi * t / scan_period)
+    yaw_des += SCAN_AMPLITUDE * math.sin(2.0 * math.pi * t / SCAN_PERIOD)
     yaw_err = wrap_angle(yaw_des - state.yaw)
     return VelocityCommand(vx=s * dx, vy=s * dy, vz=s * dz, yaw_rate=yaw_gain * yaw_err)
 

@@ -41,11 +41,6 @@ class SimLog:
     def verdict_record(self) -> dict | None:
         return next(self.iter_kind("verdict"), None)
 
-    @property
-    def verdict(self) -> str | None:
-        rec = self.verdict_record
-        return rec["verdict"] if rec else None
-
     def phase_transitions(self, drone_id: str) -> list:
         return [
             (r["from"], r["to"]) for r in self.iter_kind("phase") if r["drone"] == drone_id

@@ -1,9 +1,10 @@
 """Figure emission from run logs: self-contained SVG plus a CSV sidecar.
 
-The SVG is assembled directly (no plotting library) so outputs are
-byte-deterministic and the artifact has no drawing dependencies. Every
-figure writes a sidecar CSV holding exactly the plotted series, from
-which the figure can be regenerated.
+Each plot kind is a pure function from a run log to its figure and the
+series it plots; ``render_plot`` writes both. The SVG is assembled
+directly (no plotting library) so outputs are byte-deterministic and the
+artifact has no drawing dependencies. The sidecar CSV holds exactly the
+plotted series, from which the figure can be regenerated.
 """
 
 from __future__ import annotations
@@ -25,15 +26,18 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+_TICKS = 5  # about this many ticks per axis
+
+
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / target
+    raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target + 1:
+        if span / step <= _TICKS + 1:
             break
     first = math.ceil(lo / step) * step
     ticks = []
@@ -50,10 +54,10 @@ class SvgCanvas:
         self.height = height
         self.parts: list[str] = []
 
-    def rect(self, x, y, w, h, fill, stroke="none", opacity=1.0):
+    def rect(self, x, y, w, h, fill, stroke="none"):
         self.parts.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-            f'fill="{fill}" stroke="{stroke}" opacity="{_fmt(opacity)}"/>'
+            f'fill="{fill}" stroke="{stroke}" opacity="1"/>'
         )
 
     def line(self, x1, y1, x2, y2, stroke="#444", width=1.0, dash=None):
@@ -130,10 +134,9 @@ class Axes:
     def plot(self, xs, ys, color, width=1.5):
         self.c.polyline([(self.px(x), self.py(y)) for x, y in zip(xs, ys)], color, width)
 
-    def vline(self, x, color="#c00", dash="4,3", label=None):
-        self.c.line(self.px(x), self.y0, self.px(x), self.y1, stroke=color, width=1.2, dash=dash)
-        if label:
-            self.c.text(self.px(x) + 4, self.y0 + 12, label, size=10, color=color)
+    def vline(self, x, label):
+        self.c.line(self.px(x), self.y0, self.px(x), self.y1, stroke="#c00", width=1.2, dash="4,3")
+        self.c.text(self.px(x) + 4, self.y0 + 12, label, size=10, color="#c00")
 
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -152,7 +155,7 @@ _PHASE_COLORS = {
 }
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -170,7 +173,7 @@ def _grabber_id(log: SimLog) -> str:
 # Plot kinds
 # ---------------------------------------------------------------------------
 
-def depth_profile(log: SimLog, svg_path, csv_path):
+def depth_profile(log: SimLog) -> tuple[SvgCanvas, list, list]:
     """Ball depth seen from the grabber's camera over time; the curve is
     truncated at the capture event, which is drawn as a marker line."""
     gid = _grabber_id(log)
@@ -186,7 +189,6 @@ def depth_profile(log: SimLog, svg_path, csv_path):
         rows.append((r["t"], r["ball_depth"], est))
     if not rows:
         raise MissingStreamError("vision")
-    _write_csv(csv_path, ["t", "ball_depth_true", "ball_range_estimate"], rows)
 
     c = SvgCanvas()
     ts = [r[0] for r in rows]
@@ -201,11 +203,10 @@ def depth_profile(log: SimLog, svg_path, csv_path):
     c.text(ax.x1 - 8, ax.y0 + 14, "true depth", size=10, anchor="end", color=_COLORS[0])
     if t_cap is not None:
         ax.vline(t_cap, label="capture")
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(c.render())
+    return c, ["t", "ball_depth_true", "ball_range_estimate"], rows
 
 
-def trajectory_3d(log: SimLog, svg_path, csv_path):
+def trajectory_3d(log: SimLog) -> tuple[SvgCanvas, list, list]:
     """Isometric view of every vehicle's path plus the ball."""
     rows = []
     series: dict[str, list] = {}
@@ -218,7 +219,6 @@ def trajectory_3d(log: SimLog, svg_path, csv_path):
         raise MissingStreamError("state")
     for name, pts in sorted(series.items()):
         rows.extend((name, *p) for p in pts)
-    _write_csv(csv_path, ["entity", "t", "x", "y", "z"], rows)
 
     cos30, sin30 = math.cos(math.pi / 6), math.sin(math.pi / 6)
 
@@ -239,11 +239,10 @@ def trajectory_3d(log: SimLog, svg_path, csv_path):
         color = _COLORS[i % len(_COLORS)]
         ax.plot([u for u, _ in uv], [v for _, v in uv], color)
         c.text(ax.x1 - 8, ax.y0 + 14 * (i + 1), name, size=10, anchor="end", color=color)
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(c.render())
+    return c, ["entity", "t", "x", "y", "z"], rows
 
 
-def pixel_error(log: SimLog, svg_path, csv_path):
+def pixel_error(log: SimLog) -> tuple[SvgCanvas, list, list]:
     """Grabber's filtered ball pixel offset from the image center."""
     gid = _grabber_id(log)
     intr = next(d for d in log.header["config"]["drones"] if d["id"] == gid)["camera"]
@@ -256,7 +255,6 @@ def pixel_error(log: SimLog, svg_path, csv_path):
         rows.append((r["t"], tb["x"] - cx, tb["y"] - cy))
     if not rows:
         raise MissingStreamError("vision")
-    _write_csv(csv_path, ["t", "x_error_px", "y_error_px"], rows)
 
     c = SvgCanvas()
     ts = [r[0] for r in rows]
@@ -268,11 +266,10 @@ def pixel_error(log: SimLog, svg_path, csv_path):
     ax.plot(ts, [r[2] for r in rows], _COLORS[1])
     c.text(ax.x1 - 8, ax.y0 + 14, "x - W/2", size=10, anchor="end", color=_COLORS[0])
     c.text(ax.x1 - 8, ax.y0 + 28, "y - H/2", size=10, anchor="end", color=_COLORS[1])
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(c.render())
+    return c, ["t", "x_error_px", "y_error_px"], rows
 
 
-def phase_timeline(log: SimLog, svg_path, csv_path):
+def phase_timeline(log: SimLog) -> tuple[SvgCanvas, list, list]:
     """Contiguous mission-phase bands per drone."""
     verdict = log.verdict_record
     t_end = verdict["t_end"] if verdict else None
@@ -289,7 +286,6 @@ def phase_timeline(log: SimLog, svg_path, csv_path):
     for d, (phase, t0) in current.items():
         bands[d].append((phase, t0, t_end if t_end is not None else t0))
     rows = [(d, *b) for d in drones for b in bands[d]]
-    _write_csv(csv_path, ["drone", "phase", "t_start", "t_end"], rows)
 
     c = SvgCanvas(height=120 + 70 * len(drones))
     tmax = max(b[2] for d in drones for b in bands[d])
@@ -310,8 +306,7 @@ def phase_timeline(log: SimLog, svg_path, csv_path):
         y = ax.y1 + 38 + 12 * (j // 5)
         c.rect(x, y - 8, 9, 9, fill=color, stroke="#666")
         c.text(x + 12, y, phase, size=8)
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(c.render())
+    return c, ["drone", "phase", "t_start", "t_end"], rows
 
 
 PLOT_KINDS = {
@@ -323,12 +318,15 @@ PLOT_KINDS = {
 
 
 def render_plot(kind: str, log: SimLog, out_path) -> tuple[str, str]:
-    """Write the SVG and its CSV sidecar; returns both paths."""
+    """Write the CSV sidecar, then the SVG; returns both paths."""
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind '{kind}' (choose from {sorted(PLOT_KINDS)})")
     svg = str(out_path)
     if not svg.endswith(".svg"):
         svg += ".svg"
     sidecar = svg[:-4] + ".csv"
-    PLOT_KINDS[kind](log, svg, sidecar)
+    canvas, header, rows = PLOT_KINDS[kind](log)
+    write_csv(sidecar, header, rows)
+    with open(svg, "w", encoding="utf-8") as fh:
+        fh.write(canvas.render())
     return svg, sidecar

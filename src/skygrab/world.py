@@ -181,13 +181,6 @@ class TrajectoryPattern:
         self._static_pose = (self.center, (0.0, 0.0, 0.0))
         self._line_velocity = (ch * self.speed, sh * self.speed, 0.0)
 
-    @property
-    def period(self) -> float:
-        """Lemniscate lap time; inf for non-periodic patterns."""
-        if self.kind is PatternKind.FIGURE_EIGHT and self.omega > 0.0:
-            return 2.0 * math.pi / self.omega
-        return math.inf
-
 
 _NAN3 = (math.nan, math.nan, math.nan)
 

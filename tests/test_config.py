@@ -9,7 +9,6 @@ from skygrab.config import (
     ScenarioConfig,
     load_config,
     parse_config,
-    validate_config,
 )
 from skygrab.guidance import lawnmower_waypoints
 
@@ -124,25 +123,6 @@ class TestConfigsShareNothing:
         assert a.to_dict() == before
         assert a.world.wind.sigma == 0.02 and len(a.drones) == 2
         assert b.seed == 5 and a.seed == 1
-
-    def test_validate_config_leaves_input_unchanged(self):
-        cfg = ScenarioConfig()
-        cfg.world.wind.mean = (1, 0, 0)
-        cfg.target.center = (0, 0, 5)
-        cfg.drones[0].start = (1, 2, 0)
-        cfg.drones[0].camera.mount = (0, 0, 0)
-        cfg.capture.gripper_offset = (0, 0, 1)
-        cfg.mission.explore_area = (-5, 5, -5, 5)
-        out = validate_config(cfg)
-        assert cfg.world.wind.mean == (1, 0, 0)
-        assert cfg.target.center == (0, 0, 5)
-        assert cfg.drones[0].start == (1, 2, 0)
-        assert cfg.drones[0].camera.mount == (0, 0, 0)
-        assert cfg.capture.gripper_offset == (0, 0, 1)
-        assert cfg.mission.explore_area == (-5, 5, -5, 5)
-        assert out.target.center == [0.0, 0.0, 5.0]
-        assert all(type(v) is float for v in out.world.wind.mean + out.drones[0].start)
-        assert out.world is not cfg.world and out.drones[0] is not cfg.drones[0]
 
 
 class TestWithSeed:

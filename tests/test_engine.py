@@ -232,7 +232,7 @@ class TestNominalRuns:
 class TestDisturbedRun:
     def test_wind_and_noise_run_is_structurally_valid(self, disturbed_log):
         validate_log(disturbed_log)
-        assert disturbed_log.verdict in ("captured", "timeout")
+        assert disturbed_log.verdict_record["verdict"] in ("captured", "timeout")
 
     def test_replay_matches_logged_truth(self, nominal_static_log, disturbed_log):
         assert replay_divergence(nominal_static_log) < 1e-9
@@ -341,7 +341,7 @@ class TestEvents:
         )
         log = run_scenario(cfg, detail=False)
         assert len(log.events("invalid_swing")) == 1  # flagged once, sim continues
-        assert log.verdict in ("captured", "timeout")
+        assert log.verdict_record["verdict"] in ("captured", "timeout")
         assert [r["t"] for r in log.events("invalid_swing")] == [1.7875]
         assert log.verdict_record["t_end"] == 8.0
         detailed = run_scenario(cfg, detail=True)

@@ -174,29 +174,29 @@ class TestExploration:
         del xs
 
     def test_waypoint_advance_at_capture_radius(self):
-        plan = ExplorePlan.lawnmower(self.AREA, 4.0, 3.5)
+        plan = ExplorePlan(lawnmower_waypoints(self.AREA, 4.0, 3.5))
         plan.started = True  # pin the pattern entry point for the check
         first = plan.waypoints[0]
         wp = plan.active_waypoint(first)
         assert not np.allclose(wp, first)
 
     def test_nearest_entry_point(self):
-        plan = ExplorePlan.lawnmower(self.AREA, 4.0, 3.5)
+        plan = ExplorePlan(lawnmower_waypoints(self.AREA, 4.0, 3.5))
         wp = plan.active_waypoint(np.array([9.0, 7.0, 3.5]))
         assert wp[1] == pytest.approx(8.0)
 
     def test_command_magnitude_bounded(self):
-        plan = ExplorePlan.lawnmower(self.AREA, 4.0, 3.5)
+        plan = ExplorePlan(lawnmower_waypoints(self.AREA, 4.0, 3.5))
         state = UavState.at(0.0, 0.0, 3.5)
-        cmd = saturate(explore_command(plan, state, 1.5, 1.5), LimitsConfig())
+        cmd = saturate(explore_command(plan, state, 1.5, 1.5, 0.0), LimitsConfig())
         assert math.hypot(cmd.vx, cmd.vy) <= 3.0 + 1e-9
         assert math.sqrt(cmd.vx**2 + cmd.vy**2 + cmd.vz**2) <= 1.5 + 1e-9
 
     def test_scan_weave_changes_heading_target(self):
-        plan = ExplorePlan.lawnmower(self.AREA, 4.0, 3.5)
+        plan = ExplorePlan(lawnmower_waypoints(self.AREA, 4.0, 3.5))
         state = UavState.at(0.0, 0.0, 3.5)
-        c0 = explore_command(plan, state, 1.5, 1.5, t=2.0, scan_amplitude=0.7)
-        c1 = explore_command(plan, state, 1.5, 1.5, t=4.0, scan_amplitude=0.7)
+        c0 = explore_command(plan, state, 1.5, 1.5, t=2.0)
+        c1 = explore_command(plan, state, 1.5, 1.5, t=4.0)
         assert c0.yaw_rate != c1.yaw_rate
 
     def test_goto_command_points_at_target(self):

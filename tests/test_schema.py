@@ -128,7 +128,7 @@ def test_every_accepted_config_ends_in_one_verdict(data):
     validate_log(log)
     rec = log.verdict_record
     assert outcome(log) == (rec["verdict"], rec["t_capture"], rec["failure"])
-    if log.verdict != "invalid":
+    if log.verdict_record["verdict"] != "invalid":
         assert replay_divergence(log) <= 1e-9
 
 

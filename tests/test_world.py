@@ -295,7 +295,7 @@ class TestTargetPose:
         pat = TrajectoryPattern(
             PatternKind.FIGURE_EIGHT, center=[0.0, 0.0, 5.0], heading=0.4, speed=0.5, extent=4.0
         )
-        T = pat.period
+        T = 2.0 * math.pi / pat.omega
         for t in (0.0, 1.7, 5.2):
             p1, _ = target_pose(pat, t)
             p2, _ = target_pose(pat, t + T)
@@ -305,7 +305,7 @@ class TestTargetPose:
         pat = TrajectoryPattern(
             PatternKind.FIGURE_EIGHT, center=[0.0, 0.0, 5.0], speed=0.7, extent=3.0
         )
-        T = pat.period
+        T = 2.0 * math.pi / pat.omega
         ts = np.linspace(0.0, T, 20001)
         speeds = [np.linalg.norm(target_pose(pat, t)[1]) for t in ts]
         assert np.trapezoid(speeds, ts) / T == pytest.approx(0.7, rel=1e-3)
