@@ -161,7 +161,7 @@ def cmd_plot(args) -> int:
     try:
         svg, sidecar = render_plot(args.kind, log, args.out)
     except ValueError as e:  # includes MissingStreamError
-        return _fail(str(e))
+        return _fail(f"{args.log}: {e}")
     except OSError as e:
         return _fail(_file_error(e.filename or args.out, e))
     print(f"wrote {svg} and {sidecar}")

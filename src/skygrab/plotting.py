@@ -166,7 +166,7 @@ def _grabber_id(log: SimLog) -> str:
     for d in log.header["config"]["drones"]:
         if d["role"] == "grabber":
             return d["id"]
-    raise MissingStreamError("header")
+    raise ValueError("header config has no grabber")
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +318,23 @@ PLOT_KINDS = {
 
 
 def render_plot(kind: str, log: SimLog, out_path) -> tuple[str, str]:
-    """Write the CSV sidecar, then the SVG; returns both paths."""
+    """Write the CSV sidecar, then the SVG; returns both paths.
+
+    A log that lacks a field its plot kind reads, or holds one of the
+    wrong type, raises ValueError naming the kind and the field.
+    """
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind '{kind}' (choose from {sorted(PLOT_KINDS)})")
     svg = str(out_path)
     if not svg.endswith(".svg"):
         svg += ".svg"
     sidecar = svg[:-4] + ".csv"
-    canvas, header, rows = PLOT_KINDS[kind](log)
+    try:
+        canvas, header, rows = PLOT_KINDS[kind](log)
+    except KeyError as e:
+        raise ValueError(f"{kind}: log is missing field {e}") from e
+    except TypeError as e:
+        raise ValueError(f"{kind}: log field of the wrong type: {e}") from e
     write_csv(sidecar, header, rows)
     with open(svg, "w", encoding="utf-8") as fh:
         fh.write(canvas.render())

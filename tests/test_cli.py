@@ -293,6 +293,32 @@ class TestPlot:
         assert capsys.readouterr().err == f"error: {p}: {message}\n"
 
 
+    @pytest.mark.parametrize(
+        "kind, drones, message",
+        [
+            ("phase_timeline", [{"id": "g", "role": "grabber"}],
+             "phase_timeline: log is missing field 't_end'"),
+            ("depth_profile", [{"id": "g", "role": "grabber"}],
+             "depth_profile: log is missing field 't_capture'"),
+            ("pixel_error", [{"id": "g", "role": "grabber"}],
+             "pixel_error: log is missing field 'camera'"),
+            ("pixel_error",
+             [{"id": "g", "role": "grabber", "camera": {"width": "640", "height": 480}}],
+             "pixel_error: log field of the wrong type: "
+             "unsupported operand type(s) for /: 'str' and 'float'"),
+            ("depth_profile", [{"id": "t", "role": "tracker"}],
+             "header config has no grabber"),
+        ],
+        ids=["verdict_without_t_end", "verdict_without_t_capture", "drone_without_camera",
+             "camera_width_not_a_number", "no_grabber"],
+    )
+    def test_log_missing_or_mistyped_field_exits_1(self, tmp_path, capsys, kind, drones, message):
+        p = tmp_path / "partial.jsonl"
+        SimLog(header={"config": {"drones": drones}, "schema": "skygrab-log", "version": 1},
+               records=[{"kind": "verdict", "verdict": "timeout"}]).write(p)
+        assert main(["plot", "--kind", kind, "--log", str(p), "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
 class TestCheck:
     def test_valid_config_exits_0(self, capsys):
         assert main(["check", "--config", NOMINAL]) == 0
