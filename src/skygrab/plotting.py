@@ -321,7 +321,7 @@ def render_plot(kind: str, log: SimLog, out_path) -> tuple[str, str]:
     """Write the CSV sidecar, then the SVG; returns both paths.
 
     A log that lacks a field its plot kind reads, or holds one of the
-    wrong type, raises ValueError naming the kind and the field.
+    wrong type, raises ValueError naming the kind (and the missing field).
     """
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind '{kind}' (choose from {sorted(PLOT_KINDS)})")
