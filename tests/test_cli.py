@@ -55,6 +55,14 @@ class TestRun:
             "be642878b1cf972334e63b0be2b27be1e1a9760edac314cb8ac4a5f10c4c9433"
         )
 
+    def test_summary_bytes(self, tmp_path):
+        collab = str(CONFIGS / "nominal_collab_static.yaml")
+        assert main(["run", "--config", collab, "--seed", "1", "--out", str(tmp_path)]) == 0
+        summary = (tmp_path / "nominal_collab_static-seed1" / "summary.json").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == (
+            "ed1a1aa7b7359c7900db8e59b9492dc5a606fae2fb67a2948551ed38cc8dd8b2"
+        )
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 1
         assert "no such config" in capsys.readouterr().err
@@ -179,6 +187,13 @@ class TestMonteCarlo:
         assert main(["mc", "--config", NOMINAL, "--runs", "3", "--out", str(out)]) == 0
         assert hashlib.sha256((out / "verdicts.csv").read_bytes()).hexdigest() == (
             "1bb0c53b18a4f062020db2ccee8d4ac5ad7d4b7df549232a3a1ac0e45ede3d6e"
+        )
+
+    def test_mc_summary_bytes(self, tmp_path):
+        out = tmp_path / "mc"
+        assert main(["mc", "--config", NOMINAL, "--runs", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "mc_summary.json").read_bytes()).hexdigest() == (
+            "064cf57597407cdbf47d7e7836278e63f9249a573cf1407fb3b41f73fc8da1b8"
         )
 
 
