@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .engine import monte_carlo, run_scenario
+from .engine import RUN_FIELDS, monte_carlo, run_scenario
 from .logs import SimLog
 from .plotting import PLOT_KINDS, render_plot, write_csv
 
@@ -101,14 +101,8 @@ def cmd_run(args) -> int:
     verdict = log.verdict_record
     try:
         log.write(out / "log.jsonl")
-        _write_json(out / "summary.json", {
-            "seed": cfg.seed,
-            "verdict": verdict["verdict"],
-            "t_capture": verdict["t_capture"],
-            "t_end": verdict["t_end"],
-            "failure": verdict["failure"],
-            "counters": verdict["counters"],
-        })
+        summary = {k: v for k, v in verdict.items() if k != "kind"}
+        _write_json(out / "summary.json", {**summary, "seed": cfg.seed})
         _export_timeseries(log, out / "timeseries.csv")
     except OSError as e:
         return _fail(_file_error(e.filename or out, e))
@@ -134,9 +128,8 @@ def cmd_montecarlo(args) -> int:
         return _fail(_file_error(e.filename or out, e))
     summary = monte_carlo(cfg, args.runs, seed_base, n_jobs=args.jobs)
     try:
-        write_csv(out / "verdicts.csv", ["seed", "verdict", "t_capture", "failure"], [
-            [r["seed"], r["verdict"], "" if r["t_capture"] is None else r["t_capture"], r["failure"] or ""]
-            for r in summary["runs"]
+        write_csv(out / "verdicts.csv", RUN_FIELDS, [
+            ["" if r[f] is None else r[f] for f in RUN_FIELDS] for r in summary["runs"]
         ])
         _write_json(out / "mc_summary.json", summary)
     except OSError as e:
@@ -160,7 +153,7 @@ def cmd_plot(args) -> int:
         return _fail(str(e))
     try:
         svg, sidecar = render_plot(args.kind, log, args.out)
-    except ValueError as e:  # includes MissingStreamError
+    except ValueError as e:
         return _fail(f"{args.log}: {e}")
     except OSError as e:
         return _fail(_file_error(e.filename or args.out, e))

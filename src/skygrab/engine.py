@@ -296,7 +296,7 @@ def outcome(log: SimLog) -> tuple[str, float | None, str | None]:
         return "captured", capture["t"], None
     if any(r["event"] == "nonfinite_state" for r in events):
         return "invalid", None, "nonfinite_state"
-    grabber = next(d["id"] for d in cfg["drones"] if d["role"] == "grabber")
+    grabber = log.grabber["id"]
     if not any(r["to"] == "servo_ball" for r in log.iter_kind("phase")):
         return "timeout", None, "never_engaged"
     if any(
@@ -358,15 +358,7 @@ class _Run:
                 ego_px_rate=d.intr.focal_px * uav.yaw_rate,
             )
             for name, cls in events:
-                log.append(
-                    {
-                        "kind": "event",
-                        "t": t,
-                        "event": name,
-                        "drone": d.id,
-                        "data": {"cls": cls, "phase": d.agent.phase.value},
-                    }
-                )
+                self.event(t, name, d.id, {"cls": cls, "phase": d.agent.phase.value})
             if self.detail:
                 log.append(
                     {
@@ -460,9 +452,12 @@ class _Run:
             return True
         return self.nonfinite(t)
 
+    def event(self, t: float, name: str, drone: str | None, data: dict) -> None:
+        self.log.append({"kind": "event", "t": t, "event": name, "drone": drone, "data": data})
+
     def nonfinite(self, t: float) -> bool:
         """Log ``nonfinite_state``, which ends the run invalid; returns False."""
-        self.log.append({"kind": "event", "t": t, "event": "nonfinite_state", "drone": None, "data": {}})
+        self.event(t, "nonfinite_state", None, {})
         return False
 
     def contact(self, t: float) -> None:
@@ -473,14 +468,8 @@ class _Run:
             bp, plant.ball_velocity(), plant.uavs[plant.grabber], plant.capture
         ) and detach_check(w.claw_pull_force, w.detach_threshold):
             plant.release()
-            self.log.append(
-                {"kind": "event", "t": t, "event": "detach", "drone": self.grabber.id,
-                 "data": {"pull_force": w.claw_pull_force}}
-            )
-            self.log.append(
-                {"kind": "event", "t": t, "event": "capture", "drone": self.grabber.id,
-                 "data": {"ball_p": list(bp)}}
-            )
+            self.event(t, "detach", self.grabber.id, {"pull_force": w.claw_pull_force})
+            self.event(t, "capture", self.grabber.id, {"ball_p": list(bp)})
 
     def verdict(self) -> dict:
         verdict, t_capture, failure = outcome(self.log)
@@ -549,10 +538,7 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
             ) - k
         _, stop = plant.advance(block)
         if stop == "swing":
-            run.log.append(
-                {"kind": "event", "t": (plant.k - 1) * dt, "event": "invalid_swing", "drone": None,
-                 "data": {"theta": plant.ball.theta}}
-            )
+            run.event((plant.k - 1) * dt, "invalid_swing", None, {"theta": plant.ball.theta})
         elif stop == "nonfinite":  # logged at the step taken, which t_end counts
             run.nonfinite((plant.k - 1) * dt)
             break
@@ -619,21 +605,21 @@ def replay_divergence(log: SimLog) -> float:
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+# One Monte Carlo run's fields: its entry in ``runs`` and its verdicts.csv row.
+RUN_FIELDS = ("seed", "verdict", "t_capture", "failure")
+
+
 def _mc_single(args) -> dict:
-    """One batch run; an exception becomes an ``error`` verdict naming its
-    type, so one seed cannot end the batch."""
+    """One batch run's ``RUN_FIELDS``; an exception becomes an ``error``
+    verdict naming its type, so one seed cannot end the batch."""
     config_dict, seed = args
     try:
         cfg = config_from_dict({**config_dict, "seed": seed})
         rec = run_scenario(cfg, detail=False).verdict_record
     except Exception as e:  # the batch boundary: report the run and go on
-        return {"seed": seed, "verdict": "error", "t_capture": None, "failure": type(e).__name__}
-    return {
-        "seed": seed,
-        "verdict": rec["verdict"],
-        "t_capture": rec["t_capture"],
-        "failure": rec["failure"],
-    }
+        rec = {"verdict": "error", "t_capture": None, "failure": type(e).__name__}
+    rec = {**rec, "seed": seed}
+    return {f: rec[f] for f in RUN_FIELDS}
 
 
 def monte_carlo(

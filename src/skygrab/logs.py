@@ -41,6 +41,14 @@ class SimLog:
     def verdict_record(self) -> dict | None:
         return next(self.iter_kind("verdict"), None)
 
+    @property
+    def grabber(self) -> dict:
+        """The grabber's entry in the header config."""
+        for d in self.header["config"]["drones"]:
+            if d["role"] == "grabber":
+                return d
+        raise ValueError("header config has no grabber")
+
     def phase_transitions(self, drone_id: str) -> list:
         return [
             (r["from"], r["to"]) for r in self.iter_kind("phase") if r["drone"] == drone_id

@@ -15,13 +15,6 @@ import math
 from .logs import SimLog
 
 
-class MissingStreamError(ValueError):
-    """The log lacks the record kind a plot needs."""
-
-    def __init__(self, record_kind: str):
-        super().__init__(f"log contains no '{record_kind}' records")
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -162,13 +155,6 @@ def write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _grabber_id(log: SimLog) -> str:
-    for d in log.header["config"]["drones"]:
-        if d["role"] == "grabber":
-            return d["id"]
-    raise ValueError("header config has no grabber")
-
-
 # ---------------------------------------------------------------------------
 # Plot kinds
 # ---------------------------------------------------------------------------
@@ -176,7 +162,7 @@ def _grabber_id(log: SimLog) -> str:
 def depth_profile(log: SimLog) -> tuple[SvgCanvas, list, list]:
     """Ball depth seen from the grabber's camera over time; the curve is
     truncated at the capture event, which is drawn as a marker line."""
-    gid = _grabber_id(log)
+    gid = log.grabber["id"]
     verdict = log.verdict_record
     t_cap = verdict["t_capture"] if verdict else None
     rows = []
@@ -188,7 +174,7 @@ def depth_profile(log: SimLog) -> tuple[SvgCanvas, list, list]:
         est = r["tracks"]["ball"]["r"] if r["tracks"]["ball"]["status"] != "uninitialized" else ""
         rows.append((r["t"], r["ball_depth"], est))
     if not rows:
-        raise MissingStreamError("vision")
+        raise ValueError("log contains no 'vision' records")
 
     c = SvgCanvas()
     ts = [r[0] for r in rows]
@@ -216,7 +202,7 @@ def trajectory_3d(log: SimLog) -> tuple[SvgCanvas, list, list]:
         series.setdefault("target", []).append((r["t"], *r["target"]["p"]))
         series.setdefault("ball", []).append((r["t"], *r["ball"]["p"]))
     if not series:
-        raise MissingStreamError("state")
+        raise ValueError("log contains no 'state' records")
     for name, pts in sorted(series.items()):
         rows.extend((name, *p) for p in pts)
 
@@ -244,8 +230,8 @@ def trajectory_3d(log: SimLog) -> tuple[SvgCanvas, list, list]:
 
 def pixel_error(log: SimLog) -> tuple[SvgCanvas, list, list]:
     """Grabber's filtered ball pixel offset from the image center."""
-    gid = _grabber_id(log)
-    intr = next(d for d in log.header["config"]["drones"] if d["id"] == gid)["camera"]
+    grabber = log.grabber
+    gid, intr = grabber["id"], grabber["camera"]
     cx, cy = intr["width"] / 2.0, intr["height"] / 2.0
     rows = []
     for r in log.iter_kind("vision"):
@@ -254,7 +240,7 @@ def pixel_error(log: SimLog) -> tuple[SvgCanvas, list, list]:
         tb = r["tracks"]["ball"]
         rows.append((r["t"], tb["x"] - cx, tb["y"] - cy))
     if not rows:
-        raise MissingStreamError("vision")
+        raise ValueError("log contains no 'vision' records")
 
     c = SvgCanvas()
     ts = [r[0] for r in rows]
@@ -278,7 +264,7 @@ def phase_timeline(log: SimLog) -> tuple[SvgCanvas, list, list]:
     current = {d: ("idle", 0.0) for d in drones}
     transitions = list(log.iter_kind("phase"))
     if not transitions:
-        raise MissingStreamError("phase")
+        raise ValueError("log contains no 'phase' records")
     for r in transitions:
         phase, t0 = current[r["drone"]]
         bands[r["drone"]].append((phase, t0, r["t"]))

@@ -14,6 +14,7 @@ from skygrab.engine import (
     _filter_params,
     _Plant,
     monte_carlo,
+    outcome,
     replay_divergence,
     run_scenario,
     substream,
@@ -414,6 +415,17 @@ class TestTimeoutLabels:
             data["duration"] = duration
         rec = run_scenario(config_from_dict(data), detail=detail).verdict_record
         assert (rec["verdict"], rec["failure"], rec["t_end"]) == ("timeout", failure, t_end)
+
+    def test_engaged_log_without_grabber_raises_value_error(self, tmp_path):
+        p = tmp_path / "no_grabber.jsonl"
+        SimLog(
+            header={"config": {"drones": [{"id": "t", "role": "tracker"}]},
+                    "schema": "skygrab-log", "version": 1},
+            records=[{"kind": "phase", "t": 1.0, "drone": "t",
+                      "from": "approach_handoff", "to": "servo_ball"}],
+        ).write(p)
+        with pytest.raises(ValueError, match="^header config has no grabber$"):
+            outcome(SimLog.read(p))
 
 
 class TestMonteCarlo:
