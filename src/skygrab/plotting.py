@@ -307,7 +307,8 @@ def render_plot(kind: str, log: SimLog, out_path) -> tuple[str, str]:
     """Write the CSV sidecar, then the SVG; returns both paths.
 
     A log that lacks a field its plot kind reads, or holds one of the
-    wrong type, raises ValueError naming the kind (and the missing field).
+    wrong type or length, raises ValueError naming the kind (and the
+    missing field).
     """
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind '{kind}' (choose from {sorted(PLOT_KINDS)})")
@@ -319,7 +320,7 @@ def render_plot(kind: str, log: SimLog, out_path) -> tuple[str, str]:
         canvas, header, rows = PLOT_KINDS[kind](log)
     except KeyError as e:
         raise ValueError(f"{kind}: log is missing field {e}") from e
-    except TypeError as e:
+    except (TypeError, IndexError) as e:
         raise ValueError(f"{kind}: log field of the wrong type: {e}") from e
     write_csv(sidecar, header, rows)
     with open(svg, "w", encoding="utf-8") as fh:

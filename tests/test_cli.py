@@ -334,6 +334,20 @@ class TestPlot:
         assert main(["plot", "--kind", kind, "--log", str(p), "--out", str(tmp_path / "x.svg")]) == 1
         assert capsys.readouterr().err == f"error: {p}: {message}\n"
 
+    def test_drone_position_of_two_coordinates_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "flat.jsonl"
+        state = {"kind": "state", "t": 0.0, "target": {"p": [0.0, 0.0, 2.0]},
+                 "ball": {"p": [0.0, 0.0, 1.0]}, "drones": {"g": {"p": [0.0, 0.0]}}}
+        SimLog(header={"config": {"drones": [{"id": "g", "role": "grabber"}]},
+                       "schema": "skygrab-log", "version": 1},
+               records=[state, {"kind": "verdict", "verdict": "timeout"}]).write(p)
+        assert main(["plot", "--kind", "trajectory_3d", "--log", str(p),
+                     "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {p}: trajectory_3d: log field of the wrong type: tuple index out of range\n"
+        )
+
+
 class TestCheck:
     def test_valid_config_exits_0(self, capsys):
         assert main(["check", "--config", NOMINAL]) == 0
