@@ -98,12 +98,12 @@ def camera_position(observer: UavState, mount: CameraMount) -> Vec3:
     return (px + c * tx - s * ty, py + s * tx + c * ty, pz + tz)
 
 
-def point_depth(point_world, observer: UavState, mount: CameraMount) -> float:
-    """Depth of a world point along the optical axis (vehicle +x)."""
-    cam = camera_position(observer, mount)
-    dx = float(point_world[0]) - cam[0]
-    dy = float(point_world[1]) - cam[1]
-    fwd, _ = world_to_vehicle(dx, dy, observer.yaw)
+def point_depth(point_world, camera: Vec3, yaw: float) -> float:
+    """Depth of a world point along the optical axis (vehicle +x) of the
+    camera at ``camera``, from ``camera_position``, on a vehicle at yaw."""
+    dx = float(point_world[0]) - camera[0]
+    dy = float(point_world[1]) - camera[1]
+    fwd, _ = world_to_vehicle(dx, dy, yaw)
     return fwd
 
 

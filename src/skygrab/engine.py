@@ -360,6 +360,7 @@ class _Run:
             for name, cls in events:
                 self.event(t, name, d.id, {"cls": cls, "phase": d.agent.phase.value})
             if self.detail:
+                cp = cam.camera_position(uav, d.mount)
                 log.append(
                     {
                         "kind": "vision",
@@ -374,8 +375,8 @@ class _Run:
                             "ball": _track_record(d.percep.ball_track),
                         },
                         "selection": d.percep.active.value,
-                        "ball_depth": cam.point_depth(bp, uav, d.mount),
-                        "ball_range": math.dist(bp, cam.camera_position(uav, d.mount)),
+                        "ball_depth": cam.point_depth(bp, cp, uav.yaw),
+                        "ball_range": math.dist(bp, cp),
                     }
                 )
 

@@ -10,6 +10,7 @@ from skygrab.camera import (
     DetectionNoise,
     PixelGate,
     back_project,
+    camera_position,
     detection_probability,
     estimate_range,
     gate_below_drone,
@@ -52,14 +53,14 @@ class TestProject:
 
     def test_mount_translation_shifts_center(self):
         mount = CameraMount(translation=np.array([0.5, 0.0, 0.0]))
-        assert point_depth([3.0, 0.0, 0.0], obs(), mount) == pytest.approx(2.5)
+        assert point_depth([3.0, 0.0, 0.0], camera_position(obs(), mount), 0.0) == pytest.approx(2.5)
 
     def test_back_project_inverts_project(self):
         o = obs(x=1.0, y=-2.0, z=3.0, yaw=0.6)
         p = np.array([1.0 + 4.0 * math.cos(0.6), -2.0 + 4.0 * math.sin(0.6), 3.2])
         p += np.array([-0.3 * math.sin(0.6), 0.3 * math.cos(0.6), 0.0])  # slightly off axis
         x, y, _ = project(p, o, MOUNT, INTR)
-        depth = point_depth(p, o, MOUNT)
+        depth = point_depth(p, camera_position(o, MOUNT), o.yaw)
         assert np.allclose(back_project(x, y, depth, o, MOUNT, INTR), p, atol=1e-9)
 
 
