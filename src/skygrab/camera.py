@@ -99,8 +99,9 @@ def camera_position(observer: UavState, mount: CameraMount) -> Vec3:
 
 
 def point_depth(point_world, camera: Vec3, yaw: float) -> float:
-    """Depth of a world point along the optical axis (vehicle +x) of the
-    camera at ``camera``, from ``camera_position``, on a vehicle at yaw."""
+    """Depth of a world point along the optical axis (vehicle +x) of a
+    camera at ``camera``, as ``camera_position`` gives it, on a vehicle
+    at ``yaw``."""
     dx = float(point_world[0]) - camera[0]
     dy = float(point_world[1]) - camera[1]
     fwd, _ = world_to_vehicle(dx, dy, yaw)

@@ -454,6 +454,7 @@ class _Run:
         return self.nonfinite(t)
 
     def event(self, t: float, name: str, drone: str | None, data: dict) -> None:
+        """Log an event record; every event of a run is written here."""
         self.log.append({"kind": "event", "t": t, "event": name, "drone": drone, "data": data})
 
     def nonfinite(self, t: float) -> bool:
