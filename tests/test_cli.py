@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,8 @@ from skygrab import engine
 from skygrab.cli import main
 from skygrab.logs import SimLog
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 NOMINAL = str(CONFIGS / "nominal_static.yaml")
 
 
@@ -278,6 +282,14 @@ class TestPlot:
                      "--out", str(tmp_path / "x.svg")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
 
+    def test_non_utf8_log_exits_1_naming_it(self, tmp_path, capsys):
+        p = tmp_path / "latin1.jsonl"
+        p.write_bytes('{"schema": "caf\u00e9"}\n'.encode("latin-1"))
+        assert main(["plot", "--kind", "depth_profile", "--log", str(p),
+                     "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {p}: 'utf-8' codec can't decode")
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_log_header_without_config_exits_1(self, tmp_path, capsys):
         p = tmp_path / "bare.jsonl"
         SimLog(header={"schema": "skygrab-log", "version": 1},
@@ -368,3 +380,39 @@ class TestCheck:
         bad.write_bytes("target:\n  pattern: caf\u00e9\n".encode("latin-1"))
         assert main(["check", "--config", str(bad)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+
+
+class TestErrorExit:
+    """Each command, run as a program, turns a bad input into exit 1
+    and one error message, never a traceback."""
+
+    @staticmethod
+    def cli(*argv):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "skygrab.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+
+    @pytest.mark.parametrize("command", ["run", "mc", "plot", "check"])
+    def test_error_exits_1_with_one_message(self, tmp_path, command):
+        bad_config = tmp_path / "bad.yaml"
+        bad_config.write_text("world:\n  rod_length: -2.0\n")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        bad_log = tmp_path / "latin1.jsonl"
+        bad_log.write_bytes("caf\u00e9\n".encode("latin-1"))
+        bad_yaml = tmp_path / "unclosed.yaml"
+        bad_yaml.write_text("a: [1,\n")
+        argv = {
+            "run": ["run", "--config", NOMINAL, "--out", str(taken)],
+            "mc": ["mc", "--config", str(bad_config), "--runs", "1", "--out", str(tmp_path / "mc")],
+            "plot": ["plot", "--kind", "depth_profile", "--log", str(bad_log),
+                     "--out", str(tmp_path / "x.svg")],
+            "check": ["check", "--config", str(bad_yaml)],
+        }[command]
+        done = self.cli(*argv)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
