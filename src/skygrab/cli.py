@@ -29,20 +29,10 @@ def _fail(msg: str) -> int:
     return EXIT_USAGE
 
 
-def _file_error(path, e: OSError | UnicodeDecodeError) -> str:
-    """The message for a file or directory that cannot be read, decoded,
-    made or written."""
-    return f"{path}: {getattr(e, 'strerror', None) or e}"
-
-
 def _load(path: str):
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise ConfigError(f"{path}: no such config file")
-    try:
-        return load_config(p)
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(_file_error(path, e)) from e
+    return load_config(path)
 
 
 def _write_json(path: Path, obj):
@@ -85,55 +75,36 @@ def _export_timeseries(log: SimLog, path: Path):
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load(args.config)
-        if args.seed is not None:
-            cfg = cfg.with_seed(args.seed)
-    except ConfigError as e:
-        return _fail(str(e))
+    cfg = _load(args.config)
+    if args.seed is not None:
+        cfg = cfg.with_seed(args.seed)
     out = Path(args.out) / f"{Path(args.config).stem}-seed{cfg.seed}"
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        return _fail(_file_error(e.filename or out, e))
-
+    out.mkdir(parents=True, exist_ok=True)
     log = run_scenario(cfg)
     verdict = log.verdict_record
-    try:
-        log.write(out / "log.jsonl")
-        summary = {k: v for k, v in verdict.items() if k != "kind"}
-        _write_json(out / "summary.json", {**summary, "seed": cfg.seed})
-        _export_timeseries(log, out / "timeseries.csv")
-    except OSError as e:
-        return _fail(_file_error(e.filename or out, e))
+    log.write(out / "log.jsonl")
+    summary = {k: v for k, v in verdict.items() if k != "kind"}
+    _write_json(out / "summary.json", {**summary, "seed": cfg.seed})
+    _export_timeseries(log, out / "timeseries.csv")
     print(f"verdict: {verdict['verdict']}  (log in {out})")
     return EXIT_OK if verdict["verdict"] == "captured" else EXIT_MISSION_FAILED
 
 
 def cmd_montecarlo(args) -> int:
-    try:
-        cfg = _load(args.config)
-        seed_base = args.seed_base if args.seed_base is not None else cfg.seed
-        cfg = cfg.with_seed(seed_base)
-    except ConfigError as e:
-        return _fail(str(e))
+    cfg = _load(args.config)
+    seed_base = args.seed_base if args.seed_base is not None else cfg.seed
+    cfg = cfg.with_seed(seed_base)
     if args.runs < 1:
         return _fail("--runs must be >= 1")
     if args.jobs < 1:
         return _fail("--jobs must be >= 1")
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        return _fail(_file_error(e.filename or out, e))
+    out.mkdir(parents=True, exist_ok=True)
     summary = monte_carlo(cfg, args.runs, seed_base, n_jobs=args.jobs)
-    try:
-        write_csv(out / "verdicts.csv", RUN_FIELDS, [
-            ["" if r[f] is None else r[f] for f in RUN_FIELDS] for r in summary["runs"]
-        ])
-        _write_json(out / "mc_summary.json", summary)
-    except OSError as e:
-        return _fail(_file_error(e.filename or out, e))
+    write_csv(out / "verdicts.csv", RUN_FIELDS, [
+        ["" if r[f] is None else r[f] for f in RUN_FIELDS] for r in summary["runs"]
+    ])
+    _write_json(out / "mc_summary.json", summary)
     print(
         f"runs: {summary['n_runs']}  captured: {summary['captured']}  "
         f"success_rate: {summary['success_rate']:.3f}"
@@ -142,30 +113,20 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    path = Path(args.log)
-    if not path.exists():
-        return _fail(f"{args.log}: no such log file")
     try:
-        log = SimLog.read(path)
-    except (OSError, UnicodeDecodeError) as e:
-        return _fail(_file_error(args.log, e))
+        log = SimLog.read(args.log)
     except ValueError as e:  # includes json.JSONDecodeError
         return _fail(str(e))
     try:
         svg, sidecar = render_plot(args.kind, log, args.out)
     except ValueError as e:
         return _fail(f"{args.log}: {e}")
-    except OSError as e:
-        return _fail(_file_error(e.filename or args.out, e))
     print(f"wrote {svg} and {sidecar}")
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    try:
-        cfg = _load(args.config)
-    except ConfigError as e:
-        return _fail(str(e))
+    cfg = _load(args.config)
     roles = ", ".join(f"{d.id}({d.role})" for d in cfg.drones)
     print(f"ok: {args.config}  drones: {roles}  duration: {cfg.duration}s  seed: {cfg.seed}")
     return EXIT_OK
@@ -205,8 +166,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. A bad config, and a file or directory that cannot
+    be read or written, exit 1 here with one message; an OSError names
+    its file only when it carries one."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as e:
+        return _fail(str(e))
+    except OSError as e:
+        return _fail(f"{e.filename}: {e.strerror}" if e.filename is not None else str(e))
 
 
 if __name__ == "__main__":

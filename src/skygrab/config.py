@@ -391,5 +391,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
+    """Parse the YAML file at path. Raises ConfigError naming path for a
+    file that is not UTF-8, and OSError for one that cannot be read."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: {e}") from e
+    return parse_config(text)

@@ -71,11 +71,16 @@ class SimLog:
     @classmethod
     def read(cls, path) -> "SimLog":
         """Parse a log file. Raises ValueError naming the path, and the
-        line where it applies, for a line that is not JSON, a header
-        without a config mapping or a list of drones, or a record that is
-        not a mapping with a kind."""
+        line where it applies, for a file that is not UTF-8, a line that
+        is not JSON, a header without a config mapping or a list of
+        drones, or a record that is not a mapping with a kind; OSError
+        for a file that cannot be read."""
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [(n, line) for n, line in enumerate(fh.read().splitlines(), 1) if line.strip()]
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}: {e}") from None
+        lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
         if not lines:
             raise ValueError(f"{path}: empty log file")
         parsed = []

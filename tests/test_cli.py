@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -103,6 +104,14 @@ class TestRun:
         blocked.mkdir(parents=True)
         assert main(["run", "--config", NOMINAL, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {blocked}: ")
+
+    def test_os_error_without_a_filename_names_no_path(self, tmp_path, capsys, monkeypatch):
+        def disk_full(log, path):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(SimLog, "write", disk_full)
+        assert main(["run", "--config", NOMINAL, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
     def test_seed_override_changes_output_dir_and_log(self, tmp_path):
         assert main(["run", "--config", NOMINAL, "--seed", "9", "--out", str(tmp_path)]) == 0
