@@ -377,8 +377,9 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return cfg
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse a YAML scenario document; empty input yields the baseline."""
+def parse_config(text) -> ScenarioConfig:
+    """Parse a YAML scenario document, a string or an open text file;
+    empty input yields the baseline."""
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as e:
@@ -391,11 +392,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse the YAML file at path. Raises ConfigError naming path for a
-    file that is not UTF-8, and OSError for one that cannot be read."""
+    """Parse the YAML file at path; a syntax error names the file. Raises
+    ConfigError naming path for a file that is not UTF-8, and OSError for
+    one that cannot be read."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            return parse_config(fh)
         except UnicodeDecodeError as e:
             raise ConfigError(f"{path}: {e}") from e
-    return parse_config(text)

@@ -84,6 +84,14 @@ class TestParseConfig:
             parse_config("seed: [unclosed\n")
         assert "YAML" in str(e.value)
 
+    def test_yaml_syntax_error_names_the_file(self, tmp_path):
+        bad = tmp_path / "unclosed.yaml"
+        bad.write_text("a: [1,\n")
+        with pytest.raises(ConfigError) as e:
+            load_config(bad)
+        assert f'in "{bad}", line 2, column 1' in str(e.value)
+        assert "<unicode string>" not in str(e.value)
+
     def test_non_mapping_document_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("- 1\n- 2\n")
