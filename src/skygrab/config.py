@@ -169,7 +169,7 @@ ROLES = ("grabber", "tracker")
 @dataclass
 class DroneConfig:
     id: str = spec("grabber", "label")
-    role: str = "grabber"  # one of ROLES; checked with the roster in config_from_dict
+    role: str = spec("grabber", "choice", options=ROLES)
     start: list = vector(-14.0, -6.0, 0.0)
     yaw: float = real(0.0)
     tau: float = positive(0.4)
@@ -355,7 +355,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     ids = [d.id for d in cfg.drones]
     _require(len(set(ids)) == len(ids), "drones", "drone ids must be unique")
     for i, d in enumerate(cfg.drones):
-        _require(d.role in ROLES, f"drones[{i}].role", "must be grabber or tracker")
         c = d.camera
         _require(c.p_det_far >= c.p_det_near, f"drones[{i}].camera.p_det_far", "must be >= p_det_near")
 

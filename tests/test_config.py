@@ -73,6 +73,11 @@ class TestParseConfig:
                 "drones:\n  - {id: a, role: grabber}\n  - {id: b, role: grabber}\n"
             )
 
+    def test_role_typo_is_named_on_the_drone(self):
+        with pytest.raises(ConfigError) as e:
+            parse_config("drones:\n  - {id: g, role: grabbr}\n")
+        assert str(e.value) == "drones[0].role: must be one of grabber, tracker"
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigError):
             parse_config(
