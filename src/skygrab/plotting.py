@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 
 from .logs import SimLog
 
@@ -148,6 +149,19 @@ _PHASE_COLORS = {
 }
 
 
+class _Unplottable(ValueError):
+    """Log content that a plot kind cannot draw; render_plot names the kind."""
+
+
+def _finite(header: list, rows: list):
+    """Raise _Unplottable for a number in rows that is not finite: a log
+    may hold Infinity or NaN, and no axis can place either."""
+    for row in rows:
+        for name, v in zip(header, row):
+            if isinstance(v, (int, float)) and not abs(v) <= sys.float_info.max:
+                raise _Unplottable(f"log holds a non-finite {name}: {v}")
+
+
 def write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -165,16 +179,23 @@ def depth_profile(log: SimLog) -> tuple[SvgCanvas, list, list]:
     gid = log.grabber["id"]
     verdict = log.verdict_record
     t_cap = verdict["t_capture"] if verdict else None
+    _finite(["t_capture"], [(t_cap,)])
+    vision = [r for r in log.iter_kind("vision") if r["drone"] == gid]
+    if not vision:
+        raise _Unplottable("log contains no 'vision' records")
     rows = []
-    for r in log.iter_kind("vision"):
-        if r["drone"] != gid or r["ball_depth"] <= 0.0:
+    for r in vision:
+        if r["ball_depth"] <= 0.0:
             continue
         if t_cap is not None and r["t"] > t_cap:
             continue
         est = r["tracks"]["ball"]["r"] if r["tracks"]["ball"]["status"] != "uninitialized" else ""
         rows.append((r["t"], r["ball_depth"], est))
     if not rows:
-        raise ValueError("log contains no 'vision' records")
+        raise _Unplottable("the ball is never in front of the grabber's camera"
+                           + (" before capture" if t_cap is not None else ""))
+    header = ["t", "ball_depth_true", "ball_range_estimate"]
+    _finite(header, rows)
 
     c = SvgCanvas()
     ts = [r[0] for r in rows]
@@ -189,7 +210,7 @@ def depth_profile(log: SimLog) -> tuple[SvgCanvas, list, list]:
     c.text(ax.x1 - 8, ax.y0 + 14, "true depth", size=10, anchor="end", color=_COLORS[0])
     if t_cap is not None:
         ax.vline(t_cap, label="capture")
-    return c, ["t", "ball_depth_true", "ball_range_estimate"], rows
+    return c, header, rows
 
 
 def trajectory_3d(log: SimLog) -> tuple[SvgCanvas, list, list]:
@@ -202,9 +223,11 @@ def trajectory_3d(log: SimLog) -> tuple[SvgCanvas, list, list]:
         series.setdefault("target", []).append((r["t"], *r["target"]["p"]))
         series.setdefault("ball", []).append((r["t"], *r["ball"]["p"]))
     if not series:
-        raise ValueError("log contains no 'state' records")
+        raise _Unplottable("log contains no 'state' records")
     for name, pts in sorted(series.items()):
         rows.extend((name, *p) for p in pts)
+    header = ["entity", "t", "x", "y", "z"]
+    _finite(header, rows)
 
     cos30, sin30 = math.cos(math.pi / 6), math.sin(math.pi / 6)
 
@@ -225,7 +248,7 @@ def trajectory_3d(log: SimLog) -> tuple[SvgCanvas, list, list]:
         color = _COLORS[i % len(_COLORS)]
         ax.plot([u for u, _ in uv], [v for _, v in uv], color)
         c.text(ax.x1 - 8, ax.y0 + 14 * (i + 1), name, size=10, anchor="end", color=color)
-    return c, ["entity", "t", "x", "y", "z"], rows
+    return c, header, rows
 
 
 def pixel_error(log: SimLog) -> tuple[SvgCanvas, list, list]:
@@ -233,14 +256,18 @@ def pixel_error(log: SimLog) -> tuple[SvgCanvas, list, list]:
     grabber = log.grabber
     gid, intr = grabber["id"], grabber["camera"]
     cx, cy = intr["width"] / 2.0, intr["height"] / 2.0
+    vision = [r for r in log.iter_kind("vision") if r["drone"] == gid]
+    if not vision:
+        raise _Unplottable("log contains no 'vision' records")
     rows = []
-    for r in log.iter_kind("vision"):
-        if r["drone"] != gid or r["tracks"]["ball"]["status"] == "uninitialized":
-            continue
+    for r in vision:
         tb = r["tracks"]["ball"]
-        rows.append((r["t"], tb["x"] - cx, tb["y"] - cy))
+        if tb["status"] != "uninitialized":
+            rows.append((r["t"], tb["x"] - cx, tb["y"] - cy))
     if not rows:
-        raise ValueError("log contains no 'vision' records")
+        raise _Unplottable("the grabber never tracked the ball")
+    header = ["t", "x_error_px", "y_error_px"]
+    _finite(header, rows)
 
     c = SvgCanvas()
     ts = [r[0] for r in rows]
@@ -252,7 +279,7 @@ def pixel_error(log: SimLog) -> tuple[SvgCanvas, list, list]:
     ax.plot(ts, [r[2] for r in rows], _COLORS[1])
     c.text(ax.x1 - 8, ax.y0 + 14, "x - W/2", size=10, anchor="end", color=_COLORS[0])
     c.text(ax.x1 - 8, ax.y0 + 28, "y - H/2", size=10, anchor="end", color=_COLORS[1])
-    return c, ["t", "x_error_px", "y_error_px"], rows
+    return c, header, rows
 
 
 def phase_timeline(log: SimLog) -> tuple[SvgCanvas, list, list]:
@@ -264,7 +291,7 @@ def phase_timeline(log: SimLog) -> tuple[SvgCanvas, list, list]:
     current = {d: ("idle", 0.0) for d in drones}
     transitions = list(log.iter_kind("phase"))
     if not transitions:
-        raise ValueError("log contains no 'phase' records")
+        raise _Unplottable("log contains no 'phase' records")
     for r in transitions:
         phase, t0 = current[r["drone"]]
         bands[r["drone"]].append((phase, t0, r["t"]))
@@ -272,6 +299,8 @@ def phase_timeline(log: SimLog) -> tuple[SvgCanvas, list, list]:
     for d, (phase, t0) in current.items():
         bands[d].append((phase, t0, t_end if t_end is not None else t0))
     rows = [(d, *b) for d in drones for b in bands[d]]
+    header = ["drone", "phase", "t_start", "t_end"]
+    _finite(header, rows)
 
     c = SvgCanvas(height=120 + 70 * len(drones))
     tmax = max(b[2] for d in drones for b in bands[d])
@@ -292,7 +321,7 @@ def phase_timeline(log: SimLog) -> tuple[SvgCanvas, list, list]:
         y = ax.y1 + 38 + 12 * (j // 5)
         c.rect(x, y - 8, 9, 9, fill=color, stroke="#666")
         c.text(x + 12, y, phase, size=8)
-    return c, ["drone", "phase", "t_start", "t_end"], rows
+    return c, header, rows
 
 
 PLOT_KINDS = {
@@ -306,9 +335,10 @@ PLOT_KINDS = {
 def render_plot(kind: str, log: SimLog, out_path) -> tuple[str, str]:
     """Write the CSV sidecar, then the SVG; returns both paths.
 
-    A log that lacks a field its plot kind reads, or holds one of the
-    wrong type or length, raises ValueError naming the kind (and the
-    missing field).
+    A log that lacks a field its plot kind reads, holds one of the wrong
+    type or length, holds a plotted number that is not finite, or holds
+    nothing the kind can draw raises ValueError naming the kind, and no
+    file is written.
     """
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind '{kind}' (choose from {sorted(PLOT_KINDS)})")
@@ -322,6 +352,8 @@ def render_plot(kind: str, log: SimLog, out_path) -> tuple[str, str]:
         raise ValueError(f"{kind}: log is missing field {e}") from e
     except (TypeError, IndexError) as e:
         raise ValueError(f"{kind}: log field of the wrong type: {e}") from e
+    except _Unplottable as e:
+        raise ValueError(f"{kind}: {e}") from None
     write_csv(sidecar, header, rows)
     with open(svg, "w", encoding="utf-8") as fh:
         fh.write(canvas.render())

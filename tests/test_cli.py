@@ -2,6 +2,7 @@ import csv
 import errno
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -210,6 +211,25 @@ class TestMonteCarlo:
         )
 
 
+def _set_plotted_value(records, kind, value):
+    """Set one value that a nominal_static log's plot of ``kind`` draws;
+    returns the sidecar column that holds it."""
+    if kind == "trajectory_3d":
+        state = next(r for r in records if r["kind"] == "state")
+        state["drones"]["grabber"]["p"][0] = value
+        return "x"
+    if kind == "phase_timeline":
+        next(r for r in records if r["kind"] == "phase")["t"] = value
+        return "t_end"
+    vision = [r for r in records if r["kind"] == "vision"]
+    if kind == "depth_profile":
+        next(r for r in vision if r["ball_depth"] > 0.0)["ball_depth"] = value
+        return "ball_depth_true"
+    tracked = next(r for r in vision if r["tracks"]["ball"]["status"] != "uninitialized")
+    tracked["tracks"]["ball"]["x"] = value
+    return "x_error_px"
+
+
 class TestPlot:
     @pytest.mark.parametrize("kind", ["depth_profile", "trajectory_3d", "pixel_error", "phase_timeline"])
     def test_each_kind_writes_svg_and_sidecar(self, run_dir, tmp_path, kind):
@@ -275,6 +295,49 @@ class TestPlot:
                      "--out", str(tmp_path / "x.svg")])
         assert code == 1
         assert "vision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("kind", ["depth_profile", "trajectory_3d", "pixel_error", "phase_timeline"])
+    def test_non_finite_plotted_value_exits_1_naming_kind(self, run_dir, tmp_path, capsys, kind, value):
+        log = SimLog.read(run_dir / "log.jsonl")
+        column = _set_plotted_value(log.records, kind, value)
+        p = tmp_path / "nonfinite.jsonl"
+        log.write(p)
+        assert main(["plot", "--kind", kind, "--log", str(p), "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {kind}: log holds a non-finite {column}: {value}\n"
+        assert list(tmp_path.iterdir()) == [p]
+
+    @pytest.fixture(scope="class")
+    def untracked_log(self, tmp_path_factory):
+        """A detailed nominal_static log that ends before the grabber
+        tracks the ball."""
+        out = tmp_path_factory.mktemp("short")
+        cfgp = out / "short.yaml"
+        cfgp.write_text(
+            (CONFIGS / "nominal_static.yaml").read_text().replace("duration: 60.0", "duration: 2.0")
+        )
+        assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 2
+        return out / "short-seed1" / "log.jsonl"
+
+    def test_ball_never_tracked_is_named(self, untracked_log, tmp_path, capsys):
+        assert any(r["kind"] == "vision" for r in SimLog.read(untracked_log).records)
+        assert main(["plot", "--kind", "pixel_error", "--log", str(untracked_log),
+                     "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {untracked_log}: pixel_error: the grabber never tracked the ball\n"
+        )
+
+    def test_ball_never_in_front_of_the_camera_is_named(self, untracked_log, tmp_path, capsys):
+        log = SimLog.read(untracked_log)
+        for r in log.iter_kind("vision"):
+            r["ball_depth"] = -1.0
+        p = tmp_path / "behind.jsonl"
+        log.write(p)
+        assert main(["plot", "--kind", "depth_profile", "--log", str(p),
+                     "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {p}: depth_profile: the ball is never in front of the grabber's camera\n"
+        )
 
     def test_out_in_a_missing_directory_exits_1_naming_it(self, run_dir, tmp_path, capsys):
         out = tmp_path / "missing" / "fig"
