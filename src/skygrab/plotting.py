@@ -16,6 +16,10 @@ import sys
 from .logs import SimLog
 
 
+class _Unplottable(ValueError):
+    """Log content that a plot kind cannot draw; render_plot names the kind."""
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -96,6 +100,9 @@ class Axes:
         ml, mr, mt, mb = self.MARGIN
         self.x0, self.y0 = ml, mt
         self.x1, self.y1 = canvas.width - mr, canvas.height - mb
+        for lo, hi in (xlim, ylim):
+            if not abs(hi - lo) <= sys.float_info.max:
+                raise _Unplottable("log holds values too large to plot")
         self.xlim = xlim if xlim[1] > xlim[0] else (xlim[0], xlim[0] + 1.0)
         self.ylim = ylim if ylim[1] > ylim[0] else (ylim[0], ylim[0] + 1.0)
         self._frame(title, xlabel, ylabel)
@@ -147,10 +154,6 @@ _PHASE_COLORS = {
     "done": "#31a354",
     "failed": "#de2d26",
 }
-
-
-class _Unplottable(ValueError):
-    """Log content that a plot kind cannot draw; render_plot names the kind."""
 
 
 def _finite(header: list, rows: list):

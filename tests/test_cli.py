@@ -307,6 +307,16 @@ class TestPlot:
         assert capsys.readouterr().err == f"error: {p}: {kind}: log holds a non-finite {column}: {value}\n"
         assert list(tmp_path.iterdir()) == [p]
 
+    @pytest.mark.parametrize("kind", ["depth_profile", "pixel_error"])
+    def test_axis_range_overflow_exits_1_naming_kind(self, run_dir, tmp_path, capsys, kind):
+        log = SimLog.read(run_dir / "log.jsonl")
+        _set_plotted_value(log.records, kind, 1.79e308)  # finite; its axis margin is not
+        p = tmp_path / "huge.jsonl"
+        log.write(p)
+        assert main(["plot", "--kind", kind, "--log", str(p), "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {kind}: log holds values too large to plot\n"
+        assert list(tmp_path.iterdir()) == [p]
+
     @pytest.fixture(scope="class")
     def untracked_log(self, tmp_path_factory):
         """A detailed nominal_static log that ends before the grabber
