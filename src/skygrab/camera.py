@@ -13,12 +13,11 @@ degrading on small, distant objects.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Vec3, world_to_vehicle
+from .frames import Vec3, body_to_world, world_to_body
 from .world import UavState
 
 
@@ -92,20 +91,14 @@ class PixelGate:
 
 def camera_position(observer: UavState, mount: CameraMount) -> Vec3:
     """World position of the optical center."""
-    tx, ty, tz = mount.translation
-    px, py, pz = observer.position
-    c, s = math.cos(observer.yaw), math.sin(observer.yaw)
-    return (px + c * tx - s * ty, py + s * tx + c * ty, pz + tz)
+    return body_to_world(observer.position, observer.yaw, mount.translation)
 
 
 def point_depth(point_world, camera: Vec3, yaw: float) -> float:
     """Depth of a world point along the optical axis (vehicle +x) of a
     camera at ``camera``, as ``camera_position`` gives it, on a vehicle
     at ``yaw``."""
-    dx = float(point_world[0]) - camera[0]
-    dy = float(point_world[1]) - camera[1]
-    fwd, _ = world_to_vehicle(dx, dy, yaw)
-    return fwd
+    return world_to_body(point_world, camera, yaw)[0]
 
 
 def project(
@@ -120,15 +113,11 @@ def project(
     Returns None for points at or behind the camera plane and for
     projections falling outside the image bounds.
     """
-    cam = camera_position(observer, mount)
-    dx = float(point_world[0]) - cam[0]
-    dy = float(point_world[1]) - cam[1]
-    dz = float(point_world[2]) - cam[2]
-    fwd, left = world_to_vehicle(dx, dy, observer.yaw)
+    fwd, left, up = world_to_body(point_world, camera_position(observer, mount), observer.yaw)
     if fwd <= 0.0:
         return None
     x = intr.cx + intr.focal_px * (-left) / fwd
-    y = intr.cy + intr.focal_px * (-dz) / fwd
+    y = intr.cy + intr.focal_px * (-up) / fwd
     if not (0.0 <= x <= intr.width and 0.0 <= y <= intr.height):
         return None
     return x, y, fwd
@@ -146,9 +135,7 @@ def back_project(
     project under the flat-box depth convention)."""
     left = -(x - intr.cx) * depth / intr.focal_px
     up = -(y - intr.cy) * depth / intr.focal_px
-    c, s = math.cos(observer.yaw), math.sin(observer.yaw)
-    cx, cy, cz = camera_position(observer, mount)
-    return (cx + c * depth - s * left, cy + s * depth + c * left, cz + up)
+    return body_to_world(camera_position(observer, mount), observer.yaw, (depth, left, up))
 
 
 def detection_probability(depth: float, noise: DetectionNoise) -> float:

@@ -27,12 +27,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import camera as cam
-from .frames import Vec3, wrap_angle
+from .frames import Vec3, body_to_world, world_to_body
 from .camera import CameraIntrinsics, CameraMount, DetectionClass
 from .config import CaptureConfig, ChannelConfig, LimitsConfig, MissionConfig
 from .guidance import (
     ExplorePlan,
     GuidanceGains,
+    bearing_error,
     explore_command,
     goto_command,
     lawnmower_waypoints,
@@ -133,10 +134,7 @@ class Channel:
 
 def gripper_point(uav: UavState, capture: CaptureConfig) -> Vec3:
     """World position of the capture reference point."""
-    c, s = math.cos(uav.yaw), math.sin(uav.yaw)
-    ox, oy, oz = capture.gripper_offset
-    px, py, pz = uav.position
-    return (px + c * ox - s * oy, py + s * ox + c * oy, pz + oz)
+    return body_to_world(uav.position, uav.yaw, capture.gripper_offset)
 
 
 def grab_detect(ball_pos, ball_vel, uav: UavState, capture: CaptureConfig) -> bool:
@@ -151,8 +149,7 @@ def grab_detect(ball_pos, ball_vel, uav: UavState, capture: CaptureConfig) -> bo
     if dist > capture.radius:
         return False
     if dist > 1e-9:
-        c, s = math.cos(uav.yaw), math.sin(uav.yaw)
-        cos_ang = ((ball_pos[0] - gp[0]) * c + (ball_pos[1] - gp[1]) * s) / dist
+        cos_ang = world_to_body(ball_pos, gp, uav.yaw)[0] / dist
         if cos_ang < math.cos(math.radians(capture.cone_half_angle_deg)) - 1e-12:
             return False
     return math.dist(ball_vel, uav.velocity) <= capture.max_rel_speed
@@ -197,15 +194,17 @@ class DroneAgent:
         """One control tick; returns (command, message or None).
 
         Remembers the target, folds the inbox, holds still once terminal,
-        fails out past the mission budget, and otherwise runs the handler
-        that ``POLICIES`` holds for this role and phase. ``grab_flag`` says
-        the ball is in the basket: the engine's contact check tells the
-        grabber, a ``GRAB_CONFIRMED`` in the inbox tells the tracker.
+        fails out past the mission budget, ends the mission on a
+        ``GRAB_CONFIRMED`` in a phase with a DONE edge, and otherwise runs
+        the handler that ``POLICIES`` holds for this role and phase.
+        ``grab_flag`` is the engine's contact check: the ball is in this
+        drone's basket.
         """
         self._remember_target(percep, uav, t)
+        confirmed = False
         for m in inbox:
             if m.kind is MessageKind.GRAB_CONFIRMED:
-                grab_flag = True
+                confirmed = True
             elif m.t_sent > self.latest_sighting_t:
                 self.latest_sighting = m.position
                 self.latest_sighting_t = m.t_sent
@@ -214,6 +213,8 @@ class DroneAgent:
         budget = self.settings.mission_budget
         if budget is not None and t > budget:
             return _hold(self, MissionPhase.FAILED)
+        if confirmed and MissionPhase.DONE in PHASE_GRAPHS[self.role][self.phase]:
+            return _hold(self, MissionPhase.DONE)
         return POLICIES[self.role][self.phase](self, percep, uav, grab_flag, t)
 
     def _remember_target(self, percep, uav, t):
@@ -270,8 +271,8 @@ def _search_cmd(agent, percep, uav, t) -> VelocityCommand:
 
 
 def _reacquire_phase(agent) -> MissionPhase:
-    """Where a grabber that lost the ball goes: to the communicated
-    position when it has one, else back to its own exploration."""
+    """Where a grabber without a ball track goes: to the communicated
+    position when it has one, else to its own exploration."""
     if agent.collaborative and agent.latest_sighting is not None:
         return MissionPhase.APPROACH_HANDOFF
     return MissionPhase.EXPLORE
@@ -287,8 +288,6 @@ def _tracker_idle(agent, percep, uav, grab_flag, t):
 
 
 def _tracker_takeoff(agent, percep, uav, grab_flag, t):
-    if grab_flag:
-        return _hold(agent, MissionPhase.DONE)
     if _at_altitude(agent, uav):
         agent.phase = MissionPhase.EXPLORE
         return _search_cmd(agent, percep, uav, t), None
@@ -296,8 +295,6 @@ def _tracker_takeoff(agent, percep, uav, grab_flag, t):
 
 
 def _tracker_explore(agent, percep, uav, grab_flag, t):
-    if grab_flag:
-        return _hold(agent, MissionPhase.DONE)
     ball = percep.ball_track
     if ball.status is TrackStatus.TRACKING:
         agent.phase = MissionPhase.TRACK_DRONE
@@ -308,8 +305,6 @@ def _tracker_explore(agent, percep, uav, grab_flag, t):
 def _tracker_track(agent, percep, uav, grab_flag, t):
     """Hold the standoff on the ball and broadcast sightings; explore
     again once the track is gone."""
-    if grab_flag:
-        return _hold(agent, MissionPhase.DONE)
     st, ball = agent.settings, percep.ball_track
     if ball.status is TrackStatus.UNINITIALIZED:
         agent.phase = MissionPhase.EXPLORE
@@ -336,7 +331,7 @@ def _grabber_idle(agent, percep, uav, grab_flag, t):
 
 def _grabber_takeoff(agent, percep, uav, grab_flag, t):
     if _at_altitude(agent, uav):
-        return _hold(agent, MissionPhase.APPROACH_HANDOFF if agent.collaborative else MissionPhase.EXPLORE)
+        return _hold(agent, _reacquire_phase(agent))
     return _takeoff_cmd(agent, uav), None
 
 
@@ -359,12 +354,8 @@ def _grabber_approach(agent, percep, uav, grab_flag, t):
     if math.dist(goal, uav.position) > st.arrival_radius:
         cmd = goto_command(goal, uav, st.approach_speed, st.yaw_gain)
     else:
-        bearing_err = 0.0
-        dx, dy = goal[0] - uav.position[0], goal[1] - uav.position[1]
-        if abs(dx) + abs(dy) > 1e-9:
-            bearing_err = wrap_angle(math.atan2(dy, dx) - uav.yaw)
         fresh = t - agent.latest_sighting_t < 1.0
-        yaw_rate = st.yaw_gain * bearing_err if fresh else st.scan_yaw_rate
+        yaw_rate = st.yaw_gain * bearing_error(goal, uav) if fresh else st.scan_yaw_rate
         cmd = VelocityCommand(
             vz=min(max(1.0 * (goal[2] - uav.position[2]), -st.land_speed), st.land_speed),
             yaw_rate=yaw_rate,

@@ -1,4 +1,4 @@
-"""Shared frame conventions and angle helpers.
+"""Shared frame conventions, the transforms between them, and angle helpers.
 
 World frame is ENU (x east, y north, z up). Vehicle frame is FLU
 (x forward, y left, z up) and is related to world by yaw alone: the
@@ -25,7 +25,17 @@ def vehicle_to_world(x: float, y: float, yaw: float) -> tuple[float, float]:
     return c * x - s * y, s * x + c * y
 
 
-def world_to_vehicle(x: float, y: float, yaw: float) -> tuple[float, float]:
-    """Rotate a horizontal world-frame vector into the vehicle frame."""
+def body_to_world(origin: Vec3, yaw: float, offset: Vec3) -> Vec3:
+    """World position of a point at ``offset`` in the FLU frame of a
+    vehicle at ``origin`` and ``yaw``."""
     c, s = math.cos(yaw), math.sin(yaw)
-    return c * x + s * y, -s * x + c * y
+    ox, oy, oz = offset
+    return (origin[0] + c * ox - s * oy, origin[1] + s * ox + c * oy, origin[2] + oz)
+
+
+def world_to_body(point: Vec3, origin: Vec3, yaw: float) -> Vec3:
+    """FLU coordinates of a world point relative to a vehicle at
+    ``origin`` and ``yaw``: the inverse of ``body_to_world``."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    dx, dy = point[0] - origin[0], point[1] - origin[1]
+    return (c * dx + s * dy, -s * dx + c * dy, point[2] - origin[2])

@@ -178,6 +178,16 @@ def explore_command(
     return VelocityCommand(vx=s * dx, vy=s * dy, vz=s * dz, yaw_rate=yaw_gain * yaw_err)
 
 
+def bearing_error(goal: Vec3, state: UavState) -> float:
+    """Yaw that turns the nose to face ``goal`` in the horizontal plane;
+    0 when the goal is straight above or below."""
+    dx = goal[0] - state.position[0]
+    dy = goal[1] - state.position[1]
+    if abs(dx) + abs(dy) > 1e-9:
+        return wrap_angle(math.atan2(dy, dx) - state.yaw)
+    return 0.0
+
+
 def goto_command(
     target: Vec3,
     state: UavState,
@@ -189,10 +199,7 @@ def goto_command(
     dy = target[1] - state.position[1]
     dz = target[2] - state.position[2]
     dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if abs(dx) + abs(dy) > 1e-9:
-        yaw_err = wrap_angle(math.atan2(dy, dx) - state.yaw)
-    else:
-        yaw_err = 0.0
+    yaw_err = bearing_error(target, state)
     if dist < 1e-9:
         return VelocityCommand(yaw_rate=yaw_gain * yaw_err)
     s = min(speed, dist) / dist

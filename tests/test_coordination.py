@@ -245,10 +245,12 @@ class TestTrackerFsm:
         assert msg.position == cam.back_project(x, y, track.range, uav, agent.mount, agent.intr)
 
     def test_grab_confirmed_finishes_within_one_tick(self):
-        agent = make_agent("tracker")
-        agent.phase = MissionPhase.TRACK_DRONE
-        _, _, change = step(agent, tracking_ball(make_percep()), make_uav(), [confirmation()], False, 9.1)
-        assert change == (MissionPhase.TRACK_DRONE, MissionPhase.DONE)
+        for phase in (MissionPhase.TAKEOFF, MissionPhase.EXPLORE, MissionPhase.TRACK_DRONE):
+            agent = make_agent("tracker")
+            agent.phase = phase
+            percep = tracking_ball(make_percep())
+            _, _, change = step(agent, percep, make_uav(), [confirmation()], False, 9.1)
+            assert change == (phase, MissionPhase.DONE)
 
     def test_grab_confirmed_ignored_while_idle(self):
         agent = make_agent("tracker")
@@ -275,6 +277,8 @@ class TestGrabberFsm:
         agent = make_agent("grabber", collaborative=False)
         _, _, change = step(agent, make_percep(), make_uav(z=0.0), [], False, 0.0)
         assert change == (MissionPhase.IDLE, MissionPhase.TAKEOFF)
+        _, _, change = step(agent, make_percep(), make_uav(z=3.5), [], False, 1.0)
+        assert change == (MissionPhase.TAKEOFF, MissionPhase.EXPLORE)
 
     def test_sighting_triggers_takeoff_then_approach(self):
         agent = make_agent("grabber")

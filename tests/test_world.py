@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skygrab import world
-from skygrab.camera import CameraMount, camera_position
+from skygrab.camera import CameraIntrinsics, CameraMount, back_project, camera_position
 from skygrab.config import CaptureConfig, LimitsConfig
 from skygrab.coordination import gripper_point
-from skygrab.frames import wrap_angle
+from skygrab.frames import body_to_world, world_to_body, wrap_angle
 from skygrab.world import (
     BallParams,
     BallState,
@@ -503,7 +503,11 @@ def _three_vectors():
     out["ball_world_velocity"] = ball_world_velocity((0.5, 0.0, 0.0), ball, 1.5)
     wind = OrnsteinUhlenbeckWind(mean=(0.1, 0.0, 0.0), sigma=0.3, rng=np.random.default_rng(0))
     out["wind_step"] = wind.step(DT)
-    out["camera_position"] = camera_position(uav, CameraMount((0.4, 0.1, -0.1)))
+    mount = CameraMount((0.4, 0.1, -0.1))
+    out["camera_position"] = camera_position(uav, mount)
+    out["back_project"] = back_project(300.0, 250.0, 4.0, uav, mount, CameraIntrinsics())
+    out["body_to_world"] = body_to_world(uav.position, uav.yaw, (0.4, 0.1, -0.1))
+    out["world_to_body"] = world_to_body((2.0, -1.0, 4.0), uav.position, uav.yaw)
     out["gripper_point"] = gripper_point(uav, CaptureConfig())
     return out
 
