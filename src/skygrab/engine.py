@@ -287,9 +287,9 @@ def _message_record(msg, t: float, status: str) -> dict:
 
 
 def outcome(log: SimLog) -> tuple[str, float | None, str | None]:
-    """A run's ``(verdict, t_capture, failure)``, read from the header's
-    config and the phase and event records, which lean logs keep too."""
-    cfg = log.header["config"]
+    """A run's ``(verdict, t_capture, failure)``, read from the grabber's
+    id in the header and the phase and event records, which lean logs
+    keep too."""
     events = log.events()
     capture = next((r for r in events if r["event"] == "capture"), None)
     if capture is not None:
@@ -305,7 +305,7 @@ def outcome(log: SimLog) -> tuple[str, float | None, str | None]:
         for r in events
     ):
         return "timeout", None, "terminal_track_loss"
-    return "timeout", None, "wind_displacement" if cfg["world"]["wind"]["enabled"] else "other"
+    return "timeout", None, "other"
 
 
 class _Run:

@@ -396,20 +396,21 @@ class TestMissionBudget:
 
 
 class TestTimeoutLabels:
-    # (config, seed, duration or None for the shipped one, failure, t_end):
-    # one run for each label a timeout can carry.
+    # case: (config, seed, duration or None for the shipped one, failure,
+    # t_end): at least one run for each label a timeout can carry.
     CASES = {
-        "never_engaged": ("default", 1000, 5.0, 5.0),
+        "never_engaged": ("default", 1000, 5.0, "never_engaged", 5.0),
         # SERVO_BALL is entered at 16.2 s; the capture comes at 23.93 s.
-        "wind_displacement": ("default", 1000, 20.1, 20.1),
-        "other": ("nominal_static", 1, 10.4, 10.4),
-        "terminal_track_loss": ("single_moving", 1011, None, 120.0),
+        # The wind is on, which labels nothing: a label rests on evidence.
+        "other_wind": ("default", 1000, 20.1, "other", 20.1),
+        "other": ("nominal_static", 1, 10.4, "other", 10.4),
+        "terminal_track_loss": ("single_moving", 1011, None, "terminal_track_loss", 120.0),
     }
 
     @pytest.mark.parametrize("detail", [False, True])
-    @pytest.mark.parametrize("failure", sorted(CASES))
-    def test_timeout_label(self, failure, detail):
-        name, seed, duration, t_end = self.CASES[failure]
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_timeout_label(self, case, detail):
+        name, seed, duration, failure, t_end = self.CASES[case]
         data = load_config(CONFIGS / f"{name}.yaml").with_seed(seed).to_dict()
         if duration is not None:
             data["duration"] = duration
