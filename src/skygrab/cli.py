@@ -29,12 +29,6 @@ def _fail(msg: str) -> int:
     return EXIT_USAGE
 
 
-def _load(path: str):
-    if not Path(path).exists():
-        raise ConfigError(f"{path}: no such config file")
-    return load_config(path)
-
-
 def _write_json(path: Path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
@@ -75,7 +69,7 @@ def _export_timeseries(log: SimLog, path: Path):
 
 
 def cmd_run(args) -> int:
-    cfg = _load(args.config)
+    cfg = load_config(args.config)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     out = Path(args.out) / f"{Path(args.config).stem}-seed{cfg.seed}"
@@ -91,7 +85,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    cfg = _load(args.config)
+    cfg = load_config(args.config)
     seed_base = args.seed_base if args.seed_base is not None else cfg.seed
     cfg = cfg.with_seed(seed_base)
     if args.runs < 1:
@@ -126,7 +120,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _load(args.config)
+    cfg = load_config(args.config)
     roles = ", ".join(f"{d.id}({d.role})" for d in cfg.drones)
     print(f"ok: {args.config}  drones: {roles}  duration: {cfg.duration}s  seed: {cfg.seed}")
     return EXIT_OK

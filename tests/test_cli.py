@@ -70,8 +70,10 @@ class TestRun:
         )
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
-        assert main(["run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 1
-        assert "no such config" in capsys.readouterr().err
+        missing = tmp_path / "nope.yaml"
+        assert main(["run", "--config", str(missing), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {missing}: {os.strerror(errno.ENOENT)}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_config_exits_1_with_field(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
