@@ -11,9 +11,12 @@ The world (target, wind, ball, own vehicles) is one plant with one
 ``advance``, which integrates a block of dynamics steps in one call.
 ``run_scenario`` runs the stages due on a step, then advances the plant
 to the next step where a stage is due: the next vision or control tick,
-or a single step while the ball may be grabbed. Nothing reads the world
-between those steps, and the commands are held, so a block gives the
-same floats as stepping one at a time. ``run_scenario`` alone decides
+or, while the grabber may close on the ball, the first step at which
+the ball sits in its basket volume. Nothing else reads the world between
+those steps, and the commands are held, so a block gives the same floats
+as stepping one at a time. A ball that hangs still, with no wind and a
+target of constant velocity, is a fixed point of its integrator, so the
+plant does not integrate it. ``run_scenario`` alone decides
 that schedule, and the log records it: ``replay_divergence`` drives the
 same ``advance`` open loop from the log's command, state and detach
 records in log order, so run and replay advance the world through the
@@ -169,7 +172,11 @@ class _Plant:
     once per block, for all the block's steps. Once detached, the ball
     rides in the grabber's basket; the plant never integrates free
     flight, and the wind, which acts only on the hanging ball, is no
-    longer stepped.
+    longer stepped. ``still`` holds when the hanging ball can never
+    leave rest: the wind is off, the target's velocity is constant, and
+    one trial step from rest returns rest exactly. The ball is then not
+    integrated at all, and its state stays the rest it would have
+    computed.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -200,6 +207,23 @@ class _Plant:
         self.uavs = [UavState.at(*d.start, yaw=d.yaw) for d in config.drones]
         self.cmds = [VelocityCommand() for _ in config.drones]
         self.swung = False
+        # With no wind and a target of constant velocity, the pivot's
+        # acceleration is exactly 0.0 on every step; if one step from rest
+        # then returns rest bit for bit, so does every step after it.
+        self.still = (
+            self.wind is None
+            and self.pattern.kind is not PatternKind.FIGURE_EIGHT
+            and self._rest_is_fixed()
+        )
+
+    def _rest_is_fixed(self) -> bool:
+        """Whether one step of the hanging ball, with no wind and no pivot
+        acceleration, returns its state unchanged, signed zeros included."""
+        try:
+            trial = step_ball(self.ball, _NO_WIND, _NO_WIND, self.ball_params, self.dt)
+        except OverflowError:
+            return False
+        return repr(trial) == repr(self.ball)
 
     def ball_position(self) -> Vec3:
         if self.ball.attached:
@@ -215,12 +239,16 @@ class _Plant:
         """Detach the ball from the rod into the grabber's basket."""
         self.ball = detach(self.ball)
 
-    def advance(self, n: int) -> tuple[int, str | None]:
+    def advance(self, n: int, contact: bool = False) -> tuple[int, str | None]:
         """Integrate up to n steps of dt under the held commands.
 
         Each step poses the target, then steps the wind and the ball while
-        it hangs, then checks the ball and target state. The vehicles are
-        stepped after the ball loop, once each, by the steps taken.
+        it hangs and is not ``still``, then checks the state that can have
+        changed: the ball while it is integrated, and the target unless it
+        is a static hover. The vehicles are stepped after the ball loop,
+        once each, by the steps taken; while ``contact`` is armed and the
+        ball hangs, the grabber is instead stepped one step at a time, so
+        that its contact with the ball can be checked after each step.
         Returns ``(steps, stop)``, where ``stop`` is None when all n steps
         were taken, and otherwise why the block ended early:
 
@@ -228,20 +256,31 @@ class _Plant:
         - ``"nonfinite"``: the last step taken left the ball or target
           state not finite;
         - ``"swing"``: the last step taken swung the hanging ball to or
-          past horizontal, reported for the first such step only.
+          past horizontal, reported for the first such step only;
+        - ``"contact"``: after the last step taken, which is not the
+          block's last, the ball sits in the grabber's basket volume
+          (``grab_detect``). The ball is not released here: the caller
+          runs that step's stages, contact included, as it does at the
+          end of every block.
         """
         dt, k = self.dt, self.k
         pattern, ball, ball_params = self.pattern, self.ball, self.ball_params
         wind = self.wind
         attached = ball.attached
-        swing_armed = attached and not self.swung
+        integrate = attached and not self.still
+        swing_armed = integrate and not self.swung
+        check_target = pattern.kind is not PatternKind.STATIC_HOVER
+        contact = contact and attached
+        g = self.grabber
+        grabber, grabber_cmd, grabber_cfg = self.uavs[g], self.cmds[g], self.drones[g]
         pos, vel = self.support_pos, self.support_vel
         isfinite = math.isfinite
         done, stop = 0, None
-        for j in range(k + 1, k + n + 1):
+        last = k + n
+        for j in range(k + 1, last + 1):
             try:
                 next_pos, next_vel = target_pose(pattern, j * dt)
-                if attached:
+                if integrate:
                     wind_force = wind.step(dt) if wind is not None else _NO_WIND
                     nx, ny, nz = next_vel
                     vx, vy, vz = vel
@@ -252,23 +291,36 @@ class _Plant:
                 break
             pos, vel = next_pos, next_vel
             done += 1
-            sx, sy, sz = pos
-            if not (
-                isfinite(ball.theta) and isfinite(ball.phi) and isfinite(ball.theta_dot)
-                and isfinite(ball.phi_dot) and isfinite(sx) and isfinite(sy) and isfinite(sz)
+            if contact:
+                grabber = step_uav(grabber, grabber_cmd, grabber_cfg.tau, grabber_cfg.limits, dt)
+            if integrate and not (
+                isfinite(ball.theta) and isfinite(ball.phi)
+                and isfinite(ball.theta_dot) and isfinite(ball.phi_dot)
             ):
                 stop = "nonfinite"
                 break
+            if check_target:
+                sx, sy, sz = pos
+                if not (isfinite(sx) and isfinite(sy) and isfinite(sz)):
+                    stop = "nonfinite"
+                    break
             if swing_armed and abs(ball.theta) >= math.pi / 2:
                 self.swung = True
                 stop = "swing"
+                break
+            if contact and j < last and coord.grab_detect(
+                ball_world_position(pos, ball, ball_params.length),
+                ball_world_velocity(vel, ball, ball_params.length),
+                grabber, self.capture,
+            ):
+                stop = "contact"
                 break
         self.ball = ball
         self.support_pos, self.support_vel = pos, vel
         if done:
             self.uavs = [
-                step_uav(uav, cmd, d.tau, d.limits, dt, done)
-                for uav, cmd, d in zip(self.uavs, self.cmds, self.drones)
+                grabber if contact and i == g else step_uav(uav, cmd, d.tau, d.limits, dt, done)
+                for i, (uav, cmd, d) in enumerate(zip(self.uavs, self.cmds, self.drones))
             ]
         self.k = k + done
         return done, stop
@@ -529,16 +581,17 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
             # Phases change only on control ticks; a terminal run ends after this step.
             if all(d.agent.phase in coord.TERMINAL_PHASES for d in run.drones):
                 n_steps = k + 1
-        if plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB:
+        armed = plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB
+        if armed:
             run.contact(t)
-            block = 1  # contact is checked on every step while armed
-        else:
-            block = min(
-                (k // vision_every + 1) * vision_every,
-                (k // control_every + 1) * control_every,
-                n_steps,
-            ) - k
-        _, stop = plant.advance(block)
+        block = min(
+            (k // vision_every + 1) * vision_every,
+            (k // control_every + 1) * control_every,
+            n_steps,
+        ) - k
+        # An armed block ends at the first step in contact, whose stages
+        # then run in order; a capture at t has already disarmed it.
+        _, stop = plant.advance(block, contact=armed)
         if stop == "swing":
             run.event((plant.k - 1) * dt, "invalid_swing", None, {"theta": plant.ball.theta})
         elif stop == "nonfinite":  # logged at the step taken, which t_end counts

@@ -9,6 +9,7 @@ import pytest
 
 from skygrab.camera import CameraIntrinsics, DetectionClass, DetectionNoise
 from skygrab.config import ScenarioConfig, config_from_dict, load_config, parse_config
+from skygrab.coordination import grab_detect
 from skygrab.engine import (
     _DroneRuntime,
     _filter_params,
@@ -22,7 +23,7 @@ from skygrab.engine import (
 from skygrab.guidance import GuidanceGains
 from skygrab.logs import SimLog, validate_log
 from skygrab.perception import FilterParams
-from skygrab.world import BallParams, VelocityCommand
+from skygrab.world import BallParams, UavState, VelocityCommand
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.yaml"))
@@ -278,6 +279,34 @@ class TestDisturbedRun:
             replay_divergence(log)
 
 
+def _state(plant) -> str:
+    """The plant's state; ``repr`` spells every float exactly, signed
+    zeros included."""
+    return repr((plant.k, plant.uavs, plant.ball, plant.support_pos,
+                 plant.support_vel, plant.wind))
+
+
+def _drive(cfg, before, after, still=None):
+    """Advance a plant by the blocks in ``before``, release the ball, then
+    advance it by the blocks in ``after``; ``still``, when given, replaces
+    the plant's own flag. Returns the results and the plant's state."""
+    commands = [VelocityCommand(0.8, -0.5, 0.3, 1.2), VelocityCommand(-4.0, 2.5, -2.0, -9.0)]
+    plant = _Plant(cfg)
+    if still is not None:
+        plant.still = still
+    plant.cmds = [commands[i % 2] for i in range(len(plant.cmds))]
+    results = [plant.advance(n) for n in before]
+    plant.release()
+    results += [plant.advance(n) for n in after]
+    return results, _state(plant)
+
+
+def _in_basket(plant) -> bool:
+    return grab_detect(
+        plant.ball_position(), plant.ball_velocity(), plant.uavs[plant.grabber], plant.capture
+    )
+
+
 class TestPlant:
     def test_wind_not_stepped_after_detach(self):
         # the wind acts only on the hanging ball; nothing reads it after detach
@@ -292,23 +321,67 @@ class TestPlant:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_block_equals_single_steps_across_release(self, name):
         cfg = load_config(CONFIGS / f"{name}.yaml")
-        commands = [VelocityCommand(0.8, -0.5, 0.3, 1.2), VelocityCommand(-4.0, 2.5, -2.0, -9.0)]
-
-        def drive(before, after):
-            plant = _Plant(cfg)
-            plant.cmds = [commands[i % 2] for i in range(len(plant.cmds))]
-            results = [plant.advance(n) for n in before]
-            plant.release()
-            results += [plant.advance(n) for n in after]
-            # repr spells every float exactly, signed zeros included
-            return results, repr((plant.k, plant.uavs, plant.ball, plant.support_pos,
-                                  plant.support_vel, plant.wind))
-
-        block_results, block_state = drive([37], [23])
-        single_results, single_state = drive([1] * 37, [1] * 23)
+        block_results, block_state = _drive(cfg, [37], [23])
+        single_results, single_state = _drive(cfg, [1] * 37, [1] * 23)
         assert block_results == [(37, None), (23, None)]
         assert single_results == [(1, None)] * 60
         assert block_state == single_state
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_still_ball_equals_integrated_ball(self, name):
+        cfg = load_config(CONFIGS / f"{name}.yaml")
+        assert _drive(cfg, [37], [23]) == _drive(cfg, [37], [23], still=False)
+
+    @pytest.mark.parametrize("name, target, still", [
+        ("nominal_static", {}, True),
+        ("nominal_moving", {}, True),
+        ("nominal_collab_static", {}, True),
+        ("default", {}, False),  # wind
+        ("single_moving", {}, False),  # wind
+        ("nominal_static", {"pattern": "figure_eight"}, False),
+    ])
+    def test_still_needs_no_wind_and_a_constant_target_velocity(self, name, target, still):
+        d = load_config(CONFIGS / f"{name}.yaml").to_dict()
+        d["target"].update(target)
+        assert _Plant(config_from_dict(d)).still is still
+
+    @pytest.mark.parametrize("detail, digest", [
+        (False, "5ed5d259b4d1f37324ec737296fc71bc651cf6e6c0777af6ac20a047e4ed5588"),
+        (True, "2ff8d8d6de3647081767552deb7715c0554f7a44aaadd248cd1b20f243bcd66a"),
+    ])
+    def test_rest_that_is_not_a_fixed_point_is_integrated(self, detail, digest):
+        # g / L overflows to inf, so one step from rest is not rest
+        d = load_config(CONFIGS / "nominal_static.yaml").to_dict()
+        d["world"].update(gravity=1.0e308, rod_length=0.5)
+        cfg = config_from_dict(d)
+        assert _Plant(cfg).still is False
+        log = run_scenario(cfg, detail=detail)
+        rec = log.verdict_record
+        assert (rec["verdict"], rec["failure"], rec["t_end"]) == ("invalid", "nonfinite_state", 0.0025)
+        assert [(r["event"], r["t"]) for r in log.iter_kind("event")] == [("nonfinite_state", 0.0)]
+        assert _digest(log) == digest
+
+    @pytest.mark.parametrize("name", ["nominal_static", "default"])
+    def test_contact_stops_the_block_at_the_first_step_in_the_basket(self, name):
+        cfg = load_config(CONFIGS / f"{name}.yaml")
+
+        def plant_behind_ball():
+            # the grabber flies at the hanging ball along +x, gripper first
+            plant = _Plant(cfg)
+            plant.uavs[plant.grabber] = UavState.at(-6.2, 0.0, 3.5)
+            plant.cmds = [VelocityCommand(1.0, 0.0, 0.0, 0.0) for _ in plant.cmds]
+            return plant
+
+        single = plant_behind_ball()
+        while not _in_basket(single):
+            assert single.advance(1) == (1, None)
+        assert single.k > 100  # the grabber starts well out of reach
+        # A block's last step is left to the caller, whose stages run there.
+        for n, result in ((single.k + 200, (single.k, "contact")), (single.k, (single.k, None))):
+            block = plant_behind_ball()
+            assert block.advance(n, contact=True) == result
+            assert block.ball.attached  # contact does not release the ball
+            assert _state(block) == _state(single)
 
 
 def _built_from_default_config() -> dict:
