@@ -12,16 +12,16 @@ The world (target, wind, ball, own vehicles) is one plant with one
 ``run_scenario`` runs the stages due on a step, then advances the plant
 to the next step where a stage is due: the next vision or control tick,
 or, while the grabber may close on the ball, the first step at which
-the ball sits in its basket volume. Nothing else reads the world between
-those steps, and the commands are held, so a block gives the same floats
-as stepping one at a time. A ball that hangs still, with no wind and a
-target of constant velocity, is a fixed point of its integrator, so the
-plant does not integrate it. ``run_scenario`` alone decides
-that schedule, and the log records it: ``replay_divergence`` drives the
-same ``advance`` open loop from the log's command, state and detach
-records in log order, so run and replay advance the world through the
-same code. ``outcome`` reads the verdict from the log's phase and event
-records.
+the ball sits in its basket volume, where the run releases it. Nothing
+else reads the world between those steps, and the commands are held, so
+a block gives the same floats as stepping one at a time. A ball that
+hangs still, with no wind and a target of constant velocity, is a fixed
+point of its integrator, so the plant does not integrate it.
+``run_scenario`` alone decides that schedule, and the log records it:
+``replay_divergence`` drives the same ``advance`` open loop from the
+log's command, state and detach records in log order, so run and replay
+advance the world through the same code. ``outcome`` reads the verdict
+from the log's phase and event records.
 """
 
 from __future__ import annotations
@@ -169,14 +169,15 @@ class _Plant:
     the logged ones, read in log order, so both integrate the world
     through ``advance``.
     Each vehicle's command is held over a block, so its state is stepped
-    once per block, for all the block's steps. Once detached, the ball
-    rides in the grabber's basket; the plant never integrates free
-    flight, and the wind, which acts only on the hanging ball, is no
-    longer stepped. ``still`` holds when the hanging ball can never
-    leave rest: the wind is off, the target's velocity is constant, and
-    one trial step from rest returns rest exactly. The ball is then not
-    integrated at all, and its state stays the rest it would have
-    computed.
+    once per block, for all the block's steps. Contact is a rule of the
+    plant: while it is armed, ``advance`` stops at the first state with
+    the ball in the grabber's basket. Once detached, the ball rides in
+    the basket; the plant never integrates free flight, and the wind,
+    which acts only on the hanging ball, is no longer stepped. ``still``
+    holds when the hanging ball can never leave rest: the wind is off,
+    the target's velocity is constant, and one trial step from rest
+    returns rest exactly. The ball is then not integrated at all, and
+    its state stays the rest it would have computed.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -239,45 +240,46 @@ class _Plant:
         """Detach the ball from the rod into the grabber's basket."""
         self.ball = detach(self.ball)
 
-    def advance(self, n: int, contact: bool = False) -> tuple[int, str | None]:
+    def advance(self, n: int, contact: bool = False) -> str | None:
         """Integrate up to n steps of dt under the held commands.
 
         Each step poses the target, then steps the wind and the ball while
         it hangs and is not ``still``, then checks the state that can have
         changed: the ball while it is integrated, and the target unless it
-        is a static hover. The vehicles are stepped after the ball loop,
-        once each, by the steps taken; while ``contact`` is armed and the
-        ball hangs, the grabber is instead stepped one step at a time, so
-        that its contact with the ball can be checked after each step.
-        Returns ``(steps, stop)``, where ``stop`` is None when all n steps
-        were taken, and otherwise why the block ended early:
+        is a static hover. The vehicles are stepped once each, by the steps
+        taken; while ``contact`` is armed (the caller arms it only while
+        the ball hangs), the grabber is instead stepped one step at a time,
+        and each state is tested before its step. Returns None when all n
+        steps were taken, else why the block ended early; ``k`` says how
+        far it got:
 
+        - ``"contact"``: the ball sits in the grabber's basket volume
+          (``grab_detect``) at step ``k``, which is not taken nor released;
         - ``"overflow"``: a step raised OverflowError and was not taken;
         - ``"nonfinite"``: the last step taken left the ball or target
           state not finite;
         - ``"swing"``: the last step taken swung the hanging ball to or
-          past horizontal, reported for the first such step only;
-        - ``"contact"``: after the last step taken, which is not the
-          block's last, the ball sits in the grabber's basket volume
-          (``grab_detect``). The ball is not released here: the caller
-          runs that step's stages, contact included, as it does at the
-          end of every block.
+          past horizontal, reported for the first such step only.
         """
         dt, k = self.dt, self.k
         pattern, ball, ball_params = self.pattern, self.ball, self.ball_params
         wind = self.wind
-        attached = ball.attached
-        integrate = attached and not self.still
+        integrate = ball.attached and not self.still
         swing_armed = integrate and not self.swung
         check_target = pattern.kind is not PatternKind.STATIC_HOVER
-        contact = contact and attached
         g = self.grabber
         grabber, grabber_cmd, grabber_cfg = self.uavs[g], self.cmds[g], self.drones[g]
         pos, vel = self.support_pos, self.support_vel
         isfinite = math.isfinite
         done, stop = 0, None
-        last = k + n
-        for j in range(k + 1, last + 1):
+        for j in range(k + 1, k + n + 1):
+            if contact and coord.grab_detect(
+                ball_world_position(pos, ball, ball_params.length),
+                ball_world_velocity(vel, ball, ball_params.length),
+                grabber, self.capture,
+            ):
+                stop = "contact"
+                break
             try:
                 next_pos, next_vel = target_pose(pattern, j * dt)
                 if integrate:
@@ -308,13 +310,6 @@ class _Plant:
                 self.swung = True
                 stop = "swing"
                 break
-            if contact and j < last and coord.grab_detect(
-                ball_world_position(pos, ball, ball_params.length),
-                ball_world_velocity(vel, ball, ball_params.length),
-                grabber, self.capture,
-            ):
-                stop = "contact"
-                break
         self.ball = ball
         self.support_pos, self.support_vel = pos, vel
         if done:
@@ -323,7 +318,7 @@ class _Plant:
                 for i, (uav, cmd, d) in enumerate(zip(self.uavs, self.cmds, self.drones))
             ]
         self.k = k + done
-        return done, stop
+        return stop
 
 
 def _message_record(msg, t: float, status: str) -> dict:
@@ -364,9 +359,9 @@ class _Run:
     """One scenario in progress: the plant, each drone's onboard stack,
     the channel and the log, from which the verdict is read.
 
-    ``run_scenario`` runs the vision, control and contact stages on the
-    steps that select them, then advances the plant to the next such
-    step.
+    ``run_scenario`` runs the vision and control stages on the steps
+    that select them, then advances the plant to the next such step,
+    releasing the ball where the plant stops at contact.
     """
 
     def __init__(self, config: ScenarioConfig, detail: bool, log: SimLog):
@@ -446,7 +441,7 @@ class _Run:
         if detail:
             for msg in delivered:
                 log.append(_message_record(msg, t, "delivered"))
-        captured = not plant.ball.attached  # the ball detaches only in contact
+        captured = not plant.ball.attached  # the ball detaches only at a contact stop
         outbox = []
         for i, d in enumerate(self.drones):
             src = d.agent.phase
@@ -514,16 +509,12 @@ class _Run:
         self.event(t, "nonfinite_state", None, {})
         return False
 
-    def contact(self, t: float) -> None:
-        """Capture the ball when it sits in the grabber's basket volume."""
-        plant, w = self.plant, self.config.world
-        bp = plant.ball_position()
-        if coord.grab_detect(
-            bp, plant.ball_velocity(), plant.uavs[plant.grabber], plant.capture
-        ) and detach_check(w.claw_pull_force, w.detach_threshold):
-            plant.release()
-            self.event(t, "detach", self.grabber.id, {"pull_force": w.claw_pull_force})
-            self.event(t, "capture", self.grabber.id, {"ball_p": list(bp)})
+    def release(self, t: float) -> None:
+        """Detach the ball into the grabber's basket and log the capture."""
+        bp = self.plant.ball_position()
+        self.plant.release()
+        self.event(t, "detach", self.grabber.id, {"pull_force": self.config.world.claw_pull_force})
+        self.event(t, "capture", self.grabber.id, {"ball_p": list(bp)})
 
     def verdict(self) -> dict:
         verdict, t_capture, failure = outcome(self.log)
@@ -570,6 +561,7 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
     run = _Run(config, detail, SimLog(header=header))
     plant = run.plant
     grabber_agent = run.grabber.agent
+    can_detach = detach_check(config.world.claw_pull_force, config.world.detach_threshold)
     k = 0
     while k < n_steps:
         t = k * dt
@@ -581,17 +573,16 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
             # Phases change only on control ticks; a terminal run ends after this step.
             if all(d.agent.phase in coord.TERMINAL_PHASES for d in run.drones):
                 n_steps = k + 1
-        armed = plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB
-        if armed:
-            run.contact(t)
-        block = min(
+        end = min(
             (k // vision_every + 1) * vision_every,
             (k // control_every + 1) * control_every,
             n_steps,
-        ) - k
-        # An armed block ends at the first step in contact, whose stages
-        # then run in order; a capture at t has already disarmed it.
-        _, stop = plant.advance(block, contact=armed)
+        )
+        armed = can_detach and plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB
+        stop = plant.advance(end - k, contact=armed)
+        if stop == "contact":  # tested before a step, so at least one step remains
+            run.release(plant.k * dt)
+            stop = plant.advance(end - plant.k)
         if stop == "swing":
             run.event((plant.k - 1) * dt, "invalid_swing", None, {"theta": plant.ball.theta})
         elif stop == "nonfinite":  # logged at the step taken, which t_end counts
@@ -639,7 +630,7 @@ def replay_divergence(log: SimLog) -> float:
             continue
         k = round(r["t"] / plant.dt)
         while plant.k < k:  # advance stops early at the over-swing; go on from there
-            if plant.advance(k - plant.k)[1] == "overflow":
+            if plant.advance(k - plant.k) == "overflow":
                 return math.inf
         if kind == "command":
             c = r["cmd"]

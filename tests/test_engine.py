@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skygrab import coordination
 from skygrab.camera import CameraIntrinsics, DetectionClass, DetectionNoise
 from skygrab.config import ScenarioConfig, config_from_dict, load_config, parse_config
 from skygrab.coordination import grab_detect
@@ -307,6 +308,19 @@ def _in_basket(plant) -> bool:
     )
 
 
+def _count_grab_detect(monkeypatch) -> list:
+    """Wrap ``coordination.grab_detect``; the list's one item counts its calls."""
+    calls = [0]
+    real = coordination.grab_detect
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(coordination, "grab_detect", counted)
+    return calls
+
+
 class TestPlant:
     def test_wind_not_stepped_after_detach(self):
         # the wind acts only on the hanging ball; nothing reads it after detach
@@ -323,8 +337,8 @@ class TestPlant:
         cfg = load_config(CONFIGS / f"{name}.yaml")
         block_results, block_state = _drive(cfg, [37], [23])
         single_results, single_state = _drive(cfg, [1] * 37, [1] * 23)
-        assert block_results == [(37, None), (23, None)]
-        assert single_results == [(1, None)] * 60
+        assert block_results == [None, None]
+        assert single_results == [None] * 60
         assert block_state == single_state
 
     @pytest.mark.parametrize("name", SHIPPED)
@@ -374,14 +388,30 @@ class TestPlant:
 
         single = plant_behind_ball()
         while not _in_basket(single):
-            assert single.advance(1) == (1, None)
+            assert single.advance(1) is None
         assert single.k > 100  # the grabber starts well out of reach
-        # A block's last step is left to the caller, whose stages run there.
-        for n, result in ((single.k + 200, (single.k, "contact")), (single.k, (single.k, None))):
+        # Contact is tested before a step, so the state a block ends at is
+        # left to the next block.
+        for n, stop in ((single.k + 200, "contact"), (single.k, None)):
             block = plant_behind_ball()
-            assert block.advance(n, contact=True) == result
+            assert block.advance(n, contact=True) == stop
             assert block.ball.attached  # contact does not release the ball
             assert _state(block) == _state(single)
+        # A plant already in contact stops before its first step.
+        before = _state(single)
+        assert single.advance(5, contact=True) == "contact"
+        assert single.ball.attached
+        assert _state(single) == before
+
+    def test_each_armed_state_is_tested_once(self, monkeypatch):
+        # Contact is armed from the control tick that enters GRAB up to the
+        # state of the capture, both included.
+        calls = _count_grab_detect(monkeypatch)
+        log = run_scenario(load_config(CONFIGS / "nominal_static.yaml"), detail=False)
+        t_grab = next(r["t"] for r in log.iter_kind("phase") if r["to"] == "grab")
+        _, t_capture, _ = outcome(log)
+        assert (t_grab, t_capture) == (9.1, 13.32)
+        assert calls[0] == round((t_capture - t_grab) * 400) + 1 == 1689
 
 
 def _built_from_default_config() -> dict:
@@ -452,6 +482,23 @@ class TestInvalidRuns:
         assert rec["t_end"] == t_end
         assert [(r["event"], r["t"]) for r in log.iter_kind("event")] == events
         assert _digest(log) == digests[detail]
+
+
+class TestClawTooWeak:
+    @pytest.mark.parametrize("detail, digest", [
+        (False, "05fc3415c80ae3bb3e62c7524d4d5992a0c6c48f0efe4e733f68579730ae0e69"),
+        (True, "5a166421e9558a09738ee868ec088f9a52d595021fc553641ae69d7f50ec0bb8"),
+    ])
+    def test_claw_below_the_detach_threshold_never_arms_contact(self, monkeypatch, detail, digest):
+        calls = _count_grab_detect(monkeypatch)
+        d = load_config(CONFIGS / "nominal_static.yaml").to_dict()
+        d["world"]["claw_pull_force"] = 4.0  # detach_threshold is 5.0
+        log = run_scenario(config_from_dict(d), detail=detail)
+        rec = log.verdict_record
+        assert (rec["verdict"], rec["failure"], rec["t_end"]) == ("timeout", "terminal_track_loss", 60.0)
+        assert not log.events("detach") and not log.events("capture")
+        assert calls[0] == 0
+        assert _digest(log) == digest
 
 
 class TestMissionBudget:
