@@ -126,8 +126,15 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, with one ``error:`` line; subparsers inherit it."""
+
+    def error(self, message):
+        sys.exit(_fail(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="skygrab",
         description="Deterministic multi-UAV aerial ball-capture simulation",
     )

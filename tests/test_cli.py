@@ -478,7 +478,9 @@ class TestErrorExit:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
 
-    @pytest.mark.parametrize("command", ["run", "mc", "plot", "check"])
+    # "run-usage" and "mc-usage" are argparse's own errors, which exit 1
+    # too: exit 2 means a mission that failed.
+    @pytest.mark.parametrize("command", ["run", "mc", "plot", "check", "run-usage", "mc-usage"])
     def test_error_exits_1_with_one_message(self, tmp_path, command):
         bad_config = tmp_path / "bad.yaml"
         bad_config.write_text("world:\n  rod_length: -2.0\n")
@@ -494,9 +496,17 @@ class TestErrorExit:
             "plot": ["plot", "--kind", "depth_profile", "--log", str(bad_log),
                      "--out", str(tmp_path / "x.svg")],
             "check": ["check", "--config", str(bad_yaml)],
+            "run-usage": ["run"],
+            "mc-usage": ["mc", "--config", NOMINAL, "--runs", "x", "--out", str(tmp_path / "mc")],
         }[command]
         done = self.cli(*argv)
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.startswith("error: ")
         assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: skygrab run")
