@@ -358,6 +358,12 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         c = d.camera
         _require(c.p_det_far >= c.p_det_near, f"drones[{i}].camera.p_det_far", "must be >= p_det_near")
 
+    # A claw weaker than the rod's hold could never detach the ball.
+    _require(
+        cfg.world.claw_pull_force >= cfg.world.detach_threshold,
+        "world.claw_pull_force",
+        "must be >= world.detach_threshold",
+    )
     m = cfg.mission
     x_min, x_max, y_min, y_max = m.explore_area
     _require(x_max > x_min, "mission.explore_area", "x_max must exceed x_min")

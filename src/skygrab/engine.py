@@ -58,7 +58,6 @@ from .world import (
     ball_world_position,
     ball_world_velocity,
     detach,
-    detach_check,
     step_ball,
     step_uav,
     target_pose,
@@ -561,7 +560,6 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
     run = _Run(config, detail, SimLog(header=header))
     plant = run.plant
     grabber_agent = run.grabber.agent
-    can_detach = detach_check(config.world.claw_pull_force, config.world.detach_threshold)
     k = 0
     while k < n_steps:
         t = k * dt
@@ -578,7 +576,7 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
             (k // control_every + 1) * control_every,
             n_steps,
         )
-        armed = can_detach and plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB
+        armed = plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB
         stop = plant.advance(end - k, contact=armed)
         if stop == "contact":  # tested before a step, so at least one step remains
             run.release(plant.k * dt)
@@ -651,21 +649,36 @@ def replay_divergence(log: SimLog) -> float:
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-# One Monte Carlo run's fields: its entry in ``runs`` and its verdicts.csv row.
+# One batch row's fields: a ``monte_carlo`` ``runs`` entry and a verdicts.csv row.
 RUN_FIELDS = ("seed", "verdict", "t_capture", "failure")
 
 
-def _mc_single(args) -> dict:
-    """One batch run's ``RUN_FIELDS``; an exception becomes an ``error``
-    verdict naming its type, so one seed cannot end the batch."""
-    config_dict, seed = args
+def _mc_single(config: ScenarioConfig) -> dict:
+    """One batch job's ``RUN_FIELDS``; an exception becomes an ``error``
+    verdict naming its type, so one job cannot end the batch."""
     try:
-        cfg = config_from_dict({**config_dict, "seed": seed})
-        rec = run_scenario(cfg, detail=False).verdict_record
+        rec = run_scenario(config, detail=False).verdict_record
     except Exception as e:  # the batch boundary: report the run and go on
         rec = {"verdict": "error", "t_capture": None, "failure": type(e).__name__}
-    rec = {**rec, "seed": seed}
+    rec = {**rec, "seed": config.seed}
     return {f: rec[f] for f in RUN_FIELDS}
+
+
+def run_batch(jobs: list[ScenarioConfig], n_jobs: int = 1) -> list[dict]:
+    """One ``RUN_FIELDS`` row per job, a config that carries its seed
+    (``with_seed``), run lean; rows come in job order whatever ``n_jobs``,
+    and a job that raises gives an ``error`` row, not an exception."""
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
+    workers = min(n_jobs, len(jobs))  # the pool forks all its workers at the first submit
+    if workers > 1:
+        # Imported here: the process pool costs ~20 ms of import that
+        # single-process runs never need.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(_mc_single, jobs))
+    return [_mc_single(j) for j in jobs]
 
 
 def monte_carlo(
@@ -682,21 +695,8 @@ def monte_carlo(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if n_jobs < 1:
-        raise ValueError("n_jobs must be >= 1")
     # with_seed raises ConfigError on an invalid seed_base before any run.
-    config_dict = config.with_seed(seed_base).to_dict()
-    jobs = [(config_dict, seed_base + i) for i in range(n_runs)]
-    workers = min(n_jobs, n_runs)  # the pool forks all its workers at the first submit
-    if workers > 1:
-        # Imported here: the process pool costs ~20 ms of import that
-        # single-process runs never need.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            runs = list(ex.map(_mc_single, jobs))
-    else:
-        runs = [_mc_single(j) for j in jobs]
+    runs = run_batch([config.with_seed(seed_base + i) for i in range(n_runs)], n_jobs)
 
     captured = [r for r in runs if r["verdict"] == "captured"]
     failures: dict = {}

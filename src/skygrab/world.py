@@ -363,13 +363,6 @@ def pendulum_energy(ball: BallState, params: BallParams) -> float:
     return kinetic + potential
 
 
-def detach_check(pull_force: float, threshold: float) -> bool:
-    """True when the applied pull meets the release threshold (inclusive)."""
-    if pull_force < 0.0:
-        raise ValueError("pull_force must be >= 0")
-    return pull_force >= threshold
-
-
 def detach(ball: BallState) -> BallState:
     """Release the ball from its rod."""
     return replace(ball, attached=False)

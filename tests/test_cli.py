@@ -455,6 +455,14 @@ class TestCheck:
         assert main(["check", "--config", str(bad)]) == 1
         assert "rates.control" in capsys.readouterr().err
 
+    def test_claw_that_can_never_detach_exits_1(self, tmp_path, capsys):
+        weak = tmp_path / "weak_claw.yaml"
+        weak.write_text("world:\n  claw_pull_force: 4.0\n")  # detach_threshold is 5.0
+        assert main(["check", "--config", str(weak)]) == 1
+        assert capsys.readouterr().err == (
+            "error: world.claw_pull_force: must be >= world.detach_threshold\n"
+        )
+
     def test_config_directory_exits_1_naming_it(self, tmp_path, capsys):
         assert main(["check", "--config", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")

@@ -121,6 +121,14 @@ class TestParseConfig:
             parse_config("mission:\n  grabber_standoff: 7.0\n")
         assert "grabber_standoff" in str(e.value)
 
+    def test_claw_must_meet_the_detach_threshold(self):
+        # A claw weaker than the rod's hold could never detach the ball.
+        with pytest.raises(ConfigError) as e:
+            parse_config("world:\n  claw_pull_force: 4.0\n  detach_threshold: 5.0\n")
+        assert str(e.value) == "world.claw_pull_force: must be >= world.detach_threshold"
+        cfg = parse_config("world:\n  claw_pull_force: 5.0\n  detach_threshold: 5.0\n")
+        assert cfg.world.claw_pull_force == cfg.world.detach_threshold == 5.0
+
 
 class TestConfigsShareNothing:
     def test_with_seed_copy_is_independent(self):

@@ -1,7 +1,9 @@
 import copy
 import hashlib
-import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from skygrab.engine import (
     monte_carlo,
     outcome,
     replay_divergence,
+    run_batch,
     run_scenario,
     substream,
 )
@@ -484,23 +487,6 @@ class TestInvalidRuns:
         assert _digest(log) == digests[detail]
 
 
-class TestClawTooWeak:
-    @pytest.mark.parametrize("detail, digest", [
-        (False, "05fc3415c80ae3bb3e62c7524d4d5992a0c6c48f0efe4e733f68579730ae0e69"),
-        (True, "5a166421e9558a09738ee868ec088f9a52d595021fc553641ae69d7f50ec0bb8"),
-    ])
-    def test_claw_below_the_detach_threshold_never_arms_contact(self, monkeypatch, detail, digest):
-        calls = _count_grab_detect(monkeypatch)
-        d = load_config(CONFIGS / "nominal_static.yaml").to_dict()
-        d["world"]["claw_pull_force"] = 4.0  # detach_threshold is 5.0
-        log = run_scenario(config_from_dict(d), detail=detail)
-        rec = log.verdict_record
-        assert (rec["verdict"], rec["failure"], rec["t_end"]) == ("timeout", "terminal_track_loss", 60.0)
-        assert not log.events("detach") and not log.events("capture")
-        assert calls[0] == 0
-        assert _digest(log) == digest
-
-
 class TestMissionBudget:
     def test_budget_fails_mission_and_times_out(self):
         cfg = parse_config(
@@ -563,11 +549,67 @@ class TestMonteCarlo:
             summary = monte_carlo(cfg, 3, 1)
             assert summary["success_rate"] == 1.0
 
-    def test_parallelism_invariance(self):
+    def test_batch_of_two_configs_keeps_job_order_at_any_n_jobs(self):
+        static = load_config(CONFIGS / "nominal_static.yaml")
+        moving = load_config(CONFIGS / "nominal_moving.yaml")
+        jobs = [cfg.with_seed(s) for s in (10, 11) for cfg in (static, moving)]
+        rows = run_batch(jobs, n_jobs=1)
+        assert run_batch(jobs, n_jobs=2) == rows
+        assert [r["seed"] for r in rows] == [10, 10, 11, 11]
+        assert rows[0::2] == monte_carlo(static, 2, 10)["runs"]
+        assert rows[1::2] == monte_carlo(moving, 2, 10)["runs"]
+
+    def test_one_raising_job_is_an_error_row(self, monkeypatch):
+        from skygrab import engine
+
+        inner = engine.run_scenario
+
+        def raise_for_the_moving_target(config, detail=True):
+            if config.target.pattern != "static_hover":
+                raise OverflowError("math range error")
+            return inner(config, detail=detail)
+
+        monkeypatch.setattr(engine, "run_scenario", raise_for_the_moving_target)
+        static = load_config(CONFIGS / "nominal_static.yaml")
+        moving = load_config(CONFIGS / "nominal_moving.yaml")
+        rows = run_batch([static.with_seed(3), moving.with_seed(4), static.with_seed(5)])
+        assert [(r["seed"], r["verdict"], r["failure"]) for r in rows] == [
+            (3, "captured", None), (4, "error", "OverflowError"), (5, "captured", None),
+        ]
+
+    def test_a_batch_rebuilds_no_config(self, monkeypatch):
+        from skygrab import config, engine
+
+        calls = [0]
+        inner = config.config_from_dict
+
+        def counted(data):
+            calls[0] += 1
+            return inner(data)
+
         cfg = load_config(CONFIGS / "nominal_static.yaml")
-        s1 = monte_carlo(cfg, 4, 10, n_jobs=1)
-        s2 = monte_carlo(cfg, 4, 10, n_jobs=2)
-        assert json.dumps(s1, sort_keys=True) == json.dumps(s2, sort_keys=True)
+        cfg.duration = 1.0
+        monkeypatch.setattr(config, "config_from_dict", counted)
+        monkeypatch.setattr(engine, "config_from_dict", counted)
+        run_batch([cfg.with_seed(5), cfg.with_seed(6)])
+        monte_carlo(cfg, 2, 5)
+        assert calls[0] == 0
+
+    def test_a_single_process_batch_never_imports_the_pool(self):
+        # The path a one-run, one-job monte_carlo call takes after the
+        # CLI import: the process pool's import stays out of it.
+        code = (
+            "import sys, skygrab.cli\n"
+            "from skygrab import load_config, monte_carlo\n"
+            f"monte_carlo(load_config({str(CONFIGS / 'nominal_static.yaml')!r}), 1, 7, n_jobs=1)\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        src = str(CONFIGS.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=300)
+        assert out.stdout == "False\n"
 
     def test_summary_shape(self):
         cfg = load_config(CONFIGS / "nominal_static.yaml")
@@ -600,11 +642,13 @@ class TestMonteCarlo:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = load_config(CONFIGS / "nominal_static.yaml")
         cfg.duration = 1.0
-        s = monte_carlo(cfg, 2, 5, n_jobs=5000)
+        jobs = [cfg.with_seed(5), cfg.with_seed(6)]
+        rows = run_batch(jobs, n_jobs=5000)
         assert pools == [2]
-        assert [r["seed"] for r in s["runs"]] == [5, 6]
-        monte_carlo(cfg, 1, 5, n_jobs=4)
-        assert pools == [2]  # one run needs no pool
+        assert [r["seed"] for r in rows] == [5, 6]
+        run_batch(jobs[:1], n_jobs=4)
+        assert run_batch([], n_jobs=4) == []
+        assert pools == [2]  # one job, or none, needs no pool
 
     def test_invalid_seed_base_rejected_before_any_run(self, monkeypatch):
         from skygrab import engine
@@ -629,5 +673,6 @@ class TestMonteCarlo:
             raise AssertionError("a run started")
 
         monkeypatch.setattr(engine, "_mc_single", no_run)
+        cfg = load_config(CONFIGS / "nominal_static.yaml")
         with pytest.raises(ValueError, match="n_jobs must be >= 1"):
-            monte_carlo(load_config(CONFIGS / "nominal_static.yaml"), 2, 1, n_jobs=n_jobs)
+            run_batch([cfg.with_seed(1), cfg.with_seed(2)], n_jobs=n_jobs)

@@ -21,7 +21,6 @@ from skygrab.world import (
     ball_world_position,
     ball_world_velocity,
     detach,
-    detach_check,
     pendulum_energy,
     step_ball,
     step_uav,
@@ -418,13 +417,6 @@ class TestBall:
         p1 = np.asarray(ball_world_position(np.zeros(3), stepped, params.length))
         v = ball_world_velocity(np.zeros(3), ball, params.length)
         assert np.allclose((p1 - p0) / h, v, atol=1e-5)
-
-    def test_detach_check_threshold_inclusive(self):
-        assert detach_check(0.0, 5.0) is False
-        assert detach_check(4.999, 5.0) is False
-        assert detach_check(5.0, 5.0) is True
-        with pytest.raises(ValueError):
-            detach_check(-1.0, 5.0)
 
     def test_detached_ball_is_not_integrated(self):
         # once detached the ball rides in the basket; stepping it is a bug
