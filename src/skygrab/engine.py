@@ -665,9 +665,9 @@ def _mc_single(config: ScenarioConfig) -> dict:
 
 
 def run_batch(jobs: list[ScenarioConfig], n_jobs: int = 1) -> list[dict]:
-    """One ``RUN_FIELDS`` row per job, a config that carries its seed
-    (``with_seed``), run lean; rows come in job order whatever ``n_jobs``,
-    and a job that raises gives an ``error`` row, not an exception."""
+    """One ``RUN_FIELDS`` row per job, a validated config that carries its
+    seed (``with_seed``), run lean as given; rows come in job order whatever
+    ``n_jobs``, and a job that raises gives an ``error`` row, not an exception."""
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
     workers = min(n_jobs, len(jobs))  # the pool forks all its workers at the first submit
@@ -695,7 +695,8 @@ def monte_carlo(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    # with_seed raises ConfigError on an invalid seed_base before any run.
+    # Once per call, not per run: ConfigError for an invalid config or seed_base.
+    config = config_from_dict(config.to_dict())
     runs = run_batch([config.with_seed(seed_base + i) for i in range(n_runs)], n_jobs)
 
     captured = [r for r in runs if r["verdict"] == "captured"]

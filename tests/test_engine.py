@@ -577,7 +577,7 @@ class TestMonteCarlo:
             (3, "captured", None), (4, "error", "OverflowError"), (5, "captured", None),
         ]
 
-    def test_a_batch_rebuilds_no_config(self, monkeypatch):
+    def test_a_batch_rebuilds_no_config_and_monte_carlo_one(self, monkeypatch):
         from skygrab import config, engine
 
         calls = [0]
@@ -592,8 +592,22 @@ class TestMonteCarlo:
         monkeypatch.setattr(config, "config_from_dict", counted)
         monkeypatch.setattr(engine, "config_from_dict", counted)
         run_batch([cfg.with_seed(5), cfg.with_seed(6)])
-        monte_carlo(cfg, 2, 5)
         assert calls[0] == 0
+        monte_carlo(cfg, 3, 5)
+        assert calls[0] == 1  # one validation per call, whatever n_runs
+
+    def test_config_changed_in_memory_validated_before_any_run(self, monkeypatch):
+        from skygrab import engine
+        from skygrab.config import ConfigError
+
+        def no_run(config):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(engine, "_mc_single", no_run)
+        cfg = load_config(CONFIGS / "nominal_static.yaml")
+        cfg.world.claw_pull_force = 4.0  # detach_threshold is 5.0
+        with pytest.raises(ConfigError, match="^world.claw_pull_force: "):
+            monte_carlo(cfg, 2, 1)
 
     def test_a_single_process_batch_never_imports_the_pool(self):
         # The path a one-run, one-job monte_carlo call takes after the
