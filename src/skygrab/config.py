@@ -4,14 +4,15 @@ Configs are YAML documents. Every key has a default, so the empty
 document is the documented collaborative baseline. Each field declares
 its type and range once, as a ``Rule`` in its dataclass field's
 metadata; unknown keys are rejected and range violations are reported
-with their full field path.
+with their full field path. Configs are immutable: every section is a
+frozen dataclass and every vector and the drone roster a tuple, so
+configs derived from one another may share sections.
 """
 
 from __future__ import annotations
 
-import copy
 import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import yaml
@@ -34,9 +35,9 @@ class Rule:
     ``kind`` is ``real`` (a finite number stored as a float, with
     ``lo <= v``, or ``lo < v`` when ``lo_open``, and ``v <= hi`` where
     given; ``optional`` also accepts None), ``vector`` (``n`` finite
-    numbers stored as floats), ``integer`` (an int, never a bool, in the
-    float range and within lo and hi), ``choice`` (one of ``options``),
-    ``flag`` (a bool) or ``label`` (a non-empty string).
+    numbers stored as a tuple of floats), ``integer`` (an int, never a
+    bool, in the float range and within lo and hi), ``choice`` (one of
+    ``options``), ``flag`` (a bool) or ``label`` (a non-empty string).
     """
 
     kind: str
@@ -58,7 +59,7 @@ class Rule:
         if kind == "vector":
             if not isinstance(value, (list, tuple)) or len(value) != self.n:
                 raise ConfigError(f"{path}: expected {self.shape}")
-            return [_real(v, f"{path}[{i}]") for i, v in enumerate(value)]
+            return tuple(_real(v, f"{path}[{i}]") for i, v in enumerate(value))
         if kind == "integer":
             _require(isinstance(value, int) and not isinstance(value, bool), path, "expected an integer")
             _finite(value, path)
@@ -74,10 +75,7 @@ class Rule:
 
 def spec(default, kind: str, **rule):
     """A dataclass field whose metadata holds ``Rule(kind, **rule)``."""
-    meta = {"rule": Rule(kind, **rule)}
-    if isinstance(default, list):
-        return field(default_factory=lambda: list(default), metadata=meta)
-    return field(default=default, metadata=meta)
+    return field(default=default, metadata={"rule": Rule(kind, **rule)})
 
 
 def real(default, lo=None, hi=None, lo_open=False):
@@ -92,25 +90,25 @@ unit = partial(real, lo=0.0, hi=1.0)
 
 def vector(*default, shape=None):
     n = len(default)
-    return spec(list(default), "vector", n=n, shape=shape or f"a {n}-element list")
+    return spec(default, "vector", n=n, shape=shape or f"a {n}-element list")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RatesConfig:
     dynamics: float = positive(400.0)
     vision: float = positive(30.0)
     control: float = positive(20.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WindConfig:
     enabled: bool = spec(True, "flag")
-    mean: list = vector(0.0, 0.0, 0.0)
+    mean: tuple = vector(0.0, 0.0, 0.0)
     sigma: float = nonneg(0.02)
     tau: float = positive(2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldConfig:
     gravity: float = positive(9.81)
     rod_length: float = positive(1.5)
@@ -122,22 +120,22 @@ class WorldConfig:
     wind: WindConfig = field(default_factory=WindConfig)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetConfig:
     pattern: str = spec("straight_line", "choice", options=("static_hover", "straight_line", "figure_eight"))
-    center: list = vector(-5.0, 0.0, 5.0)
+    center: tuple = vector(-5.0, 0.0, 5.0)
     heading: float = real(0.0)
     speed: float = nonneg(0.5)
     extent: float = positive(4.0)
     span: float = positive(0.35)  # target-drone bounding size seen by the detector
 
 
-@dataclass
+@dataclass(frozen=True)
 class CameraConfig:
     width: int = spec(640, "integer", lo=1)
     height: int = spec(480, "integer", lo=1)
     focal_px: float = positive(600.0)
-    mount: list = vector(0.4, 0.0, 0.0)
+    mount: tuple = vector(0.4, 0.0, 0.0)
     sigma_center_px: float = nonneg(2.0)
     sigma_size_px: float = nonneg(1.0)
     p_det_near: float = positive(8.0)
@@ -146,7 +144,7 @@ class CameraConfig:
     min_box_px: float = nonneg(3.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GainsConfig:
     kp_yaw: float = positive(0.01)
     kd_yaw: float = nonneg(0.004)
@@ -156,7 +154,7 @@ class GainsConfig:
     kd_range: float = nonneg(0.3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LimitsConfig:
     v_xy: float = positive(3.0)
     v_z: float = positive(1.5)
@@ -166,11 +164,11 @@ class LimitsConfig:
 ROLES = ("grabber", "tracker")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DroneConfig:
     id: str = spec("grabber", "label")
     role: str = spec("grabber", "choice", options=ROLES)
-    start: list = vector(-14.0, -6.0, 0.0)
+    start: tuple = vector(-14.0, -6.0, 0.0)
     yaw: float = real(0.0)
     tau: float = positive(0.4)
     camera: CameraConfig = field(default_factory=CameraConfig)
@@ -178,7 +176,7 @@ class DroneConfig:
     limits: LimitsConfig = field(default_factory=LimitsConfig)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerceptionConfig:
     sigma_px: float = nonneg(2.0)
     sigma_range: float = nonneg(0.35)
@@ -194,11 +192,11 @@ class PerceptionConfig:
     init_range_rate_var: float = positive(9.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MissionConfig:
     takeoff_altitude: float = positive(3.5)
     takeoff_speed: float = positive(1.0)
-    explore_area: list = vector(-15.0, 15.0, -10.0, 10.0, shape="[x_min, x_max, y_min, y_max]")
+    explore_area: tuple = vector(-15.0, 15.0, -10.0, 10.0, shape="[x_min, x_max, y_min, y_max]")
     explore_speed: float = positive(1.5)
     lane_spacing: float = positive(4.0)
     yaw_gain: float = positive(1.5)
@@ -220,29 +218,22 @@ class MissionConfig:
     mission_budget: float | None = positive(None)  # None: no budget, the run ends at the scenario duration
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaptureConfig:
     radius: float = positive(0.25)
     cone_half_angle_deg: float = real(45.0, lo=0.0, lo_open=True, hi=180.0)
     max_rel_speed: float = positive(1.5)
-    gripper_offset: list = vector(0.4, 0.0, 0.0)
+    gripper_offset: tuple = vector(0.4, 0.0, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelConfig:
     latency: float = nonneg(0.1)
     drop_probability: float = unit(0.05)
     rate_hz: float = positive(5.0)
 
 
-def _default_drones() -> list[DroneConfig]:
-    return [
-        DroneConfig(),
-        DroneConfig(id="tracker", role="tracker", start=[-14.0, 6.0, 0.0]),
-    ]
-
-
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     schema_version: int = spec(1, "integer", lo=1, hi=1)
     seed: int = spec(1, "integer", lo=0)
@@ -250,7 +241,10 @@ class ScenarioConfig:
     rates: RatesConfig = field(default_factory=RatesConfig)
     world: WorldConfig = field(default_factory=WorldConfig)
     target: TargetConfig = field(default_factory=TargetConfig)
-    drones: list[DroneConfig] = field(default_factory=_default_drones)
+    drones: tuple[DroneConfig, ...] = (
+        DroneConfig(),
+        DroneConfig(id="tracker", role="tracker", start=(-14.0, 6.0, 0.0)),
+    )
     perception: PerceptionConfig = field(default_factory=PerceptionConfig)
     mission: MissionConfig = field(default_factory=MissionConfig)
     capture: CaptureConfig = field(default_factory=CaptureConfig)
@@ -260,12 +254,11 @@ class ScenarioConfig:
         return asdict(self)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        """A deep copy with the seed replaced; it shares nothing with self.
-        Raises ConfigError when the seed field's Rule rejects seed."""
+        """This config with the seed replaced; the rest is shared, since
+        configs are immutable. Raises ConfigError when the seed field's
+        Rule rejects seed."""
         rule = next(f.metadata["rule"] for f in fields(self) if f.name == "seed")
-        cfg = copy.deepcopy(self)
-        cfg.seed = rule.check(seed, "seed")
-        return cfg
+        return replace(self, seed=rule.check(seed, "seed"))
 
 
 def _require(cond: bool, path: str, msg: str):
@@ -300,28 +293,28 @@ def _finite(value, path):
 
 def _build(cls, data, path: str):
     """A cls instance: its defaults overlaid with ``data``, each given
-    value checked by its field's Rule. Recurses into sections and the
-    drone list; rejects unknown keys."""
+    value checked by its field's Rule. Recurses into sections, which
+    each field names by its default_factory, and the drone list;
+    rejects unknown keys."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'document'}: expected a mapping")
-    obj = cls()
     known = {f.name: f for f in fields(cls)}
+    given = {}
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
         if key not in known:
             raise ConfigError(f"{where}: unknown key")
         rule = known[key].metadata.get("rule")
-        current = getattr(obj, key)
         if rule is not None:
             value = rule.check(value, where)
-        elif is_dataclass(current):
-            value = _build(type(current), value if value is not None else {}, where)
         elif key == "drones":
-            if not isinstance(value, list) or not value:
+            if not isinstance(value, (list, tuple)) or not value:
                 raise ConfigError(f"{where}: expected a non-empty list")
-            value = [_build(DroneConfig, entry or {}, f"{where}[{i}]") for i, entry in enumerate(value)]
-        setattr(obj, key, value)
-    return obj
+            value = tuple(_build(DroneConfig, entry or {}, f"{where}[{i}]") for i, entry in enumerate(value))
+        else:
+            value = _build(known[key].default_factory, value if value is not None else {}, where)
+        given[key] = value
+    return cls(**given)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -329,7 +322,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
     Each given field is checked against its Rule, then the rules that
     relate fields are checked; raises ConfigError naming the field. Real
-    fields become floats and vectors lists of floats, so an integer
+    fields become floats and vectors tuples of floats, so an integer
     spelling in YAML gives the same config and log header.
     """
     cfg = _build(ScenarioConfig, data or {}, "")

@@ -112,7 +112,7 @@ class _DroneRuntime:
             height=dcfg.camera.height,
             focal_px=dcfg.camera.focal_px,
         )
-        self.mount = CameraMount(translation=tuple(dcfg.camera.mount))
+        self.mount = CameraMount(translation=dcfg.camera.mount)
         self.noise = DetectionNoise(
             sigma_center_px=dcfg.camera.sigma_center_px,
             sigma_size_px=dcfg.camera.sigma_size_px,
@@ -135,7 +135,7 @@ class _DroneRuntime:
             limits=dcfg.limits,
             intr=self.intr,
             mount=self.mount,
-            home=tuple(dcfg.start),
+            home=dcfg.start,
             collaborative=collaborative,
         )
 
@@ -187,7 +187,7 @@ class _Plant:
         self.support_pos, self.support_vel = target_pose(self.pattern, 0.0)
         self.wind = (
             OrnsteinUhlenbeckWind(
-                mean=tuple(w.wind.mean), sigma=w.wind.sigma, tau=w.wind.tau,
+                mean=w.wind.mean, sigma=w.wind.sigma, tau=w.wind.tau,
                 rng=substream(config.seed, _STREAM_WIND),
             )
             if w.wind.enabled
@@ -695,7 +695,9 @@ def monte_carlo(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    # Once per call, not per run: ConfigError for an invalid config or seed_base.
+    # Once per call, not per run, since a config built in memory (by a
+    # constructor or dataclasses.replace) skips load_config's checks:
+    # ConfigError for an invalid config or seed_base.
     config = config_from_dict(config.to_dict())
     runs = run_batch([config.with_seed(seed_base + i) for i in range(n_runs)], n_jobs)
 

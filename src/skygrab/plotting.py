@@ -353,7 +353,7 @@ def render_plot(kind: str, log: SimLog, out_path) -> tuple[str, str]:
         canvas, header, rows = PLOT_KINDS[kind](log)
     except KeyError as e:
         raise ValueError(f"{kind}: log is missing field {e}") from e
-    except (TypeError, IndexError) as e:
+    except (TypeError, IndexError, AttributeError) as e:
         raise ValueError(f"{kind}: log field of the wrong type: {e}") from e
     except _Unplottable as e:
         raise ValueError(f"{kind}: {e}") from None

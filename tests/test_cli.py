@@ -443,6 +443,19 @@ class TestPlot:
             f"error: {p}: trajectory_3d: log field of the wrong type: tuple index out of range\n"
         )
 
+    def test_drones_of_a_state_record_as_a_list_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "listed.jsonl"
+        state = {"kind": "state", "t": 0.0, "target": {"p": [0.0, 0.0, 2.0]},
+                 "ball": {"p": [0.0, 0.0, 1.0]}, "drones": [1, 2]}
+        SimLog(header={"config": {"drones": [{"id": "g", "role": "grabber"}]},
+                       "schema": "skygrab-log", "version": 1},
+               records=[state, {"kind": "verdict", "verdict": "timeout"}]).write(p)
+        assert main(["plot", "--kind", "trajectory_3d", "--log", str(p),
+                     "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {p}: trajectory_3d: log field of the wrong type: 'list' object has no attribute 'items'\n"
+        )
+
 
 class TestCheck:
     def test_valid_config_exits_0(self, capsys):

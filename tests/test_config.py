@@ -1,4 +1,5 @@
 import json
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -135,15 +136,33 @@ class TestConfigsShareNothing:
         a = load_config(CONFIGS / "default.yaml")
         before = a.to_dict()
         b = a.with_seed(5)
-        b.world.wind.sigma = 0.0
-        b.world.wind.mean[0] = 1.0
-        b.target.center[2] = 0.0
-        b.drones[0].start[0] = 99.0
-        b.drones[1].camera.mount[0] = 0.0
-        b.drones.pop()
+        with pytest.raises(FrozenInstanceError):
+            b.world.wind.sigma = 0.0
+        with pytest.raises(TypeError):
+            b.world.wind.mean[0] = 1.0
+        with pytest.raises(TypeError):
+            b.target.center[2] = 0.0
+        with pytest.raises(TypeError):
+            b.drones[0].start[0] = 99.0
+        with pytest.raises(TypeError):
+            b.drones[1].camera.mount[0] = 0.0
+        with pytest.raises(AttributeError):
+            b.drones.pop()
         assert a.to_dict() == before
         assert a.world.wind.sigma == 0.02 and len(a.drones) == 2
         assert b.seed == 5 and a.seed == 1
+
+    def test_loaded_vectors_and_roster_are_tuples(self):
+        cfg = load_config(CONFIGS / "default.yaml")
+        assert type(cfg.drones) is tuple
+        vectors = [cfg.world.wind.mean, cfg.target.center, cfg.mission.explore_area, cfg.capture.gripper_offset]
+        vectors += [v for d in cfg.drones for v in (d.start, d.camera.mount)]
+        assert [type(v) for v in vectors] == [tuple] * 8
+
+    def test_with_seed_shares_the_unchanged_sections(self):
+        a = load_config(CONFIGS / "default.yaml")
+        b = a.with_seed(5)
+        assert b.world is a.world and b.drones is a.drones
 
 
 class TestWithSeed:

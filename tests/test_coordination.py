@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,11 +140,11 @@ class TestChannel:
             )
 
 
-def make_agent(role, collaborative=True):
+def make_agent(role, collaborative=True, settings=MissionConfig()):
     return DroneAgent(
         drone_id=role,
         role=role,
-        settings=MissionConfig(),
+        settings=settings,
         gains=GuidanceGains(),
         limits=LimitsConfig(),
         intr=CameraIntrinsics(),
@@ -258,8 +259,7 @@ class TestTrackerFsm:
         assert change == (MissionPhase.IDLE, MissionPhase.TAKEOFF)
 
     def test_mission_budget_checked_before_confirmation(self):
-        agent = make_agent("tracker")
-        agent.settings.mission_budget = 9.0
+        agent = make_agent("tracker", settings=replace(MissionConfig(), mission_budget=9.0))
         agent.phase = MissionPhase.TRACK_DRONE
         _, _, change = step(agent, tracking_ball(make_percep()), make_uav(), [confirmation()], False, 9.1)
         assert change == (MissionPhase.TRACK_DRONE, MissionPhase.FAILED)
@@ -357,16 +357,14 @@ class TestGrabberFsm:
         assert change == (MissionPhase.RETREAT_LAND, MissionPhase.DONE)
 
     def test_mission_budget_fails_out(self):
-        agent = make_agent("grabber")
-        agent.settings.mission_budget = 10.0
+        agent = make_agent("grabber", settings=replace(MissionConfig(), mission_budget=10.0))
         agent.phase = MissionPhase.APPROACH_HANDOFF
         agent.latest_sighting = (5.0, 0.0, 3.5)
         _, _, change = step(agent, make_percep(), make_uav(), [], False, 10.1)
         assert change == (MissionPhase.APPROACH_HANDOFF, MissionPhase.FAILED)
 
     def test_sighting_folded_before_budget_check(self):
-        agent = make_agent("grabber")
-        agent.settings.mission_budget = 10.0
+        agent = make_agent("grabber", settings=replace(MissionConfig(), mission_budget=10.0))
         sighting = DroneMessage(
             sender="tracker", t_sent=10.05, kind=MessageKind.BALL_SIGHTING, position=(5.0, 0.0, 3.5),
         )

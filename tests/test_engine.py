@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -587,8 +588,7 @@ class TestMonteCarlo:
             calls[0] += 1
             return inner(data)
 
-        cfg = load_config(CONFIGS / "nominal_static.yaml")
-        cfg.duration = 1.0
+        cfg = replace(load_config(CONFIGS / "nominal_static.yaml"), duration=1.0)
         monkeypatch.setattr(config, "config_from_dict", counted)
         monkeypatch.setattr(engine, "config_from_dict", counted)
         run_batch([cfg.with_seed(5), cfg.with_seed(6)])
@@ -605,7 +605,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(engine, "_mc_single", no_run)
         cfg = load_config(CONFIGS / "nominal_static.yaml")
-        cfg.world.claw_pull_force = 4.0  # detach_threshold is 5.0
+        cfg = replace(cfg, world=replace(cfg.world, claw_pull_force=4.0))  # detach_threshold is 5.0
         with pytest.raises(ConfigError, match="^world.claw_pull_force: "):
             monte_carlo(cfg, 2, 1)
 
@@ -654,8 +654,7 @@ class TestMonteCarlo:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        cfg = load_config(CONFIGS / "nominal_static.yaml")
-        cfg.duration = 1.0
+        cfg = replace(load_config(CONFIGS / "nominal_static.yaml"), duration=1.0)
         jobs = [cfg.with_seed(5), cfg.with_seed(6)]
         rows = run_batch(jobs, n_jobs=5000)
         assert pools == [2]

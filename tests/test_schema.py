@@ -51,6 +51,27 @@ RULES = dict(declared())
 SHIPPED = [load_config(p).to_dict() for p in sorted(CONFIGS.glob("*.yaml"))]
 
 
+def leaves(data: dict, path=""):
+    """The path of every value in a config dict that is not a section,
+    through both default drones."""
+    for key, value in data.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(value, dict):
+            yield from leaves(value, where)
+        elif key == "drones":
+            for i, drone in enumerate(value):
+                yield from leaves(drone, f"{where}[{i}]")
+        else:
+            yield where
+
+
+def test_every_field_declares_a_rule():
+    # declared() finds sections by their default_factory; a section that
+    # lost it would drop out of RULES, and of every test drawn from it,
+    # without a failure.
+    assert sorted(RULES) == sorted(leaves(ScenarioConfig().to_dict()))
+
+
 def values(rule):
     """A strategy over the values ``rule`` accepts."""
     if rule.kind in ("real", "vector"):
