@@ -308,6 +308,7 @@ def _build(cls, data, path: str):
         if rule is not None:
             value = rule.check(value, where)
         elif key == "drones":
+            # A tuple too: to_dict keeps the roster's tuple.
             if not isinstance(value, (list, tuple)) or not value:
                 raise ConfigError(f"{where}: expected a non-empty list")
             value = tuple(_build(DroneConfig, entry or {}, f"{where}[{i}]") for i, entry in enumerate(value))
