@@ -115,8 +115,6 @@ class WorldConfig:
     ball_diameter: float = positive(0.18)
     ball_mass: float = positive(0.1)
     damping: float = nonneg(0.05)
-    detach_threshold: float = nonneg(5.0)
-    claw_pull_force: float = nonneg(8.0)
     wind: WindConfig = field(default_factory=WindConfig)
 
 
@@ -311,7 +309,9 @@ def _build(cls, data, path: str):
             # A tuple too: to_dict keeps the roster's tuple.
             if not isinstance(value, (list, tuple)) or not value:
                 raise ConfigError(f"{where}: expected a non-empty list")
-            value = tuple(_build(DroneConfig, entry or {}, f"{where}[{i}]") for i, entry in enumerate(value))
+            value = tuple(
+                _build(DroneConfig, {} if e is None else e, f"{where}[{i}]") for i, e in enumerate(value)
+            )
         else:
             value = _build(known[key].default_factory, value if value is not None else {}, where)
         given[key] = value
@@ -349,15 +349,10 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     ids = [d.id for d in cfg.drones]
     _require(len(set(ids)) == len(ids), "drones", "drone ids must be unique")
     for i, d in enumerate(cfg.drones):
+        # The timeseries and trajectory exports name the ball and the target so.
+        _require(d.id not in ("ball", "target"), f"drones[{i}].id", "must not be 'ball' or 'target'")
         c = d.camera
         _require(c.p_det_far >= c.p_det_near, f"drones[{i}].camera.p_det_far", "must be >= p_det_near")
-
-    # A claw weaker than the rod's hold could never detach the ball.
-    _require(
-        cfg.world.claw_pull_force >= cfg.world.detach_threshold,
-        "world.claw_pull_force",
-        "must be >= world.detach_threshold",
-    )
     m = cfg.mission
     x_min, x_max, y_min, y_max = m.explore_area
     _require(x_max > x_min, "mission.explore_area", "x_max must exceed x_min")

@@ -19,7 +19,7 @@ hangs still, with no wind and a target of constant velocity, is a fixed
 point of its integrator, so the plant does not integrate it.
 ``run_scenario`` alone decides that schedule, and the log records it:
 ``replay_divergence`` drives the same ``advance`` open loop from the
-log's command, state and detach records in log order, so run and replay
+log's command, state and capture records in log order, so run and replay
 advance the world through the same code. ``outcome`` reads the verdict
 from the log's phase and event records.
 """
@@ -482,7 +482,6 @@ class _Run:
                         "p": list(plant.ball_position()),
                         "v": list(plant.ball_velocity()),
                         "attached": plant.ball.attached,
-                        "held": not plant.ball.attached,
                         "theta": plant.ball.theta,
                         "phi": plant.ball.phi,
                     },
@@ -509,10 +508,9 @@ class _Run:
         return False
 
     def release(self, t: float) -> None:
-        """Detach the ball into the grabber's basket and log the capture."""
+        """Detach the ball into the grabber's basket and log its one ``capture`` event."""
         bp = self.plant.ball_position()
         self.plant.release()
-        self.event(t, "detach", self.grabber.id, {"pull_force": self.config.world.claw_pull_force})
         self.event(t, "capture", self.grabber.id, {"ball_p": list(bp)})
 
     def verdict(self) -> dict:
@@ -611,10 +609,11 @@ def replay_divergence(log: SimLog) -> float:
     deviation against the logged ground truth.
 
     Advances the same plant as ``run_scenario`` through the log's
-    command, state and detach records in log order: the plant is
+    command, state and capture records in log order: the plant is
     advanced to each record's step, then holds the command, compares
     every drone and the ball against the state, or releases the ball. A
-    plant step that overflows reads as infinite divergence.
+    plant step that overflows reads as infinite divergence; a header
+    config that validation rejects raises ConfigError.
     """
     cfg = config_from_dict(log.header["config"])
     plant = _Plant(cfg)
@@ -622,8 +621,8 @@ def replay_divergence(log: SimLog) -> float:
     worst, compared = 0.0, False
     for r in log.records:
         kind = r["kind"]
-        if kind == "event" and r["event"] == "detach":
-            kind = "detach"
+        if kind == "event" and r["event"] == "capture":
+            kind = "capture"
         elif kind != "command" and kind != "state":
             continue
         k = round(r["t"] / plant.dt)

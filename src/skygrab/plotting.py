@@ -28,10 +28,13 @@ _TICKS = 5  # about this many ticks per axis
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round ticks over lo..hi; _Unplottable for a span so fine against the
+    values' float spacing that it is 0 or a step cannot advance a tick."""
     span = hi - lo
     raw = span / _TICKS
+    too_fine = _Unplottable(f"axis span {_fmt(span)} is too fine for the float resolution near {_fmt(lo)}")
+    if not raw > 0.0:
+        raise too_fine
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -42,6 +45,8 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     v = first
     while v <= hi + 1e-12 * span:
         ticks.append(round(v, 12))
+        if v + step == v:
+            raise too_fine
         v += step
     return ticks
 

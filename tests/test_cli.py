@@ -19,6 +19,15 @@ CONFIGS = ROOT / "configs"
 NOMINAL = str(CONFIGS / "nominal_static.yaml")
 
 
+def _cli(*argv):
+    """Run skygrab as a program; one that runs past the timeout fails."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "skygrab.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("runs")
@@ -319,6 +328,22 @@ class TestPlot:
         assert capsys.readouterr().err == f"error: {p}: {kind}: log holds values too large to plot\n"
         assert list(tmp_path.iterdir()) == [p]
 
+    @pytest.mark.parametrize("shift, message", [
+        (3e16, "axis span 4 is too fine for the float resolution near 2.59808e+16"),  # a tick step stalls
+        (1e18, "axis span 0 is too fine for the float resolution near 8.66025e+17"),  # the span rounds to 0
+    ], ids=["step_stalls", "span_rounds_to_0"])
+    def test_axis_span_below_float_resolution_exits_1_naming_kind(self, run_dir, tmp_path, shift, message):
+        # A subprocess with a timeout, so that a plot which never ends fails.
+        log = SimLog.read(run_dir / "log.jsonl")
+        for r in log.iter_kind("state"):
+            for entity in (r["target"], r["ball"], *r["drones"].values()):
+                entity["p"][0] += shift
+        p = tmp_path / "shifted.jsonl"
+        log.write(p)
+        done = _cli("plot", "--kind", "trajectory_3d", "--log", str(p), "--out", str(tmp_path / "x.svg"))
+        assert (done.returncode, done.stderr) == (1, f"error: {p}: trajectory_3d: {message}\n")
+        assert list(tmp_path.iterdir()) == [p]
+
     @pytest.fixture(scope="class")
     def untracked_log(self, tmp_path_factory):
         """A detailed nominal_static log that ends before the grabber
@@ -468,13 +493,21 @@ class TestCheck:
         assert main(["check", "--config", str(bad)]) == 1
         assert "rates.control" in capsys.readouterr().err
 
-    def test_claw_that_can_never_detach_exits_1(self, tmp_path, capsys):
-        weak = tmp_path / "weak_claw.yaml"
-        weak.write_text("world:\n  claw_pull_force: 4.0\n")  # detach_threshold is 5.0
-        assert main(["check", "--config", str(weak)]) == 1
+    def test_standoff_beyond_the_ball_init_range_exits_1(self, tmp_path, capsys):
+        far = tmp_path / "far_standoff.yaml"
+        far.write_text("mission:\n  grabber_standoff: 7.0\n")  # perception.init_range_ball is 6.0
+        assert main(["check", "--config", str(far)]) == 1
         assert capsys.readouterr().err == (
-            "error: world.claw_pull_force: must be >= world.detach_threshold\n"
+            "error: mission.grabber_standoff: must be below perception.init_range_ball\n"
         )
+
+    @pytest.mark.parametrize("name", ["ball", "target"])
+    def test_drone_named_like_an_exported_entity_exits_1(self, tmp_path, capsys, name):
+        # The timeseries and trajectory exports key the ball and the target by these names.
+        cfg = tmp_path / "clash.yaml"
+        cfg.write_text(f"drones:\n  - id: {name}\n")
+        assert main(["check", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: drones[0].id: must not be 'ball' or 'target'\n"
 
     def test_config_directory_exits_1_naming_it(self, tmp_path, capsys):
         assert main(["check", "--config", str(tmp_path)]) == 1
@@ -490,14 +523,6 @@ class TestCheck:
 class TestErrorExit:
     """Each command, run as a program, turns a bad input into exit 1
     and one error message, never a traceback."""
-
-    @staticmethod
-    def cli(*argv):
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "skygrab.cli", *argv],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-        )
 
     # "run-usage" and "mc-usage" are argparse's own errors, which exit 1
     # too: exit 2 means a mission that failed.
@@ -520,7 +545,7 @@ class TestErrorExit:
             "run-usage": ["run"],
             "mc-usage": ["mc", "--config", NOMINAL, "--runs", "x", "--out", str(tmp_path / "mc")],
         }[command]
-        done = self.cli(*argv)
+        done = _cli(*argv)
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.startswith("error: ")

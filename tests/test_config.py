@@ -7,6 +7,7 @@ import pytest
 from skygrab.config import (
     MAX_LANES,
     ConfigError,
+    DroneConfig,
     ScenarioConfig,
     load_config,
     parse_config,
@@ -122,13 +123,15 @@ class TestParseConfig:
             parse_config("mission:\n  grabber_standoff: 7.0\n")
         assert "grabber_standoff" in str(e.value)
 
-    def test_claw_must_meet_the_detach_threshold(self):
-        # A claw weaker than the rod's hold could never detach the ball.
+    @pytest.mark.parametrize("entry", ["0", "false", '""', "[]"])
+    def test_falsy_drone_entry_is_not_a_default_drone(self, entry):
+        # Only null stands for an all-default entry, as for a section.
         with pytest.raises(ConfigError) as e:
-            parse_config("world:\n  claw_pull_force: 4.0\n  detach_threshold: 5.0\n")
-        assert str(e.value) == "world.claw_pull_force: must be >= world.detach_threshold"
-        cfg = parse_config("world:\n  claw_pull_force: 5.0\n  detach_threshold: 5.0\n")
-        assert cfg.world.claw_pull_force == cfg.world.detach_threshold == 5.0
+            parse_config(f"drones: [{entry}]\n")
+        assert str(e.value) == "drones[0]: expected a mapping"
+
+    def test_null_drone_entry_is_the_default_grabber(self):
+        assert parse_config("drones: [null]\n").drones == (DroneConfig(),)
 
 
 class TestConfigsShareNothing:

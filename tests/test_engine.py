@@ -44,36 +44,36 @@ PLANT_OVERFLOWS = {
         {"world": {"gravity": 1.0e300}},
         0.0,
         [("nonfinite_state", 0.0)],
-        {False: "048922c08e302f2af12aeeb904d5188adeb1e683ee90f9267f07e11bce43bd47",
-         True: "cc5e837492c2afdf548a3d3e6ca74a2308a326e0a50ad5a438d9e02d98d50be3"},
+        {False: "460dc9259d1ec65104e38bdf92c7d8a74330d1ade745d150070a1856d5f483b0",
+         True: "1a142d8f8d5873e6a8077522bfd735211da4ba83219a5eadbe4c748a6871a3c7"},
     ),
     "wind_overflow": (
         {"world": {"wind": {"mean": [1.0e9, 0.0, 0.0], "tau": 0.5}}},
         0.0025,
         [("invalid_swing", 0.0), ("nonfinite_state", 0.0025)],
-        {False: "aa771982e83814af0ac4271c9636b09c9b4f61d684aa007be0368dd5a23b2432",
-         True: "99a0d6be244e69887bf243c04a95e425a7237d4112abeb5d2723657af1fe08f7"},
+        {False: "88c6051778699016c6b3a3a3f6d300964f1dc14a52b1189f1105c7e32ac769da",
+         True: "cb744c6933e41d388c2115a255f1c2a3917f7c1b48e5d63957503ca6e0d715cf"},
     ),
     "wind_nan": (
         {"world": {"wind": {"mean": [1.0e300, 0.0, 0.0]}}},
         0.0025,
         [("nonfinite_state", 0.0)],
-        {False: "dedbbd621cedff483d68f190a67161d93d36eb7c01894ab0532ddf88a1dcb05f",
-         True: "f95d746c7c393601e5f973151feff9674351e4641ac8330272af04feb39a5677"},
+        {False: "c71b92b0058dd080b445490bdc657b50d46d468c993942650af93074836840e0",
+         True: "45a03c98fa588d5dd36d732833fae2df49eeabc5f92bb0c39cb4a745a0e484c7"},
     ),
     "target_inf": (
         {"target": {"speed": 1.7e308}},
         1.0575,
         [("nonfinite_state", 1.055)],
-        {False: "5ea7f7714ee6d5e660cf93f785321cde5dc3dc21a2112db58a11bef91ef54adc",
-         True: "2b4cd208022fbcbb6dd9f2a21840adec5c07707acff0965490219817fa888aad"},
+        {False: "1cbd062e62c11cf6e13c65c09ec966b15951a60d9519bd1dd8d1d60af3dfbbe8",
+         True: "6debe766088aaea889cd248a207d3c0c2206632ac0e1ae087d2d9860e07f4c16"},
     ),
     "figure_eight_phase": (
         {"target": {"pattern": "figure_eight", "speed": 1.0e300, "extent": 1.0e-300}},
         0.0025,
         [("nonfinite_state", 0.0)],
-        {False: "ba2d72cc048ff39f39a5de15294aa9c236bebc0790768ef3c0a9d39547dd1df1",
-         True: "603727be50d9aa97bc84031f0389e25bafa8e6f3fcee635d31c273fd54599616"},
+        {False: "42f7adb3d6405ef105ea92924a7faecb5cc8b91cbd6d8951254060c3e07577b9",
+         True: "56c72a72e881472e40fa89beca89f2f786d63ea74a688c439030ccac4a8e8e74"},
     ),
 }
 
@@ -155,8 +155,7 @@ class TestNominalRuns:
         assert rec["verdict"] == "captured"
         assert rec["t_capture"] is not None
 
-    def test_exactly_one_detach_transition(self, nominal_static_log):
-        assert len(nominal_static_log.events("detach")) == 1
+    def test_exactly_one_capture_event_and_attached_flip(self, nominal_static_log):
         assert len(nominal_static_log.events("capture")) == 1
         # the logged ball flips attached exactly once
         flips = 0
@@ -262,14 +261,14 @@ class TestDisturbedRun:
 
     def test_replay_compares_the_state_before_a_detach_on_a_control_tick(self):
         # default@1020 captures on a control tick, where the step's state
-        # record comes before its detach: replay must compare the hanging
-        # ball first and release it after.
+        # record comes before its capture event: replay must compare the
+        # hanging ball first and release it after.
         log = run_scenario(load_config(CONFIGS / "default.yaml").with_seed(1020))
         t = log.verdict_record["t_capture"]
         k = round(t / log.header["multirate"]["dt"])
         assert (t, k, k % log.header["multirate"]["control_every"]) == (25.0, 10_000, 0)
         at_capture = [(r["kind"], r.get("event")) for r in log.records if r.get("t") == t]
-        assert at_capture.index(("state", None)) < at_capture.index(("event", "detach"))
+        assert at_capture.index(("state", None)) < at_capture.index(("event", "capture"))
         assert replay_divergence(log) <= 1e-9
 
     def test_replay_of_a_log_cut_after_a_mid_run_state_record(self, disturbed_log):
@@ -364,8 +363,8 @@ class TestPlant:
         assert _Plant(config_from_dict(d)).still is still
 
     @pytest.mark.parametrize("detail, digest", [
-        (False, "5ed5d259b4d1f37324ec737296fc71bc651cf6e6c0777af6ac20a047e4ed5588"),
-        (True, "2ff8d8d6de3647081767552deb7715c0554f7a44aaadd248cd1b20f243bcd66a"),
+        (False, "838b4909992a7019de312a75f9797ce24a748e89c6bfed5187bc2eee2566eb7d"),
+        (True, "95045d556a2e514c88152343628402f4df8dac41b7a99296a56537ec2b56098a"),
     ])
     def test_rest_that_is_not_a_fixed_point_is_integrated(self, detail, digest):
         # g / L overflows to inf, so one step from rest is not rest
@@ -453,7 +452,7 @@ class TestEvents:
         assert [r["t"] for r in log.events("invalid_swing")] == [1.7875]
         assert log.verdict_record["t_end"] == 8.0
         detailed = run_scenario(cfg, detail=True)
-        assert _digest(detailed) == "ba7fe8eb92b060c14ad6445e2bdab3517c67351120dbab6fd0bcbb8bec7bcf78"
+        assert _digest(detailed) == "f4c8407548c813f138e2f26615d0e90d7b0d9187201582ebb69ab22244706d30"
         # replay's plant stops once at the over-swing and goes on
         assert replay_divergence(detailed) <= 1e-9
 
@@ -605,8 +604,8 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(engine, "_mc_single", no_run)
         cfg = load_config(CONFIGS / "nominal_static.yaml")
-        cfg = replace(cfg, world=replace(cfg.world, claw_pull_force=4.0))  # detach_threshold is 5.0
-        with pytest.raises(ConfigError, match="^world.claw_pull_force: "):
+        cfg = replace(cfg, mission=replace(cfg.mission, grabber_standoff=7.0))  # init_range_ball is 6.0
+        with pytest.raises(ConfigError, match="^mission.grabber_standoff: "):
             monte_carlo(cfg, 2, 1)
 
     def test_a_single_process_batch_never_imports_the_pool(self):

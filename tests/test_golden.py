@@ -32,23 +32,23 @@ VARIANTS = {
 }
 
 GOLDEN = {
-    ("default", 1): "55832a7b202ce80acd83fc6395a6bf3d9155b7e7ff2f0d27a15d9ad60a555f19",
-    ("default", 1000): "fa0aa7cf52ec66b969542e23ff512ae8ed9f0d7d61ed658f483917c22846487f",
-    ("default", 1001): "c0310f351e53299538c6825f7ee7c08d3fb4ff8200a78fce44f72414dabcb693",
-    ("nominal_collab_static", 1): "398441483a667eb3bc8d7c9306da2bf6a2807aec2805948415048d9230a0f6d1",
-    ("nominal_collab_static", 1000): "a56bed63e9527723cbc6c545414072dff0a2406da9a29761931e60ac196f43b8",
-    ("nominal_collab_static", 1001): "269b4f0a70f81175cb9e5326817d980a04524a2bf6b292e2af7da7da71a9d5c0",
-    ("nominal_moving", 1): "d064128462d9ddcc73f48b5196fd2fa620cd23ec034f8568774cc8813d8eb744",
-    ("nominal_moving", 1000): "ff1e6ea84cdbdbe09e21cbd7998b404f7447c37a2956556ed2ea31a734dff4d7",
-    ("nominal_moving", 1001): "13eaf77d4f62bf3eaade7ca2ea23749949d4d56e22b7c4e5b7e8c581b1ee46c8",
-    ("nominal_static", 1): "5b4582d57fc77fc539686291f5113ec1c766aa995e1893960f821eab6368277d",
-    ("nominal_static", 1000): "47f1c61b7dfe0cf806a86f41a80f3ff7e879e6e434e6e1db92cf2936afd1939c",
-    ("nominal_static", 1001): "2966d7f44073bea5d5cea228b237531f92082ad3ce8319fef5c6816452ead87e",
-    ("single_moving", 1): "f46d3b466a7b9cd8746fa033d2397678f1d48ae92e506ec391f8c210ac9b60bd",
-    ("single_moving", 1000): "d5804c3d59832ea65ca1ed759accfa0154e059057b7fb5d833c5ddee4a0c8db4",
-    ("single_moving", 1001): "979f6a527d75d2712a7dfca048d93c322f836a2632b030524ee9b233d79dc595",
-    ("default_figure_eight", 1): "3a4960482b23a62d739f33beb6e1e4af11075bccd083fabb31a712de00c81822",
-    ("default_figure_eight", 1000): "dd83888d0fe6db9b5d8c8eb8a03d3361aa73043cc48c25c6b66a282e55ea510f",
+    ("default", 1): "dbada5a062d9e5261e19cf5039fefd0a19ccb690d010ce25a755373adbc1adaf",
+    ("default", 1000): "381bbcd6e7bc6a37981aff659c05a9e0dc903dd1fa9f50c613ffdcc5bc9a95ee",
+    ("default", 1001): "b7c1084ec7a81046ac80aa034a2510d266520136456eb049a0849424b8795444",
+    ("nominal_collab_static", 1): "e44c21dd05305adc011581dad77b550ccd6e8dde4d63d83306b7a52f0d177452",
+    ("nominal_collab_static", 1000): "b18aed0d0f570c54a70302b307a7dfebf1dde5baa6e97fdeb56d1b238d9d6d50",
+    ("nominal_collab_static", 1001): "f0319b92a68c33ad98bd47783bd3d6ad6028baa6c772c4fd8dc4800dbe2d0704",
+    ("nominal_moving", 1): "34565a5cced7f7235154d94500bd65498c6c440d37db7605789905110dde8d20",
+    ("nominal_moving", 1000): "a9871c6797d2286086ce198fc8a401086be7e3048b8ba0768cdc8e0d30bba285",
+    ("nominal_moving", 1001): "281d82abab3846fe4cd036d9c6bae0362d1ee1287fbbc18f5afe02d60e7cdb9a",
+    ("nominal_static", 1): "2f5192c1c40e13640601314c3c1becf38f1c18da8974b087d83ce10b8edd4eb1",
+    ("nominal_static", 1000): "2a3787a5366e32f3ab26802b25a7161c81ccbeace0457401e54de7f8720be7ed",
+    ("nominal_static", 1001): "bbd57cb27ff866b41a914c420ca0a5d0c592db3653c331ef286bab01916395b5",
+    ("single_moving", 1): "bdb3be060023afc6476413b86f279bd813a1e03118bb075fbb87cc97f6774cbd",
+    ("single_moving", 1000): "947ce3059d3e2bdb36f47235881f06a27ead93ea6da77c19d56780526f246dd7",
+    ("single_moving", 1001): "1154b45b9aa8f080209db167d305b5293b6fe8c3a5d7d99d4d4634da75266ce1",
+    ("default_figure_eight", 1): "615e5541cbb6d8a7947c07ecbca2e255623567b5ac7a831d5ef1ffb9022c6283",
+    ("default_figure_eight", 1000): "694bb110d6cd027ccb180fb4fb3fda470a2b5136ce328e712fa0340dc85e3a45",
 }
 
 

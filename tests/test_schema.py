@@ -188,8 +188,6 @@ def companions(path: str, v: float) -> dict:
         return {"rates.dynamics": v, "rates.vision": v, "rates.control": v, "duration": 2.0 / v}
     if path.endswith("camera.p_det_far"):
         return {path.replace("far", "near"): v}
-    if path == "world.claw_pull_force":
-        return {"world.detach_threshold": v}
     if path == "perception.init_range_ball":
         return {"mission.grabber_standoff": v / 2.0}
     if path == "mission.lane_spacing":
