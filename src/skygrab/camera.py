@@ -13,6 +13,7 @@ degrading on small, distant objects.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,8 +165,8 @@ def synth_detection(
 
     Misses occur when the object is behind the camera or out of the
     image, when its true projection falls outside the supplied gate, when
-    the detection-probability draw fails, or when pixel noise pushes the
-    reported center out of the image.
+    the detection-probability draw fails, when pixel noise pushes the
+    reported center out of the image, or when the box size overflows.
     """
     imaged = project(point_world, observer, mount, intr)
     if imaged is None:
@@ -186,6 +187,8 @@ def synth_detection(
     if not (0.0 <= x <= intr.width and 0.0 <= y <= intr.height):
         return None
     w = max(w_true + noise.sigma_size_px * nw, 0.5)
+    if not math.isfinite(w):  # after the draws, so no random stream shifts
+        return None
     return ImageDetection(x=x, y=y, w=w, h=w, cls=cls, t=t)
 
 

@@ -7,14 +7,14 @@ position. The grabber either flies to the communicated position
 (collaborative mode) or explores on its own (single mode), servos onto
 the ball, ramps its standoff down to contact, and confirms the grab.
 
-Each role's policy is a table, ``POLICIES``, with one handler per
-non-terminal phase of the role's declared phase graph (both at the
-bottom of this module). ``DroneAgent.step`` does the work every phase
-shares (target memory, inbox, the terminal and budget checks) and then
-runs the handler of the current phase, which may change the phase and
-returns the command and at most one message. Every phase transition
-must be an edge of the declared graph; the run-log validator enforces
-that.
+Each role's mission is one table, ``POLICIES`` at the bottom of this
+module, that maps every non-terminal phase to its handler and its
+edges; terminal phases have no entry. ``DroneAgent.step`` does the work
+every phase shares (target memory, inbox, the terminal and budget
+checks) and then runs the handler of the current phase, which may change
+the phase and returns the command and at most one message. Every phase
+transition must be one of the edges of the phase it leaves; the run-log
+validator enforces that.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -172,23 +172,21 @@ class DroneAgent:
     mount: CameraMount
     home: Vec3
     collaborative: bool = True
-    phase: MissionPhase = MissionPhase.IDLE
-    explore: ExplorePlan = None
-    latest_sighting: Vec3 | None = None
-    latest_sighting_t: float = -math.inf
-    last_target_point: Vec3 | None = None
-    last_target_t: float = -math.inf
-    grab_entered_t: float = 0.0
-    last_sighting_sent: float = -math.inf
-    confirm_sent: bool = False
+    phase: MissionPhase = field(init=False, default=MissionPhase.IDLE)
+    explore: ExplorePlan = field(init=False)
+    latest_sighting: Vec3 | None = field(init=False, default=None)
+    latest_sighting_t: float = field(init=False, default=-math.inf)
+    last_target_point: Vec3 | None = field(init=False, default=None)
+    last_target_t: float = field(init=False, default=-math.inf)
+    grab_entered_t: float = field(init=False, default=0.0)
+    last_sighting_sent: float = field(init=False, default=-math.inf)
 
     def __post_init__(self):
-        if self.explore is None:
-            self.explore = ExplorePlan(lawnmower_waypoints(
-                self.settings.explore_area,
-                self.settings.lane_spacing,
-                self.settings.takeoff_altitude,
-            ))
+        self.explore = ExplorePlan(lawnmower_waypoints(
+            self.settings.explore_area,
+            self.settings.lane_spacing,
+            self.settings.takeoff_altitude,
+        ))
 
     def step(self, percep, uav, inbox, grab_flag, t):
         """One control tick; returns (command, message or None).
@@ -196,9 +194,9 @@ class DroneAgent:
         Remembers the target, folds the inbox, holds still once terminal,
         fails out past the mission budget, ends the mission on a
         ``GRAB_CONFIRMED`` in a phase with a DONE edge, and otherwise runs
-        the handler that ``POLICIES`` holds for this role and phase.
-        ``grab_flag`` is the engine's contact check: the ball is in this
-        drone's basket.
+        the handler of this phase. ``POLICIES`` holds the handler and the
+        edges of every non-terminal phase of this role. ``grab_flag`` is
+        the engine's contact check: the ball is in this drone's basket.
         """
         self._remember_target(percep, uav, t)
         confirmed = False
@@ -213,9 +211,10 @@ class DroneAgent:
         budget = self.settings.mission_budget
         if budget is not None and t > budget:
             return _hold(self, MissionPhase.FAILED)
-        if confirmed and MissionPhase.DONE in PHASE_GRAPHS[self.role][self.phase]:
+        handler, edges = POLICIES[self.role][self.phase]
+        if confirmed and MissionPhase.DONE in edges:
             return _hold(self, MissionPhase.DONE)
-        return POLICIES[self.role][self.phase](self, percep, uav, grab_flag, t)
+        return handler(self, percep, uav, grab_flag, t)
 
     def _remember_target(self, percep, uav, t):
         # Own memory of where the target group was last seen, used to
@@ -273,7 +272,7 @@ def _search_cmd(agent, percep, uav, t) -> VelocityCommand:
 def _reacquire_phase(agent) -> MissionPhase:
     """Where a grabber without a ball track goes: to the communicated
     position when it has one, else to its own exploration."""
-    if agent.collaborative and agent.latest_sighting is not None:
+    if agent.latest_sighting is not None:
         return MissionPhase.APPROACH_HANDOFF
     return MissionPhase.EXPLORE
 
@@ -383,14 +382,12 @@ def _grabber_servo(agent, percep, uav, grab_flag, t):
 
 
 def _grabber_grab(agent, percep, uav, grab_flag, t):
-    """Ramp the standoff down to contact; confirm the grab once."""
+    """Ramp the standoff down to contact; confirm the grab, once: the
+    retreat's edges lead only to terminal phases."""
     st, ball = agent.settings, percep.ball_track
     if grab_flag:
-        msg = None
-        if not agent.confirm_sent:
-            msg = DroneMessage(sender=agent.drone_id, t_sent=t, kind=MessageKind.GRAB_CONFIRMED)
-            agent.confirm_sent = True
         agent.phase = MissionPhase.RETREAT_LAND
+        msg = DroneMessage(sender=agent.drone_id, t_sent=t, kind=MessageKind.GRAB_CONFIRMED)
         return VelocityCommand(), msg
     if ball.status is TrackStatus.UNINITIALIZED or t - agent.grab_entered_t > st.grab_time_budget:
         agent.phase = _reacquire_phase(agent)
@@ -411,66 +408,45 @@ def _grabber_retreat(agent, percep, uav, grab_flag, t):
 
 
 # ---------------------------------------------------------------------------
-# Declared phase graphs and the trace validator
+# Mission tables and the trace validator
 # ---------------------------------------------------------------------------
 
 P = MissionPhase
-TRACKER_GRAPH: dict[MissionPhase, set[MissionPhase]] = {
-    P.IDLE: {P.TAKEOFF, P.FAILED},
-    P.TAKEOFF: {P.EXPLORE, P.DONE, P.FAILED},
-    P.EXPLORE: {P.TRACK_DRONE, P.DONE, P.FAILED},
-    P.TRACK_DRONE: {P.EXPLORE, P.DONE, P.FAILED},
-    P.DONE: set(),
-    P.FAILED: set(),
-}
-GRABBER_GRAPH: dict[MissionPhase, set[MissionPhase]] = {
-    P.IDLE: {P.TAKEOFF, P.FAILED},
-    P.TAKEOFF: {P.EXPLORE, P.APPROACH_HANDOFF, P.FAILED},
-    P.EXPLORE: {P.SERVO_BALL, P.FAILED},
-    P.APPROACH_HANDOFF: {P.SERVO_BALL, P.FAILED},
-    P.SERVO_BALL: {P.GRAB, P.APPROACH_HANDOFF, P.EXPLORE, P.FAILED},
-    P.GRAB: {P.RETREAT_LAND, P.APPROACH_HANDOFF, P.EXPLORE, P.FAILED},
-    P.RETREAT_LAND: {P.DONE, P.FAILED},
-    P.DONE: set(),
-    P.FAILED: set(),
+# Per role, the handler and the edges of each non-terminal phase.
+POLICIES = {
+    "tracker": {
+        P.IDLE: (_tracker_idle, {P.TAKEOFF, P.FAILED}),
+        P.TAKEOFF: (_tracker_takeoff, {P.EXPLORE, P.DONE, P.FAILED}),
+        P.EXPLORE: (_tracker_explore, {P.TRACK_DRONE, P.DONE, P.FAILED}),
+        P.TRACK_DRONE: (_tracker_track, {P.EXPLORE, P.DONE, P.FAILED}),
+    },
+    "grabber": {
+        P.IDLE: (_grabber_idle, {P.TAKEOFF, P.FAILED}),
+        P.TAKEOFF: (_grabber_takeoff, {P.EXPLORE, P.APPROACH_HANDOFF, P.FAILED}),
+        P.EXPLORE: (_grabber_explore, {P.SERVO_BALL, P.FAILED}),
+        P.APPROACH_HANDOFF: (_grabber_approach, {P.SERVO_BALL, P.FAILED}),
+        P.SERVO_BALL: (_grabber_servo, {P.GRAB, P.APPROACH_HANDOFF, P.EXPLORE, P.FAILED}),
+        P.GRAB: (_grabber_grab, {P.RETREAT_LAND, P.APPROACH_HANDOFF, P.EXPLORE, P.FAILED}),
+        P.RETREAT_LAND: (_grabber_retreat, {P.DONE, P.FAILED}),
+    },
 }
 del P
 
-PHASE_GRAPHS = {"tracker": TRACKER_GRAPH, "grabber": GRABBER_GRAPH}
-
-# Per role, the handler of each non-terminal phase of its graph.
-POLICIES = {
-    "tracker": {
-        MissionPhase.IDLE: _tracker_idle,
-        MissionPhase.TAKEOFF: _tracker_takeoff,
-        MissionPhase.EXPLORE: _tracker_explore,
-        MissionPhase.TRACK_DRONE: _tracker_track,
-    },
-    "grabber": {
-        MissionPhase.IDLE: _grabber_idle,
-        MissionPhase.TAKEOFF: _grabber_takeoff,
-        MissionPhase.EXPLORE: _grabber_explore,
-        MissionPhase.APPROACH_HANDOFF: _grabber_approach,
-        MissionPhase.SERVO_BALL: _grabber_servo,
-        MissionPhase.GRAB: _grabber_grab,
-        MissionPhase.RETREAT_LAND: _grabber_retreat,
-    },
-}
-
 
 def validate_phase_trace(transitions, role: str) -> None:
-    """Check a (from, to) transition sequence against the declared graph.
+    """Check a (from, to) transition sequence against the role's table.
 
-    Raises ValueError on an illegal edge, a transition out of a terminal
-    phase, or a chain that does not start from IDLE.
+    Raises ValueError on a transition to a phase outside the edges of the
+    phase it leaves, a transition out of a terminal phase, or a chain that
+    does not start from IDLE.
     """
-    graph = PHASE_GRAPHS[role]
+    table = POLICIES[role]
     prev_to = MissionPhase.IDLE
     for i, (src, dst) in enumerate(transitions):
         if i == 0 and src is not MissionPhase.IDLE:
             raise ValueError(f"trace must start from idle, got {src.value}")
         if src is not prev_to:
             raise ValueError(f"discontinuous trace at step {i}: {prev_to.value} -> {src.value}")
-        if dst not in graph[src]:
+        if src not in table or dst not in table[src][1]:
             raise ValueError(f"illegal transition {src.value} -> {dst.value} for role {role}")
         prev_to = dst

@@ -51,6 +51,16 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """Labels with the fewest significant digits, at least 6, that tell
+    all ticks apart; distinct floats always differ in 17."""
+    for digits in range(6, 18):
+        labels = [f"{t:.{digits}g}" for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
+
+
 class SvgCanvas:
     def __init__(self, width: int = 720, height: int = 480):
         self.width = width
@@ -123,16 +133,16 @@ class Axes:
     def _frame(self, title, xlabel, ylabel):
         c = self.c
         c.rect(self.x0, self.y0, self.x1 - self.x0, self.y1 - self.y0, fill="none", stroke="#888")
-        for t in _nice_ticks(*self.xlim):
-            if self.xlim[0] <= t <= self.xlim[1]:
-                x = self.px(t)
-                c.line(x, self.y1, x, self.y1 + 4, stroke="#888")
-                c.text(x, self.y1 + 17, _fmt(t), size=10, anchor="middle")
-        for t in _nice_ticks(*self.ylim):
-            if self.ylim[0] <= t <= self.ylim[1]:
-                y = self.py(t)
-                c.line(self.x0 - 4, y, self.x0, y, stroke="#888")
-                c.text(self.x0 - 7, y + 3, _fmt(t), size=10, anchor="end")
+        xticks = [t for t in _nice_ticks(*self.xlim) if self.xlim[0] <= t <= self.xlim[1]]
+        for t, label in zip(xticks, _tick_labels(xticks)):
+            x = self.px(t)
+            c.line(x, self.y1, x, self.y1 + 4, stroke="#888")
+            c.text(x, self.y1 + 17, label, size=10, anchor="middle")
+        yticks = [t for t in _nice_ticks(*self.ylim) if self.ylim[0] <= t <= self.ylim[1]]
+        for t, label in zip(yticks, _tick_labels(yticks)):
+            y = self.py(t)
+            c.line(self.x0 - 4, y, self.x0, y, stroke="#888")
+            c.text(self.x0 - 7, y + 3, label, size=10, anchor="end")
         c.text((self.x0 + self.x1) / 2, self.y1 + 33, xlabel, size=12, anchor="middle")
         c.text(16, (self.y0 + self.y1) / 2, ylabel, size=12, anchor="middle", rotate=-90)
         c.text((self.x0 + self.x1) / 2, self.y0 - 8, title, size=13, anchor="middle")

@@ -76,6 +76,19 @@ class TestSynthDetection:
         assert det.h == det.w
         assert det.t == 1.0
 
+    def test_overflowing_box_is_none_after_the_same_draws(self):
+        # focal_px * size overflows to inf: no detection, and the random
+        # stream moves on as it does for a finite box
+        huge = CameraIntrinsics(width=640, height=480, focal_px=1.0e308)
+        noise = DetectionNoise(p_det_near_m=1e6, p_det_far_m=2e6)
+        rngs = [np.random.default_rng(3), np.random.default_rng(3)]
+        for intr, rng in zip((huge, INTR), rngs):
+            det = synth_detection(
+                [3.0, 0.0, 0.0], 2.0, DetectionClass.BALL, obs(), MOUNT, intr, noise, rng, 0.0
+            )
+            assert (det is None) is (intr is huge)
+        assert rngs[0].random() == rngs[1].random()
+
     def test_out_of_fov_is_none(self):
         rng = np.random.default_rng(0)
         det = synth_detection(

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -271,24 +272,29 @@ class TestPlot:
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize(
-        "kind, svg_digest, csv_digest",
-        [
-            ("depth_profile",
-             "1421850f8a5ca69f43471516b7834878d20836ee318b05e9e2767de0daa8b38e",
-             "7c4c4f64eadb428d81bfca08af6835aab189665a869da68315c48b3b074f1c4f"),
-            ("trajectory_3d",
-             "a0225214448a014d6fa5220c67668afadf282d6fc3bcf9239011ca47cb7b75fc",
-             "bdcc70de32d8b81c160b055c59e8f5c62dafad2ca13a3edf3fe9a73aa8d16d41"),
-            ("pixel_error",
-             "8bbca4214da89f9f27f32cc87fef8adf4886237c888a12ecd78dec7e22d50a34",
-             "6b9d954215fc7f60438c57f60df3fac1f454a3b7a12106ecb43b978895a8c093"),
-            ("phase_timeline",
-             "9c729c93ee79659a585abfd0a7e4bf45bde7f4c8af2e31136dd9eb64c81a657d",
-             "ec7bf2170ecff3488c7aca0e7940299fc6a9a4066bbea8a0cb5e4bc9cf1f6aa1"),
-        ],
-    )
-    def test_plot_bytes(self, collab_log, tmp_path, kind, svg_digest, csv_digest):
+    # plot kind: (svg digest, csv digest) of the nominal_collab_static@1 log
+    PLOT_DIGESTS = {
+        "depth_profile": (
+            "1421850f8a5ca69f43471516b7834878d20836ee318b05e9e2767de0daa8b38e",
+            "7c4c4f64eadb428d81bfca08af6835aab189665a869da68315c48b3b074f1c4f",
+        ),
+        "trajectory_3d": (
+            "a0225214448a014d6fa5220c67668afadf282d6fc3bcf9239011ca47cb7b75fc",
+            "bdcc70de32d8b81c160b055c59e8f5c62dafad2ca13a3edf3fe9a73aa8d16d41",
+        ),
+        "pixel_error": (
+            "8bbca4214da89f9f27f32cc87fef8adf4886237c888a12ecd78dec7e22d50a34",
+            "6b9d954215fc7f60438c57f60df3fac1f454a3b7a12106ecb43b978895a8c093",
+        ),
+        "phase_timeline": (
+            "9c729c93ee79659a585abfd0a7e4bf45bde7f4c8af2e31136dd9eb64c81a657d",
+            "ec7bf2170ecff3488c7aca0e7940299fc6a9a4066bbea8a0cb5e4bc9cf1f6aa1",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(PLOT_DIGESTS))
+    def test_plot_bytes(self, collab_log, tmp_path, kind):
+        svg_digest, csv_digest = self.PLOT_DIGESTS[kind]
         out = tmp_path / f"{kind}.svg"
         assert main(["plot", "--kind", kind, "--log", str(collab_log), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == svg_digest
@@ -327,6 +333,25 @@ class TestPlot:
         assert main(["plot", "--kind", kind, "--log", str(p), "--out", str(tmp_path / "x.svg")]) == 1
         assert capsys.readouterr().err == f"error: {p}: {kind}: log holds values too large to plot\n"
         assert list(tmp_path.iterdir()) == [p]
+
+    def test_tick_labels_on_each_axis_are_distinct(self, run_dir, tmp_path):
+        # at 1e15, six significant digits label every tick alike
+        log = SimLog.read(run_dir / "log.jsonl")
+        for r in log.iter_kind("state"):
+            for entity in (r["target"], r["ball"], *r["drones"].values()):
+                entity["p"][0] += 1e15
+        p, out = tmp_path / "shifted.jsonl", tmp_path / "x.svg"
+        log.write(p)
+        assert main(["plot", "--kind", "trajectory_3d", "--log", str(p), "--out", str(out)]) == 0
+        texts = re.findall(
+            r'<text x="([^"]+)" y="[^"]+" font-size="10" [^>]*text-anchor="(\w+)"[^>]*>([^<]*)</text>',
+            out.read_text(),
+        )
+        xticks = [s for _, anchor, s in texts if anchor == "middle"]
+        yticks = [s for x, anchor, s in texts if anchor == "end" and x == "53"]  # x0 - 7; legends sit right
+        for labels in (xticks, yticks):
+            assert len(labels) >= 2
+            assert len(set(labels)) == len(labels)
 
     @pytest.mark.parametrize("shift, message", [
         (3e16, "axis span 4 is too fine for the float resolution near 2.59808e+16"),  # a tick step stalls

@@ -11,13 +11,10 @@ from skygrab.coordination import (
     Channel,
     DroneAgent,
     DroneMessage,
-    GRABBER_GRAPH,
     MessageKind,
     MissionPhase,
-    PHASE_GRAPHS,
     POLICIES,
     TERMINAL_PHASES,
-    TRACKER_GRAPH,
     grab_detect,
     gripper_point,
     validate_phase_trace,
@@ -182,10 +179,12 @@ def confirmation():
 class TestPolicyTable:
     @pytest.mark.parametrize("role", ["tracker", "grabber"])
     def test_handlers_are_the_non_terminal_phases_of_the_graph(self, role):
-        graph = PHASE_GRAPHS[role]
-        non_terminal = {p for p in graph if p not in TERMINAL_PHASES}
-        assert set(POLICIES[role]) == non_terminal
-        assert non_terminal == {p for p, nxt in graph.items() if nxt}
+        # the table is closed: terminal phases have no entry, and every
+        # edge leads to a phase with an entry or to a terminal phase
+        table = POLICIES[role]
+        assert not set(table) & set(TERMINAL_PHASES)
+        for _, edges in table.values():
+            assert edges <= set(table) | set(TERMINAL_PHASES)
 
     @pytest.mark.parametrize("role", ["tracker", "grabber"])
     @pytest.mark.parametrize("phase", TERMINAL_PHASES, ids=lambda p: p.value)
@@ -325,10 +324,9 @@ class TestGrabberFsm:
         cmd, msg, change = step(agent, percep, make_uav(), [], True, 1.0)
         assert change == (MissionPhase.GRAB, MissionPhase.RETREAT_LAND)
         assert msg is not None and msg.kind is MessageKind.GRAB_CONFIRMED
-        # a second flagged call must not emit again
-        agent.phase = MissionPhase.GRAB
-        _, msg2, _ = step(agent, percep, make_uav(), [], True, 1.05)
-        assert msg2 is None
+        # no edge leads back to GRAB, so the confirmation is sent once
+        _, retreat_edges = POLICIES["grabber"][MissionPhase.RETREAT_LAND]
+        assert retreat_edges <= set(TERMINAL_PHASES)
 
     def test_track_loss_in_grab_reapproaches_with_sighting(self):
         agent = make_agent("grabber")
@@ -389,9 +387,22 @@ class TestGrabberFsm:
 
 class TestTraceValidator:
     def test_graphs_have_terminal_sinks(self):
-        for graph in (TRACKER_GRAPH, GRABBER_GRAPH):
-            assert graph[MissionPhase.DONE] == set()
-            assert graph[MissionPhase.FAILED] == set()
+        P = MissionPhase
+        to_done = {
+            "tracker": [(P.IDLE, P.TAKEOFF), (P.TAKEOFF, P.DONE)],
+            "grabber": [
+                (P.IDLE, P.TAKEOFF), (P.TAKEOFF, P.EXPLORE), (P.EXPLORE, P.SERVO_BALL),
+                (P.SERVO_BALL, P.GRAB), (P.GRAB, P.RETREAT_LAND), (P.RETREAT_LAND, P.DONE),
+            ],
+        }
+        for role, done in to_done.items():
+            for trace in (done, [(P.IDLE, P.FAILED)]):
+                validate_phase_trace(trace, role)
+                end = trace[-1][1]
+                with pytest.raises(
+                    ValueError, match=f"^illegal transition {end.value} -> takeoff for role {role}$"
+                ):
+                    validate_phase_trace(trace + [(end, P.TAKEOFF)], role)
 
     def test_illegal_edge_rejected(self):
         with pytest.raises(ValueError):

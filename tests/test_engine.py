@@ -2,6 +2,7 @@ import copy
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -235,6 +236,73 @@ class TestNominalRuns:
         assert checked > 0
 
 
+class TestValidateLog:
+    """Each test breaks one rule in a copy of the valid detailed
+    nominal_collab_static@1 log and names the message."""
+
+    @staticmethod
+    def _copy(log):
+        return SimLog(header=log.header, records=copy.deepcopy(log.records))
+
+    @staticmethod
+    def _rejected(log, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            validate_log(log)
+
+    @staticmethod
+    def _grabber_phases(log):
+        return [r for r in log.iter_kind("phase") if r["drone"] == "grabber"]
+
+    @staticmethod
+    def _messages(log, msg_kind, status):
+        return [r for r in log.iter_kind("message") if (r["msg_kind"], r["status"]) == (msg_kind, status)]
+
+    def test_second_verdict(self, nominal_collab_log):
+        log = self._copy(nominal_collab_log)
+        log.append(dict(log.verdict_record))
+        self._rejected(log, "expected exactly one verdict record, found 2")
+
+    def test_illegal_phase_edge(self, nominal_collab_log):
+        log = self._copy(nominal_collab_log)
+        takeoff = self._grabber_phases(log)[1]
+        assert (takeoff["from"], takeoff["to"]) == ("takeoff", "approach_handoff")
+        takeoff["to"] = "grab"
+        self._rejected(log, "illegal transition takeoff -> grab for role grabber")
+
+    def test_transition_out_of_done(self, nominal_collab_log):
+        log = self._copy(nominal_collab_log)
+        last = self._grabber_phases(log)[-1]
+        assert last["to"] == "done"
+        log.records.insert(
+            log.records.index(last) + 1, {**last, "from": "done", "to": "retreat_land"}
+        )
+        self._rejected(log, "illegal transition done -> retreat_land for role grabber")
+
+    def test_timestamp_regresses_within_a_stream(self, nominal_collab_log):
+        log = self._copy(nominal_collab_log)
+        states = list(log.iter_kind("state"))
+        states[1]["t"] = states[0]["t"] - 0.05
+        self._rejected(log, "timestamps regress in stream ('state', None)")
+
+    def test_delivered_message_never_sent(self, nominal_collab_log):
+        log = self._copy(nominal_collab_log)
+        first, second = self._messages(log, "ball_sighting", "delivered")[:2]
+        first["t_sent"] = (first["t_sent"] + second["t_sent"]) / 2  # still in order
+        self._rejected(log, "delivered message never sent for ('tracker', 'ball_sighting')")
+
+    def test_out_of_order_delivery(self, nominal_collab_log):
+        log = self._copy(nominal_collab_log)
+        first, second = self._messages(log, "ball_sighting", "delivered")[:2]
+        first["t_sent"], second["t_sent"] = second["t_sent"], first["t_sent"]
+        self._rejected(log, "out-of-order delivery for ('tracker', 'ball_sighting')")
+
+    def test_second_grab_confirmed(self, nominal_collab_log):
+        log = self._copy(nominal_collab_log)
+        [sent] = self._messages(log, "grab_confirmed", "sent")
+        log.records.insert(log.records.index(sent) + 1, dict(sent))
+        self._rejected(log, "grab_confirmed sent more than once")
+
+
 class TestDisturbedRun:
     def test_wind_and_noise_run_is_structurally_valid(self, disturbed_log):
         validate_log(disturbed_log)
@@ -365,7 +433,7 @@ class TestPlant:
     @pytest.mark.parametrize("detail, digest", [
         (False, "838b4909992a7019de312a75f9797ce24a748e89c6bfed5187bc2eee2566eb7d"),
         (True, "95045d556a2e514c88152343628402f4df8dac41b7a99296a56537ec2b56098a"),
-    ])
+    ], ids=["lean", "detail"])
     def test_rest_that_is_not_a_fixed_point_is_integrated(self, detail, digest):
         # g / L overflows to inf, so one step from rest is not rest
         d = load_config(CONFIGS / "nominal_static.yaml").to_dict()
@@ -470,6 +538,21 @@ class TestInvalidRuns:
         assert (rec["verdict"], rec["failure"]) == ("invalid", "nonfinite_state")
         assert len(log.events("nonfinite_state")) == 1
 
+
+    @pytest.mark.parametrize("detail", [False, True])
+    def test_overflowing_box_size_is_no_detection(self, detail):
+        # passes validation, but focal_px * size overflows to an infinite
+        # box, whose range would start the drone track at NaN
+        d = load_config(CONFIGS / "nominal_static.yaml").to_dict()
+        d["drones"][0]["camera"]["focal_px"] = 1.0e308
+        d["drones"][0]["start"] = [-14.0, 0.0, 5.0]
+        d["target"]["span"] = 2.0
+        d["duration"] = 2.0
+        log = run_scenario(config_from_dict(d), detail=detail)
+        validate_log(log)
+        assert len(list(log.iter_kind("verdict"))) == 1
+        rec = log.verdict_record
+        assert (rec["verdict"], rec["failure"]) == ("timeout", "never_engaged")
 
     @pytest.mark.parametrize("detail", [False, True])
     @pytest.mark.parametrize("case", sorted(PLANT_OVERFLOWS))
