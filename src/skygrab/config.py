@@ -228,7 +228,6 @@ class CaptureConfig:
 class ChannelConfig:
     latency: float = nonneg(0.1)
     drop_probability: float = unit(0.05)
-    rate_hz: float = positive(5.0)
 
 
 @dataclass(frozen=True)

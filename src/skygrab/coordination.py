@@ -82,11 +82,10 @@ class DroneMessage:
 # ---------------------------------------------------------------------------
 
 class Channel:
-    """Lossy, delayed, rate-limited broadcast channel.
+    """Lossy, delayed broadcast channel.
 
-    Messages are independently dropped, survivors are delivered at
-    t_sent + latency in send order, and sends exceeding the
-    per-sender-and-kind rate are refused at the source.
+    Messages are independently dropped, and survivors are delivered at
+    t_sent + latency in send order.
 
     ``submit`` must be called at nondecreasing times. The latency is
     constant, so delivery times never decrease either, and the queue is
@@ -99,20 +98,12 @@ class Channel:
         self.config = config
         self.rng = rng
         self._queue: deque[tuple[float, DroneMessage]] = deque()
-        self._last_send: dict[tuple[str, MessageKind], float] = {}
 
     def submit(self, messages, t: float) -> list[tuple[DroneMessage, str]]:
-        """Admit messages at time t; returns (message, status) pairs with
-        status in {sent, dropped, rate_limited}."""
-        period = 1.0 / self.config.rate_hz
+        """Send messages at time t; returns (message, status) pairs with
+        status in {sent, dropped}."""
         out = []
         for msg in messages:
-            key = (msg.sender, msg.kind)
-            last = self._last_send.get(key)
-            if last is not None and t - last < period - self._TIME_EPS:
-                out.append((msg, "rate_limited"))
-                continue
-            self._last_send[key] = t
             if self.rng.random() < self.config.drop_probability:
                 out.append((msg, "dropped"))
                 continue

@@ -96,27 +96,15 @@ class TestChannel:
         assert arrivals == [4]
 
     def test_fifo_per_sender(self):
-        ch = Channel(ChannelConfig(latency=0.1, drop_probability=0.0, rate_hz=100.0),
-                     np.random.default_rng(0))
+        ch = Channel(ChannelConfig(latency=0.1, drop_probability=0.0), np.random.default_rng(0))
         for k in range(5):
             ch.submit([self.msg(t=k * 0.05)], k * 0.05)
         out = ch.collect(10.0)
         times = [m.t_sent for m in out]
         assert times == sorted(times) and len(times) == 5
 
-    def test_rate_limit_refuses_at_send(self):
-        ch = Channel(ChannelConfig(latency=0.0, drop_probability=0.0, rate_hz=5.0),
-                     np.random.default_rng(0))
-        s1 = ch.submit([self.msg(t=0.0)], 0.0)
-        s2 = ch.submit([self.msg(t=0.05)], 0.05)
-        s3 = ch.submit([self.msg(t=0.2)], 0.2)
-        assert s1[0][1] == "sent"
-        assert s2[0][1] == "rate_limited"
-        assert s3[0][1] == "sent"
-
     def test_two_senders_arrive_in_global_send_order(self):
-        ch = Channel(ChannelConfig(latency=0.2, drop_probability=0.0, rate_hz=100.0),
-                     np.random.default_rng(0))
+        ch = Channel(ChannelConfig(latency=0.2, drop_probability=0.0), np.random.default_rng(0))
         order = [("tracker", "grabber"), ("grabber", "tracker"), ("tracker", "grabber")]
         sent = []
         for k, senders in enumerate(order):

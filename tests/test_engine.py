@@ -45,36 +45,36 @@ PLANT_OVERFLOWS = {
         {"world": {"gravity": 1.0e300}},
         0.0,
         [("nonfinite_state", 0.0)],
-        {False: "460dc9259d1ec65104e38bdf92c7d8a74330d1ade745d150070a1856d5f483b0",
-         True: "1a142d8f8d5873e6a8077522bfd735211da4ba83219a5eadbe4c748a6871a3c7"},
+        {False: "85027e723a5b33e762445e599bad9125772e32cb2eaee4776ce33a736054f377",
+         True: "f7902df53ac8a263154241f277d0699f869313b2aa732e2661db944858d64856"},
     ),
     "wind_overflow": (
         {"world": {"wind": {"mean": [1.0e9, 0.0, 0.0], "tau": 0.5}}},
         0.0025,
         [("invalid_swing", 0.0), ("nonfinite_state", 0.0025)],
-        {False: "88c6051778699016c6b3a3a3f6d300964f1dc14a52b1189f1105c7e32ac769da",
-         True: "cb744c6933e41d388c2115a255f1c2a3917f7c1b48e5d63957503ca6e0d715cf"},
+        {False: "9b5e14c774168c07a958b2835557f5e9ff1dbd52fdf5e0a6759c024931046961",
+         True: "2f3fca4d554bd16f021da92b5c1f1df90b9235c0be617f1395e027bfe5f5ca2f"},
     ),
     "wind_nan": (
         {"world": {"wind": {"mean": [1.0e300, 0.0, 0.0]}}},
         0.0025,
         [("nonfinite_state", 0.0)],
-        {False: "c71b92b0058dd080b445490bdc657b50d46d468c993942650af93074836840e0",
-         True: "45a03c98fa588d5dd36d732833fae2df49eeabc5f92bb0c39cb4a745a0e484c7"},
+        {False: "b56af322f46705ea9d298764bb4f82f507cb51bc67710d94a0c2a209c30fefff",
+         True: "29e74941eeb405b8263d6847b569299937f1663a118baf4b5b5e0782047ca7d3"},
     ),
     "target_inf": (
         {"target": {"speed": 1.7e308}},
         1.0575,
         [("nonfinite_state", 1.055)],
-        {False: "1cbd062e62c11cf6e13c65c09ec966b15951a60d9519bd1dd8d1d60af3dfbbe8",
-         True: "6debe766088aaea889cd248a207d3c0c2206632ac0e1ae087d2d9860e07f4c16"},
+        {False: "bc4402c38880953f54e3bd564e4ddc06c2367a39bf94b2289ab6440915f6cc29",
+         True: "f4ecd0c96319bb98f635ae8ffc2142d6b452365f893f57fb6f82cad4c9ee7759"},
     ),
     "figure_eight_phase": (
         {"target": {"pattern": "figure_eight", "speed": 1.0e300, "extent": 1.0e-300}},
         0.0025,
         [("nonfinite_state", 0.0)],
-        {False: "42f7adb3d6405ef105ea92924a7faecb5cc8b91cbd6d8951254060c3e07577b9",
-         True: "56c72a72e881472e40fa89beca89f2f786d63ea74a688c439030ccac4a8e8e74"},
+        {False: "47f2f079d2d390944fd9135b0ea7cd2c0680de62696df854f56b6825c1f4e2e3",
+         True: "1bdb0ca7bcf609fbe3fed2c09912a8e1875917d613f7cc143b59ab34fcf7718b"},
     ),
 }
 
@@ -431,8 +431,8 @@ class TestPlant:
         assert _Plant(config_from_dict(d)).still is still
 
     @pytest.mark.parametrize("detail, digest", [
-        (False, "838b4909992a7019de312a75f9797ce24a748e89c6bfed5187bc2eee2566eb7d"),
-        (True, "95045d556a2e514c88152343628402f4df8dac41b7a99296a56537ec2b56098a"),
+        (False, "c188af99fb9c1a395ea2d1b60649f2666c51af5820ff419df6067b2a8f20c368"),
+        (True, "1d087a3dda963b715bb2377e997ebd6bbfb5b536f4e23513ac874fa6e5529db8"),
     ], ids=["lean", "detail"])
     def test_rest_that_is_not_a_fixed_point_is_integrated(self, detail, digest):
         # g / L overflows to inf, so one step from rest is not rest
@@ -520,7 +520,7 @@ class TestEvents:
         assert [r["t"] for r in log.events("invalid_swing")] == [1.7875]
         assert log.verdict_record["t_end"] == 8.0
         detailed = run_scenario(cfg, detail=True)
-        assert _digest(detailed) == "f4c8407548c813f138e2f26615d0e90d7b0d9187201582ebb69ab22244706d30"
+        assert _digest(detailed) == "a312c5798e6af9cfdc7f710efe61382d71c3ff90e3925a6449e65adaeb61692e"
         # replay's plant stops once at the over-swing and goes on
         assert replay_divergence(detailed) <= 1e-9
 

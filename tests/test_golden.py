@@ -32,23 +32,23 @@ VARIANTS = {
 }
 
 GOLDEN = {
-    ("default", 1): "dbada5a062d9e5261e19cf5039fefd0a19ccb690d010ce25a755373adbc1adaf",
-    ("default", 1000): "381bbcd6e7bc6a37981aff659c05a9e0dc903dd1fa9f50c613ffdcc5bc9a95ee",
-    ("default", 1001): "b7c1084ec7a81046ac80aa034a2510d266520136456eb049a0849424b8795444",
-    ("nominal_collab_static", 1): "e44c21dd05305adc011581dad77b550ccd6e8dde4d63d83306b7a52f0d177452",
-    ("nominal_collab_static", 1000): "b18aed0d0f570c54a70302b307a7dfebf1dde5baa6e97fdeb56d1b238d9d6d50",
-    ("nominal_collab_static", 1001): "f0319b92a68c33ad98bd47783bd3d6ad6028baa6c772c4fd8dc4800dbe2d0704",
-    ("nominal_moving", 1): "34565a5cced7f7235154d94500bd65498c6c440d37db7605789905110dde8d20",
-    ("nominal_moving", 1000): "a9871c6797d2286086ce198fc8a401086be7e3048b8ba0768cdc8e0d30bba285",
-    ("nominal_moving", 1001): "281d82abab3846fe4cd036d9c6bae0362d1ee1287fbbc18f5afe02d60e7cdb9a",
-    ("nominal_static", 1): "2f5192c1c40e13640601314c3c1becf38f1c18da8974b087d83ce10b8edd4eb1",
-    ("nominal_static", 1000): "2a3787a5366e32f3ab26802b25a7161c81ccbeace0457401e54de7f8720be7ed",
-    ("nominal_static", 1001): "bbd57cb27ff866b41a914c420ca0a5d0c592db3653c331ef286bab01916395b5",
-    ("single_moving", 1): "bdb3be060023afc6476413b86f279bd813a1e03118bb075fbb87cc97f6774cbd",
-    ("single_moving", 1000): "947ce3059d3e2bdb36f47235881f06a27ead93ea6da77c19d56780526f246dd7",
-    ("single_moving", 1001): "1154b45b9aa8f080209db167d305b5293b6fe8c3a5d7d99d4d4634da75266ce1",
-    ("default_figure_eight", 1): "615e5541cbb6d8a7947c07ecbca2e255623567b5ac7a831d5ef1ffb9022c6283",
-    ("default_figure_eight", 1000): "694bb110d6cd027ccb180fb4fb3fda470a2b5136ce328e712fa0340dc85e3a45",
+    ("default", 1): "2adce80b17152824f0274eccd6d167a260f1a8604405cddc74ad25a0470a93b7",
+    ("default", 1000): "73829c9f75ba47a44c43703780d26db9f9c0c2ab71d5315bc98812e9a69fcf4d",
+    ("default", 1001): "69cca9a4d7204e744d9c520087e83d8b85cbcdb0647cdfc5fdc2f4925ce5b5eb",
+    ("nominal_collab_static", 1): "3b72877360880cc82e5b79fff5285932a1738abc51f1c63932eb9566fc166a27",
+    ("nominal_collab_static", 1000): "8b212f212eac406c7c27e4ec940d622d11abb2972784a6eaeceda715096821fd",
+    ("nominal_collab_static", 1001): "355d1dc8b7f805d9c043ea37aa3196a32a0aabf9005e604425eefa3a7bf6bc09",
+    ("nominal_moving", 1): "6768b220591d96e78bbc49513913b0a345a0b25f375ea71756936ed7e60a7b1b",
+    ("nominal_moving", 1000): "f4ee97b81a8205450d51b372d941fbe97ef2f9267e22e08face5c1e304baa2eb",
+    ("nominal_moving", 1001): "bf79675ea8122048f9b4d20e1b12529fcf1a91c8fcfdab03a971dd4083ad4b8e",
+    ("nominal_static", 1): "35d2b7586c5275c1cfae9e464612223085f54ef01185a017ddf54398c555a81b",
+    ("nominal_static", 1000): "277e3c4579827fb9d37ff075838a71ee11ba89085e61cedd84ad8609301e24a9",
+    ("nominal_static", 1001): "2bc888e92e55b11c1c05c5c0c4c4eec993b0dc9836a71fbb97a78a5c11948b5f",
+    ("single_moving", 1): "6f95e3bef0814780e8a6b596b0e7458036169b04175ef1ebc37077bf3015d206",
+    ("single_moving", 1000): "f8b216339b74037c1479ccf2b9a1f096a9e45d3551611d8a37721faa8199e7df",
+    ("single_moving", 1001): "a780172bcb83e0ac94a50dd570468d8d64d0b429d531cfa9165c5d483a2c8e99",
+    ("default_figure_eight", 1): "751308b1e4d069ef0d0653d1fc6ad0773456a4427650499fc4b936dbb66d5897",
+    ("default_figure_eight", 1000): "67abe91e820c5f4fa028af0a73abd1390bbe0be8542041f799c3709bd8ae8d15",
 }
 
 
