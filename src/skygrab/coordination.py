@@ -427,11 +427,13 @@ del P
 def validate_phase_trace(transitions, role: str) -> None:
     """Check a (from, to) transition sequence against the role's table.
 
-    Raises ValueError on a transition to a phase outside the edges of the
-    phase it leaves, a transition out of a terminal phase, or a chain that
-    does not start from IDLE.
+    Raises ValueError for a role without a table, a transition to a phase
+    outside the edges of the phase it leaves, a transition out of a
+    terminal phase, or a chain that does not start from IDLE.
     """
-    table = POLICIES[role]
+    table = POLICIES.get(role) if isinstance(role, str) else None  # a log's header is outside input
+    if table is None:
+        raise ValueError(f"no mission table for role {role}")
     prev_to = MissionPhase.IDLE
     for i, (src, dst) in enumerate(transitions):
         if i == 0 and src is not MissionPhase.IDLE:

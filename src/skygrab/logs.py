@@ -111,7 +111,7 @@ class SimLog:
 def validate_log(log: SimLog) -> None:
     """Structural checks every run log must satisfy.
 
-    Validates phase traces against the declared graphs, per-stream time
+    Validates phase traces against the role tables, per-stream time
     monotonicity, message conservation (delivered is a subset of sent,
     in per-sender send order), the single-verdict rule, and that
     grab_confirmed is sent at most once.

@@ -311,9 +311,12 @@ def phase_timeline(log: SimLog) -> tuple[SvgCanvas, list, list]:
     if not transitions:
         raise _Unplottable("log contains no 'phase' records")
     for r in transitions:
-        phase, t0 = current[r["drone"]]
-        bands[r["drone"]].append((phase, t0, r["t"]))
-        current[r["drone"]] = (r["to"], r["t"])
+        drone = r["drone"]
+        if drone not in current:
+            raise _Unplottable(f"phase record for drone {drone!r}, which the header does not list")
+        phase, t0 = current[drone]
+        bands[drone].append((phase, t0, r["t"]))
+        current[drone] = (r["to"], r["t"])
     for d, (phase, t0) in current.items():
         bands[d].append((phase, t0, t_end if t_end is not None else t0))
     rows = [(d, *b) for d in drones for b in bands[d]]

@@ -182,6 +182,12 @@ class TestMonteCarlo:
         assert "error: --jobs must be >= 1" in capsys.readouterr().err
         assert not (out / "verdicts.csv").exists()
 
+    def test_runs_below_one_exits_1_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "mc"
+        assert main(["mc", "--config", NOMINAL, "--runs", "0", "--out", str(out)]) == 1
+        assert "error: --runs must be >= 1" in capsys.readouterr().err
+        assert not (out / "verdicts.csv").exists()
+
     def test_out_naming_a_file_exits_1_before_any_run(self, tmp_path, capsys, monkeypatch):
         def no_run(args):
             raise AssertionError("a run started")
@@ -444,8 +450,16 @@ class TestPlot:
             ("depth_profile",
              ['{"config":{},"schema":"skygrab-log","version":1}', '{"kind":"verdict"}'],
              "line 1: header config has no list of drones with id and role"),
+            ("depth_profile", [], "empty log file"),
+            ("phase_timeline",
+             ['{"config":{"drones":[]},"schema":"skygrab-log","version":1}', "not json"],
+             "line 2: Expecting value: line 1 column 1 (char 0)"),
+            ("phase_timeline",
+             ['{"config":{"drones":[]},"schema":"other-log","version":1}', '{"kind":"verdict"}'],
+             "not a skygrab-log file"),
         ],
-        ids=["record_not_a_mapping", "record_without_kind", "config_without_drones"],
+        ids=["record_not_a_mapping", "record_without_kind", "config_without_drones",
+             "empty_file", "line_not_json", "other_schema"],
     )
     def test_malformed_log_exits_1_naming_path_and_line(self, tmp_path, capsys, kind, lines, message):
         p = tmp_path / "bad.jsonl"
@@ -492,6 +506,20 @@ class TestPlot:
         assert capsys.readouterr().err == (
             f"error: {p}: trajectory_3d: log field of the wrong type: tuple index out of range\n"
         )
+
+    def test_phase_record_of_an_undeclared_drone_exits_1_naming_it(self, tmp_path, capsys):
+        p = tmp_path / "ghost.jsonl"
+        phase = {"kind": "phase", "t": 1.0, "drone": "ghost", "from": "idle", "to": "takeoff"}
+        SimLog(header={"config": {"drones": [{"id": "g", "role": "grabber"}]},
+                       "schema": "skygrab-log", "version": 1},
+               records=[phase, {"kind": "verdict", "verdict": "timeout", "t_end": 2.0}]).write(p)
+        assert main(["plot", "--kind", "phase_timeline", "--log", str(p),
+                     "--out", str(tmp_path / "x.svg")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {p}: phase_timeline: phase record for drone 'ghost', "
+            "which the header does not list\n"
+        )
+        assert list(tmp_path.iterdir()) == [p]
 
     def test_drones_of_a_state_record_as_a_list_exits_1(self, tmp_path, capsys):
         p = tmp_path / "listed.jsonl"

@@ -123,6 +123,15 @@ class TestParseConfig:
             parse_config("mission:\n  grabber_standoff: 7.0\n")
         assert "grabber_standoff" in str(e.value)
 
+    @pytest.mark.parametrize("doc, message", [
+        ("duration: fast\n", "duration: expected a number"),
+        ("drones: []\n", "drones: expected a non-empty list"),
+    ], ids=["duration_not_a_number", "empty_drone_list"])
+    def test_value_of_the_wrong_type_is_named(self, doc, message):
+        with pytest.raises(ConfigError) as e:
+            parse_config(doc)
+        assert str(e.value) == message
+
     @pytest.mark.parametrize("entry", ["0", "false", '""', "[]"])
     def test_falsy_drone_entry_is_not_a_default_drone(self, entry):
         # Only null stands for an all-default entry, as for a section.

@@ -19,7 +19,7 @@ from skygrab.coordination import (
     gripper_point,
     validate_phase_trace,
 )
-from skygrab.guidance import GuidanceGains
+from skygrab.guidance import GuidanceGains, bearing_error
 from skygrab.perception import FilterParams, PerceptionState, TrackStatus, initialize_track
 from skygrab.camera import ImageDetection
 from skygrab.world import UavState
@@ -287,6 +287,37 @@ class TestGrabberFsm:
         cmd, _, _ = step(agent, make_percep(), make_uav(), [], False, 0.05)
         ip = cmd.vx * (p[0] - 0.0) + cmd.vy * (p[1] - 0.0)
         assert ip > 0.0
+
+    @staticmethod
+    def _on_station(goal, sighting_age):
+        """A grabber in APPROACH_HANDOFF within the arrival radius of its
+        sighting, with no ball track; returns the agent, the drone's
+        state and the tick's (command, message, phase change)."""
+        agent = make_agent("grabber")
+        agent.phase = MissionPhase.APPROACH_HANDOFF
+        agent.latest_sighting, agent.latest_sighting_t = goal, 10.0 - sighting_age
+        uav = make_uav(yaw=0.2)
+        assert math.dist(goal, uav.position) <= agent.settings.arrival_radius
+        return agent, uav, step(agent, make_percep(), uav, [], False, 10.0)
+
+    @pytest.mark.parametrize("goal_z, sign", [(5.0, 1.0), (2.0, -1.0)], ids=["climb", "descend"])
+    def test_on_station_faces_a_fresh_sighting(self, goal_z, sign):
+        goal = (1.0, 1.0, goal_z)
+        agent, uav, (cmd, msg, change) = self._on_station(goal, sighting_age=0.5)
+        st = agent.settings
+        assert abs(cmd.yaw_rate) < agent.limits.yaw_rate  # not saturated
+        assert cmd.yaw_rate == st.yaw_gain * bearing_error(goal, uav)
+        assert cmd.vz == sign * st.land_speed  # the height error is clamped
+        assert (cmd.vx, cmd.vy) == (0.0, 0.0)
+        assert msg is None
+        assert change == (MissionPhase.APPROACH_HANDOFF, MissionPhase.APPROACH_HANDOFF)
+
+    def test_on_station_sweeps_the_camera_once_the_sighting_is_stale(self):
+        agent, _, (cmd, msg, change) = self._on_station((1.0, 1.0, 5.0), sighting_age=1.5)
+        assert cmd.yaw_rate == agent.settings.scan_yaw_rate
+        assert (cmd.vx, cmd.vy, cmd.vz) == (0.0, 0.0, agent.settings.land_speed)
+        assert msg is None
+        assert change == (MissionPhase.APPROACH_HANDOFF, MissionPhase.APPROACH_HANDOFF)
 
     def test_ball_lock_enters_servo(self):
         agent = make_agent("grabber")

@@ -269,6 +269,14 @@ class TestValidateLog:
         takeoff["to"] = "grab"
         self._rejected(log, "illegal transition takeoff -> grab for role grabber")
 
+    @pytest.mark.parametrize("role", ["spotter", ["tracker"]], ids=["unknown", "not_a_string"])
+    def test_role_without_a_mission_table(self, nominal_collab_log, role):
+        log = self._copy(nominal_collab_log)
+        log.header = copy.deepcopy(log.header)
+        [tracker] = [d for d in log.header["config"]["drones"] if d["role"] == "tracker"]
+        tracker["role"] = role
+        self._rejected(log, f"no mission table for role {role}")
+
     def test_transition_out_of_done(self, nominal_collab_log):
         log = self._copy(nominal_collab_log)
         last = self._grabber_phases(log)[-1]
