@@ -35,52 +35,66 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.yaml"))
 
 # Configs that pass validation yet overflow the plant: (overrides, t_end,
-# events as (name, t), {detail: log digest}). The overflow lands in the
-# first step (gravity), the second (wind_overflow, after an over-swing in
-# the first), as a NaN ball state (wind_nan), as a target position that
-# overflows to inf between two ticks (target_inf) and as an infinite
-# figure-eight phase.
+# events as (name, t), {detail: (header digest, records digest)}). The
+# overflow lands in the first step (gravity), the second (wind_overflow,
+# after an over-swing in the first), as a NaN ball state (wind_nan), as a
+# target position that overflows to inf between two ticks (target_inf)
+# and as an infinite figure-eight phase.
 PLANT_OVERFLOWS = {
     "gravity": (
         {"world": {"gravity": 1.0e300}},
         0.0,
         [("nonfinite_state", 0.0)],
-        {False: "85027e723a5b33e762445e599bad9125772e32cb2eaee4776ce33a736054f377",
-         True: "f7902df53ac8a263154241f277d0699f869313b2aa732e2661db944858d64856"},
+        {False: ("cec21d540ec3e07bda0a69cf897eba9d7d5d2a24fcc6b148de66b21b6544a80c",
+                 "5b0aaa7519fbc76f29cf9c5c7808fedea3fda0862722e92875d8035768fb524e"),
+         True: ("cec21d540ec3e07bda0a69cf897eba9d7d5d2a24fcc6b148de66b21b6544a80c",
+               "33206f4dfd7d674b36f51478ef51ac581c68164b57b710b6bc2fe3b067145ef8")},
     ),
     "wind_overflow": (
         {"world": {"wind": {"mean": [1.0e9, 0.0, 0.0], "tau": 0.5}}},
         0.0025,
         [("invalid_swing", 0.0), ("nonfinite_state", 0.0025)],
-        {False: "9b5e14c774168c07a958b2835557f5e9ff1dbd52fdf5e0a6759c024931046961",
-         True: "2f3fca4d554bd16f021da92b5c1f1df90b9235c0be617f1395e027bfe5f5ca2f"},
+        {False: ("d09e68808c0a4fd690710c097e5c9899d9f27ed6a43085a29c3abcceb8029296",
+                 "1e3f38d93a923a615b0c95b65092e91f744458ac97f615332e7ed267c39a2d25"),
+         True: ("d09e68808c0a4fd690710c097e5c9899d9f27ed6a43085a29c3abcceb8029296",
+               "525a8bfa5067eb0843cda214cdce35c590acfbef826c5eabc4e48bf9aa313e2f")},
     ),
     "wind_nan": (
         {"world": {"wind": {"mean": [1.0e300, 0.0, 0.0]}}},
         0.0025,
         [("nonfinite_state", 0.0)],
-        {False: "b56af322f46705ea9d298764bb4f82f507cb51bc67710d94a0c2a209c30fefff",
-         True: "29e74941eeb405b8263d6847b569299937f1663a118baf4b5b5e0782047ca7d3"},
+        {False: ("3852430dd2ee3abc1063c9f8af2839cd6aeb8d1697972406a92a778673860a33",
+                 "405818b5804605d089639eec35da0af889793712c060771bd87ba6b476789db4"),
+         True: ("3852430dd2ee3abc1063c9f8af2839cd6aeb8d1697972406a92a778673860a33",
+               "84c4c59e84489fa59bb98273e0eb15cbfba338180033ad734c20ca48a4183700")},
     ),
     "target_inf": (
         {"target": {"speed": 1.7e308}},
         1.0575,
         [("nonfinite_state", 1.055)],
-        {False: "bc4402c38880953f54e3bd564e4ddc06c2367a39bf94b2289ab6440915f6cc29",
-         True: "f4ecd0c96319bb98f635ae8ffc2142d6b452365f893f57fb6f82cad4c9ee7759"},
+        {False: ("47f29d719c02edbf032e02fa3698144d9f841cf030beae4a90184710414ee957",
+                 "3a564df699a105acb6c02b14bd388a18492c950bacd881f338b676888e997c47"),
+         True: ("47f29d719c02edbf032e02fa3698144d9f841cf030beae4a90184710414ee957",
+               "5d8d337f282bbfdea01425f7e9a5c936245f6cf6b0692b5c4bf67115cfc41fbc")},
     ),
     "figure_eight_phase": (
         {"target": {"pattern": "figure_eight", "speed": 1.0e300, "extent": 1.0e-300}},
         0.0025,
         [("nonfinite_state", 0.0)],
-        {False: "47f2f079d2d390944fd9135b0ea7cd2c0680de62696df854f56b6825c1f4e2e3",
-         True: "1bdb0ca7bcf609fbe3fed2c09912a8e1875917d613f7cc143b59ab34fcf7718b"},
+        {False: ("7f4802d27c01d22a23be88c84db8b00687956c7e6a1f4e42b2f2ca75f39d6aff",
+                 "405818b5804605d089639eec35da0af889793712c060771bd87ba6b476789db4"),
+         True: ("7f4802d27c01d22a23be88c84db8b00687956c7e6a1f4e42b2f2ca75f39d6aff",
+               "c26fdd017972c4800ede70cfcb525df2008a0c2f6b761dc195938ed48a31a3fa")},
     ),
 }
 
 
-def _digest(log) -> str:
-    return hashlib.sha256(log.to_bytes()).hexdigest()
+def log_digests(log) -> tuple[str, str]:
+    """SHA-256 of the log's header line, its newline included, and of
+    the record lines after it; together they cover every byte."""
+    data = log.to_bytes()
+    cut = data.index(b"\n") + 1
+    return hashlib.sha256(data[:cut]).hexdigest(), hashlib.sha256(data[cut:]).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -438,11 +452,13 @@ class TestPlant:
         d["target"].update(target)
         assert _Plant(config_from_dict(d)).still is still
 
-    @pytest.mark.parametrize("detail, digest", [
-        (False, "c188af99fb9c1a395ea2d1b60649f2666c51af5820ff419df6067b2a8f20c368"),
-        (True, "1d087a3dda963b715bb2377e997ebd6bbfb5b536f4e23513ac874fa6e5529db8"),
+    @pytest.mark.parametrize("detail, digests", [
+        (False, ("e73230ea2775c8ba4795cdc07c89f5051c3e63b2b667e4a4e9df7475ba6f14a4",
+                 "9d41d9c1cbd557b5a2de65c80e1351ae2a8503c909d52d311af4ea50a770f4f9")),
+        (True, ("e73230ea2775c8ba4795cdc07c89f5051c3e63b2b667e4a4e9df7475ba6f14a4",
+                "49cc59fc721b5f55ce71b79616b56449122509ffe05bd02366449d592e777e03")),
     ], ids=["lean", "detail"])
-    def test_rest_that_is_not_a_fixed_point_is_integrated(self, detail, digest):
+    def test_rest_that_is_not_a_fixed_point_is_integrated(self, detail, digests):
         # g / L overflows to inf, so one step from rest is not rest
         d = load_config(CONFIGS / "nominal_static.yaml").to_dict()
         d["world"].update(gravity=1.0e308, rod_length=0.5)
@@ -452,7 +468,7 @@ class TestPlant:
         rec = log.verdict_record
         assert (rec["verdict"], rec["failure"], rec["t_end"]) == ("invalid", "nonfinite_state", 0.0025)
         assert [(r["event"], r["t"]) for r in log.iter_kind("event")] == [("nonfinite_state", 0.0)]
-        assert _digest(log) == digest
+        assert log_digests(log) == digests
 
     @pytest.mark.parametrize("name", ["nominal_static", "default"])
     def test_contact_stops_the_block_at_the_first_step_in_the_basket(self, name):
@@ -528,7 +544,10 @@ class TestEvents:
         assert [r["t"] for r in log.events("invalid_swing")] == [1.7875]
         assert log.verdict_record["t_end"] == 8.0
         detailed = run_scenario(cfg, detail=True)
-        assert _digest(detailed) == "a312c5798e6af9cfdc7f710efe61382d71c3ff90e3925a6449e65adaeb61692e"
+        assert log_digests(detailed) == (
+            "0f8464571292996659d626b53ae7f561f3896abff9a855f23097273e2f66c946",
+            "c41d9019d7393a4bc14a91ec4a031cfa89fb42a1899a3eefdc01775a15b8c0fe",
+        )
         # replay's plant stops once at the over-swing and goes on
         assert replay_divergence(detailed) <= 1e-9
 
@@ -575,7 +594,7 @@ class TestInvalidRuns:
         # not a step that raised.
         assert rec["t_end"] == t_end
         assert [(r["event"], r["t"]) for r in log.iter_kind("event")] == events
-        assert _digest(log) == digests[detail]
+        assert log_digests(log) == digests[detail]
 
 
 class TestMissionBudget:

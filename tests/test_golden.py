@@ -1,9 +1,11 @@
 """Golden behaviour digests and the run invariants that ride on them.
 
-Each case runs a shipped config at a fixed seed. The SHA-256 of the
-detailed log bytes pins behaviour: a refactor that keeps every digest
-is behaviour-preserving. A change that moves a digest must re-bless it
-here and say why in CHANGES.md.
+Each case runs a shipped config at a fixed seed. Two SHA-256 digests of
+the detailed log bytes pin behaviour: one over the header line, one over
+the records after it. Together they cover every byte. A refactor that
+keeps every digest is behaviour-preserving; a change to the config alone
+moves only the header digests. A change that moves a digest must
+re-bless it here and say why in CHANGES.md.
 """
 
 import hashlib
@@ -32,24 +34,83 @@ VARIANTS = {
 }
 
 GOLDEN = {
-    ("default", 1): "2adce80b17152824f0274eccd6d167a260f1a8604405cddc74ad25a0470a93b7",
-    ("default", 1000): "73829c9f75ba47a44c43703780d26db9f9c0c2ab71d5315bc98812e9a69fcf4d",
-    ("default", 1001): "69cca9a4d7204e744d9c520087e83d8b85cbcdb0647cdfc5fdc2f4925ce5b5eb",
-    ("nominal_collab_static", 1): "3b72877360880cc82e5b79fff5285932a1738abc51f1c63932eb9566fc166a27",
-    ("nominal_collab_static", 1000): "8b212f212eac406c7c27e4ec940d622d11abb2972784a6eaeceda715096821fd",
-    ("nominal_collab_static", 1001): "355d1dc8b7f805d9c043ea37aa3196a32a0aabf9005e604425eefa3a7bf6bc09",
-    ("nominal_moving", 1): "6768b220591d96e78bbc49513913b0a345a0b25f375ea71756936ed7e60a7b1b",
-    ("nominal_moving", 1000): "f4ee97b81a8205450d51b372d941fbe97ef2f9267e22e08face5c1e304baa2eb",
-    ("nominal_moving", 1001): "bf79675ea8122048f9b4d20e1b12529fcf1a91c8fcfdab03a971dd4083ad4b8e",
-    ("nominal_static", 1): "35d2b7586c5275c1cfae9e464612223085f54ef01185a017ddf54398c555a81b",
-    ("nominal_static", 1000): "277e3c4579827fb9d37ff075838a71ee11ba89085e61cedd84ad8609301e24a9",
-    ("nominal_static", 1001): "2bc888e92e55b11c1c05c5c0c4c4eec993b0dc9836a71fbb97a78a5c11948b5f",
-    ("single_moving", 1): "6f95e3bef0814780e8a6b596b0e7458036169b04175ef1ebc37077bf3015d206",
-    ("single_moving", 1000): "f8b216339b74037c1479ccf2b9a1f096a9e45d3551611d8a37721faa8199e7df",
-    ("single_moving", 1001): "a780172bcb83e0ac94a50dd570468d8d64d0b429d531cfa9165c5d483a2c8e99",
-    ("default_figure_eight", 1): "751308b1e4d069ef0d0653d1fc6ad0773456a4427650499fc4b936dbb66d5897",
-    ("default_figure_eight", 1000): "67abe91e820c5f4fa028af0a73abd1390bbe0be8542041f799c3709bd8ae8d15",
+    ("default", 1): (
+        "9160333ae7c055cbb45ea91936327d4cf18dac3391df9ee75fa34cce77ad1c02",
+        "3ba211041461bd6d41e49f2698436d3368c51331b4b09abe686179ea1621ba84",
+    ),
+    ("default", 1000): (
+        "43d3e75bda62cdfa8291162ae7356211ca3420292198aab7eb0d0f49a019d027",
+        "65b20c6c3c60d1db156dd254eaeee55593a0b5fb7b0d55b83d8e2245719a9654",
+    ),
+    ("default", 1001): (
+        "89510568f22a776748d65c44c0b9c8c8cbf7f870bde0cdff43fb2a9ea3595ecf",
+        "1f76eba0137ec81bc61b6743d44cddecc241f16a72900dc2491d71c01b674d0c",
+    ),
+    ("nominal_collab_static", 1): (
+        "17721912397020376cd382c52278170f1f69d6e10c99f25affb5640bed4f45fa",
+        "a6cd81a55c07837035c37ca5a8ad7e45edaa96af614772017dd893a720717f83",
+    ),
+    ("nominal_collab_static", 1000): (
+        "dd95c908c7c9a5a7ea33d3d4582604f65f2e5f33876bddb2c59a3b9dca78a0d7",
+        "a6cd81a55c07837035c37ca5a8ad7e45edaa96af614772017dd893a720717f83",
+    ),
+    ("nominal_collab_static", 1001): (
+        "81a2f2f4b8ff45165961f8b28cdcbb4a6e59020519b7f9201c7a8d212da96f45",
+        "a6cd81a55c07837035c37ca5a8ad7e45edaa96af614772017dd893a720717f83",
+    ),
+    ("nominal_moving", 1): (
+        "1a4dcd4846cbc40a076d8756085addc6e8194c1750617e3f11c8ee1fce8147a3",
+        "7911b0d3b8bb58977be75b90b26a4057b17f6f734225ff7e3b760ef57ae49168",
+    ),
+    ("nominal_moving", 1000): (
+        "2ade2e0c70ac8f2d65a654aa258cdcf9b33764cb6447d4774d402123bf439aed",
+        "7911b0d3b8bb58977be75b90b26a4057b17f6f734225ff7e3b760ef57ae49168",
+    ),
+    ("nominal_moving", 1001): (
+        "19a73058865f7e34ef7ce6070f8eb00631b10c8312bb84660714ec508e74a4d3",
+        "7911b0d3b8bb58977be75b90b26a4057b17f6f734225ff7e3b760ef57ae49168",
+    ),
+    ("nominal_static", 1): (
+        "af365ae2bae5dd9070cb60c56c1b50e62dfdd86d9083e481830074be8481a871",
+        "b4c12e1a1d1a4b8f11c675e89668e6b80c69db22e793bcb94784d18062ca18f2",
+    ),
+    ("nominal_static", 1000): (
+        "5e4560a3a9aaa49037c4644abb5d88869a67edf3b4323d322ce04a8ccf95e6fb",
+        "b4c12e1a1d1a4b8f11c675e89668e6b80c69db22e793bcb94784d18062ca18f2",
+    ),
+    ("nominal_static", 1001): (
+        "9393ce4a32d58e4dac6dbecd3f1f5abcec8bc8fa1068f23f21fb4562bf550fc1",
+        "b4c12e1a1d1a4b8f11c675e89668e6b80c69db22e793bcb94784d18062ca18f2",
+    ),
+    ("single_moving", 1): (
+        "d29c6b5a8179195e924fba6a4d618a324e981011ac9c6a3d5eb8d5fb9f8982c1",
+        "32bcdfe093efcc4ec85c447c53e2c09dbaa45309569586169a839195fe974514",
+    ),
+    ("single_moving", 1000): (
+        "38e2017c34aae6bf5d2616eb427a28328b8b01d38b66edf773628e6a5ed675e5",
+        "919dd74bd60f6f9410e2e16b4716faa62cfebc6a16c53017219889b10f2208e1",
+    ),
+    ("single_moving", 1001): (
+        "9e73392c7600c7f162896b62d5bf56ab77bc8dc1d7fca378e9995183fe2eb174",
+        "82038bddbc58e96917d6b5783bcb081774593123fae4530ac6f9a744ec09118c",
+    ),
+    ("default_figure_eight", 1): (
+        "2a46cf006c5db9d7206f85dbb8af67759833f2338ad61dcfc5657a9208841547",
+        "c10b8504aeaa134950c87f48c2a705c838647478d5beeb4d6ec3a58376f55229",
+    ),
+    ("default_figure_eight", 1000): (
+        "d926eb241bea7242c718300e7efc7eb49912891634f20a239025dfa8046aa725",
+        "0736c2b1639cd110f6cf2d8e6841b5b585daa12d7953ab15d1ccd0b60d05dda5",
+    ),
 }
+
+
+def log_digests(log) -> tuple[str, str]:
+    """SHA-256 of the log's header line, its newline included, and of
+    the record lines after it."""
+    data = log.to_bytes()
+    cut = data.index(b"\n") + 1
+    return hashlib.sha256(data[:cut]).hexdigest(), hashlib.sha256(data[cut:]).hexdigest()
 
 
 def _config(name, seed):
@@ -95,8 +156,10 @@ def test_golden_run(name, seed, tmp_path):
     cfg = _config(name, seed)
     detailed = run_scenario(cfg, detail=True)
 
-    digest = hashlib.sha256(detailed.to_bytes()).hexdigest()
-    assert digest == GOLDEN[(name, seed)], f"log digest of {name}@{seed} is now {digest}"
+    header, records = log_digests(detailed)
+    pinned_header, pinned_records = GOLDEN[(name, seed)]
+    assert header == pinned_header, f"header digest of {name}@{seed} is now {header}"
+    assert records == pinned_records, f"records digest of {name}@{seed} is now {records}"
     # The log is serialized without a coercion pass, so every record
     # leaf must already be a plain Python value.
     bad = [leaf for r in detailed.records for leaf in _non_native_leaves(r)]
@@ -113,14 +176,13 @@ def test_golden_run(name, seed, tmp_path):
     assert replay_divergence(detailed) <= 1e-9
 
 
-# Script for a fresh interpreter: the detailed-log digest of one case.
+# Script for a fresh interpreter: the detailed-log digests of one case.
 _DIGEST_SCRIPT = """
-import hashlib, sys
+import sys
 sys.path.insert(0, sys.argv[1])
-from test_golden import _config
+from test_golden import _config, log_digests
 from skygrab.engine import run_scenario
-log = run_scenario(_config(sys.argv[2], int(sys.argv[3])), detail=True)
-print(hashlib.sha256(log.to_bytes()).hexdigest())
+print(*log_digests(run_scenario(_config(sys.argv[2], int(sys.argv[3])), detail=True)))
 """
 
 
@@ -136,4 +198,4 @@ def test_digest_independent_of_blas_kernel(coretype):
         [sys.executable, "-c", _DIGEST_SCRIPT, str(ROOT / "tests"), name, str(seed)],
         env=env, capture_output=True, text=True, check=True, timeout=300,
     )
-    assert out.stdout.strip() == GOLDEN[(name, seed)]
+    assert tuple(out.stdout.split()) == GOLDEN[(name, seed)]
