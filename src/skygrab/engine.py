@@ -294,18 +294,18 @@ class _Plant:
             done += 1
             if contact:
                 grabber = step_uav(grabber, grabber_cmd, grabber_cfg.tau, grabber_cfg.limits, dt)
-            if integrate and not (
-                isfinite(ball.theta) and isfinite(ball.phi)
-                and isfinite(ball.theta_dot) and isfinite(ball.phi_dot)
-            ):
-                stop = "nonfinite"
-                break
+            if integrate:
+                (ux, uy, uz), (dx, dy, dz) = ball.u, ball.du
+                if not (isfinite(ux) and isfinite(uy) and isfinite(uz)
+                        and isfinite(dx) and isfinite(dy) and isfinite(dz)):
+                    stop = "nonfinite"
+                    break
             if check_target:
                 sx, sy, sz = pos
                 if not (isfinite(sx) and isfinite(sy) and isfinite(sz)):
                     stop = "nonfinite"
                     break
-            if swing_armed and abs(ball.theta) >= math.pi / 2:
+            if swing_armed and ball.u[2] >= 0.0:
                 self.swung = True
                 stop = "swing"
                 break

@@ -8,13 +8,12 @@ the target on a rigid rod and behaves as a spherical pendulum with a
 moving pivot, linear angular damping, and an external wind force applied
 at the bob.
 
-Angles: theta is the deflection from straight down, phi the azimuth of
-the deflection in the world frame. Bob position relative to the pivot is
-
-    L * (sin(theta)cos(phi), sin(theta)sin(phi), -cos(theta))
-
-so theta = 0 is the hanging equilibrium. Once detached, the ball rides
-in the capture basket and has no dynamics of its own.
+The ball's state is the unit rod direction u (pivot to bob) and its rate
+u'; u = (0, 0, -1) is the hanging equilibrium. The angles theta (from
+straight down) and phi (azimuth), u = (sin(theta)cos(phi),
+sin(theta)sin(phi), -cos(theta)), only build a state and are read back
+for the log. Once detached, the ball rides in the capture basket and has
+no dynamics of its own.
 
 Every 3-vector (position, velocity, force) is a tuple of Python floats,
 ``frames.Vec3``; the functions accept any 3-sequence as input.
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -214,16 +213,40 @@ def target_pose(pattern: TrajectoryPattern, t: float) -> tuple[Vec3, Vec3]:
 # Suspended ball
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(init=False)
 class BallState:
-    """Spherical-pendulum angles and rates, and whether the ball still
-    hangs from its rod."""
+    """Unit rod direction ``u``, its rate ``du``, and whether the ball
+    still hangs from its rod. Built from the angles and their rates,
+    converted once; ``BallState()`` hangs at rest."""
 
-    theta: float = 0.0
-    phi: float = 0.0
-    theta_dot: float = 0.0
-    phi_dot: float = 0.0
-    attached: bool = True
+    u: Vec3
+    du: Vec3
+    attached: bool
+
+    def __init__(self, theta=0.0, phi=0.0, theta_dot=0.0, phi_dot=0.0, attached=True):
+        sth, cth = math.sin(theta), math.cos(theta)
+        sph, cph = math.sin(phi), math.cos(phi)
+        td, pd = theta_dot, phi_dot
+        self.u = (sth * cph, sth * sph, -cth)
+        self.du = (td * cth * cph - pd * sth * sph, td * cth * sph + pd * sth * cph, td * sth)
+        self.attached = attached
+
+    @classmethod
+    def _of(cls, u: Vec3, du: Vec3, attached: bool = True) -> "BallState":
+        """The state of rod vector u and rate du, taken as they are."""
+        ball = cls.__new__(cls)
+        ball.u, ball.du, ball.attached = u, du, attached
+        return ball
+
+    @property
+    def theta(self) -> float:
+        ux, uy, uz = self.u
+        return math.atan2(math.hypot(ux, uy), -uz)
+
+    @property
+    def phi(self) -> float:
+        ux, uy, _ = self.u
+        return math.atan2(uy, ux)
 
 
 @dataclass
@@ -246,9 +269,9 @@ def step_ball(
 
     While attached, integrates the spherical pendulum with RK4 under
     gravity, the moving-pivot pseudo-force, the wind force at the bob,
-    and linear damping. Integration runs on the rod direction vector
-    (free of the polar-coordinate singularity at the vertical) and maps
-    back to the angle state.
+    and linear damping. Integration runs on the rod direction and its
+    rate, which are the state, so it is free of the polar-coordinate
+    singularity at the vertical.
 
     ``support_accel`` and ``wind_force`` are any 3-sequences; the RK4
     stages run on Python floats. The input state is left unchanged and
@@ -270,14 +293,8 @@ def step_ball(
     L, c = params.length, params.damping
     alx, aly, alz = ax / L, ay / L, az / L
 
-    # Rod direction u (pivot -> bob) and its rate, from the angles.
-    sth, cth = math.sin(ball.theta), math.cos(ball.theta)
-    sph, cph = math.sin(ball.phi), math.cos(ball.phi)
-    td, pd = ball.theta_dot, ball.phi_dot
-    ux, uy, uz = sth * cph, sth * sph, -cth
-    dx = td * cth * cph - pd * sth * sph
-    dy = td * cth * sph + pd * sth * cph
-    dz = td * sth
+    ux, uy, uz = ball.u
+    dx, dy, dz = ball.du
     h, h6 = 0.5 * dt, dt / 6.0
 
     # Classic RK4 on (u, u'); the rate of u at each stage is that stage's
@@ -314,58 +331,35 @@ def step_ball(
     norm = math.sqrt(nx ** 2 + ny ** 2 + nz ** 2)
     nx, ny, nz = nx / norm, ny / norm, nz / norm
     radial = mx * nx + my * ny + mz * nz
-    ex, ey, ez = mx - radial * nx, my - radial * ny, mz - radial * nz
-
-    # Back to angles and their rates from the rod (n) and its rate (e).
-    s = math.hypot(nx, ny)
-    theta = math.atan2(s, -nz)
-    if s > 1e-12:
-        phi = math.atan2(ny, nx)
-        cph, sph = nx / s, ny / s
-        phi_dot = (-ex * sph + ey * cph) / s
-    else:
-        # Hanging vertically: azimuth is degenerate, keep the previous one.
-        phi = ball.phi
-        cph, sph = math.cos(phi), math.sin(phi)
-        phi_dot = 0.0
-    cth = -nz
-    theta_dot = ex * cth * cph + ey * cth * sph + ez * s
-    return BallState(theta, phi, theta_dot, phi_dot)
+    return BallState._of((nx, ny, nz), (mx - radial * nx, my - radial * ny, mz - radial * nz))
 
 
 def ball_world_position(support, ball: BallState, length: float) -> Vec3:
     """Bob position for an attached ball: support + L * rod direction."""
-    sth, cth = math.sin(ball.theta), math.cos(ball.theta)
-    sph, cph = math.sin(ball.phi), math.cos(ball.phi)
+    ux, uy, uz = ball.u
     sx, sy, sz = support
-    return (sx + length * sth * cph, sy + length * sth * sph, sz - length * cth)
+    return (sx + length * ux, sy + length * uy, sz + length * uz)
 
 
 def ball_world_velocity(support_velocity, ball: BallState, length: float) -> Vec3:
-    """Bob velocity for an attached ball (pivot velocity plus rod swing)."""
-    sth, cth = math.sin(ball.theta), math.cos(ball.theta)
-    sph, cph = math.sin(ball.phi), math.cos(ball.phi)
-    td, pd = ball.theta_dot, ball.phi_dot
+    """Bob velocity for an attached ball: pivot velocity + L * rod rate."""
+    dx, dy, dz = ball.du
     vx, vy, vz = support_velocity
-    return (
-        vx + length * (td * cth * cph - pd * sth * sph),
-        vy + length * (td * cth * sph + pd * sth * cph),
-        vz + length * td * sth,
-    )
+    return (vx + length * dx, vy + length * dy, vz + length * dz)
 
 
 def pendulum_energy(ball: BallState, params: BallParams) -> float:
     """Mechanical energy of the attached pendulum about a stationary pivot."""
     L, m, g = params.length, params.mass, params.gravity
-    sth = math.sin(ball.theta)
-    kinetic = 0.5 * m * L * L * (ball.theta_dot**2 + sth * sth * ball.phi_dot**2)
-    potential = m * g * L * (1.0 - math.cos(ball.theta))
+    dx, dy, dz = ball.du
+    kinetic = 0.5 * m * L * L * (dx * dx + dy * dy + dz * dz)
+    potential = m * g * L * (1.0 + ball.u[2])
     return kinetic + potential
 
 
 def detach(ball: BallState) -> BallState:
     """Release the ball from its rod."""
-    return replace(ball, attached=False)
+    return BallState._of(ball.u, ball.du, attached=False)
 
 
 # Rows of wind noise drawn per refill: few enough that memory stays flat,

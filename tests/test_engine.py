@@ -75,7 +75,7 @@ PLANT_OVERFLOWS = {
         {False: ("47f29d719c02edbf032e02fa3698144d9f841cf030beae4a90184710414ee957",
                  "3a564df699a105acb6c02b14bd388a18492c950bacd881f338b676888e997c47"),
          True: ("47f29d719c02edbf032e02fa3698144d9f841cf030beae4a90184710414ee957",
-               "5d8d337f282bbfdea01425f7e9a5c936245f6cf6b0692b5c4bf67115cfc41fbc")},
+               "f114f40656409d6b962a10e5ff435d06bd1fcb670cff87e252c0a1400f8140d8")},
     ),
     "figure_eight_phase": (
         {"target": {"pattern": "figure_eight", "speed": 1.0e300, "extent": 1.0e-300}},
@@ -546,7 +546,7 @@ class TestEvents:
         detailed = run_scenario(cfg, detail=True)
         assert log_digests(detailed) == (
             "0f8464571292996659d626b53ae7f561f3896abff9a855f23097273e2f66c946",
-            "c41d9019d7393a4bc14a91ec4a031cfa89fb42a1899a3eefdc01775a15b8c0fe",
+            "c185661b16aa6b1d41a48b51f13c98e3d3fc420dc353c39da826b2b6499535ff",
         )
         # replay's plant stops once at the over-swing and goes on
         assert replay_divergence(detailed) <= 1e-9

@@ -36,15 +36,15 @@ VARIANTS = {
 GOLDEN = {
     ("default", 1): (
         "9160333ae7c055cbb45ea91936327d4cf18dac3391df9ee75fa34cce77ad1c02",
-        "3ba211041461bd6d41e49f2698436d3368c51331b4b09abe686179ea1621ba84",
+        "ca92667f1bee200612f5c867ef5661884884c9ef9a0b2a11b73a6c41388ba48d",
     ),
     ("default", 1000): (
         "43d3e75bda62cdfa8291162ae7356211ca3420292198aab7eb0d0f49a019d027",
-        "65b20c6c3c60d1db156dd254eaeee55593a0b5fb7b0d55b83d8e2245719a9654",
+        "6289aa582725b9f7f66648bfe4b9e731898f3ac5b8ff9e99367c6fa8affc0dc5",
     ),
     ("default", 1001): (
         "89510568f22a776748d65c44c0b9c8c8cbf7f870bde0cdff43fb2a9ea3595ecf",
-        "1f76eba0137ec81bc61b6743d44cddecc241f16a72900dc2491d71c01b674d0c",
+        "76ca18627b9392d7fbf8520b4e0b2bdb8ab0be46988e64186a4dcc3e8aca1804",
     ),
     ("nominal_collab_static", 1): (
         "17721912397020376cd382c52278170f1f69d6e10c99f25affb5640bed4f45fa",
@@ -84,23 +84,23 @@ GOLDEN = {
     ),
     ("single_moving", 1): (
         "d29c6b5a8179195e924fba6a4d618a324e981011ac9c6a3d5eb8d5fb9f8982c1",
-        "32bcdfe093efcc4ec85c447c53e2c09dbaa45309569586169a839195fe974514",
+        "e7ba469231ca1455944df9a87ebb21bc4a229facae0afb12f8bf77622510d487",
     ),
     ("single_moving", 1000): (
         "38e2017c34aae6bf5d2616eb427a28328b8b01d38b66edf773628e6a5ed675e5",
-        "919dd74bd60f6f9410e2e16b4716faa62cfebc6a16c53017219889b10f2208e1",
+        "d2d07141898f3465b5c217107e1bb490e2fe9607ef2c1de6fecafffe7bfa62e6",
     ),
     ("single_moving", 1001): (
         "9e73392c7600c7f162896b62d5bf56ab77bc8dc1d7fca378e9995183fe2eb174",
-        "82038bddbc58e96917d6b5783bcb081774593123fae4530ac6f9a744ec09118c",
+        "a57cb84e7d4363da89e539537ec9ca38ac2ea26d2e19d08d5df592f0e10df97c",
     ),
     ("default_figure_eight", 1): (
         "2a46cf006c5db9d7206f85dbb8af67759833f2338ad61dcfc5657a9208841547",
-        "c10b8504aeaa134950c87f48c2a705c838647478d5beeb4d6ec3a58376f55229",
+        "20db5ba0d9a71de294d9997804b3fe8b2df2ef81339ec23fdf25ab371e1ce55b",
     ),
     ("default_figure_eight", 1000): (
         "d926eb241bea7242c718300e7efc7eb49912891634f20a239025dfa8046aa725",
-        "0736c2b1639cd110f6cf2d8e6841b5b585daa12d7953ab15d1ccd0b60d05dda5",
+        "3bc183adfba250dce15153aaa2ab54b3fb6f177a3686f66f49389c1d34ab39ab",
     ),
 }
 

@@ -167,39 +167,9 @@ class TestStepUavBlocks:
             step_uav(make_uav(), VelocityCommand(vx=1.0), 0.4, LimitsConfig(), DT, steps)
 
 
-# Reference ball step: the RK4 written with the three rod helpers it was
-# first built from. ``step_ball`` inlines them with every float operation
-# unchanged, so the two agree bit for bit.
-
-def _rod_vector_state(ball):
-    sth, cth = math.sin(ball.theta), math.cos(ball.theta)
-    sph, cph = math.sin(ball.phi), math.cos(ball.phi)
-    td, pd = ball.theta_dot, ball.phi_dot
-    u = (sth * cph, sth * sph, -cth)
-    du = (
-        td * cth * cph - pd * sth * sph,
-        td * cth * sph + pd * sth * cph,
-        td * sth,
-    )
-    return u, du
-
-
-def _angles_from_rod(u, du, prev_phi):
-    ux, uy, uz = u
-    s = math.hypot(ux, uy)
-    theta = math.atan2(s, -uz)
-    if s > 1e-12:
-        phi = math.atan2(uy, ux)
-        cph, sph = ux / s, uy / s
-        phi_dot = (-du[0] * sph + du[1] * cph) / s
-    else:
-        phi = prev_phi
-        cph, sph = math.cos(phi), math.sin(phi)
-        phi_dot = 0.0
-    cth = -uz
-    theta_dot = du[0] * cth * cph + du[1] * cth * sph + du[2] * s
-    return theta, phi, theta_dot, phi_dot
-
+# Reference ball step: the RK4 written with the rod helper it was first
+# built from. ``step_ball`` inlines it with every float operation
+# unchanged, so the two agree bit for bit. Returns the new (u, du).
 
 def _rod_accel(u, du, A, length, damping):
     ux, uy, uz = u
@@ -219,7 +189,7 @@ def reference_step_ball(ball, support_accel, wind_force, params, dt):
     sx, sy, sz = support_accel
     A = (wx / m - sx, wy / m - sy, wz / m - sz - params.gravity)
     L, c = params.length, params.damping
-    u, du = _rod_vector_state(ball)
+    u, du = ball.u, ball.du
     ux, uy, uz = u
     dx, dy, dz = du
     h, h6 = 0.5 * dt, dt / 6.0
@@ -239,10 +209,7 @@ def reference_step_ball(ball, support_accel, wind_force, params, dt):
     norm = math.sqrt(nx ** 2 + ny ** 2 + nz ** 2)
     nx, ny, nz = nx / norm, ny / norm, nz / norm
     radial = mx * nx + my * ny + mz * nz
-    theta, phi, theta_dot, phi_dot = _angles_from_rod(
-        (nx, ny, nz), (mx - radial * nx, my - radial * ny, mz - radial * nz), ball.phi
-    )
-    return BallState(theta, phi, theta_dot, phi_dot)
+    return (nx, ny, nz), (mx - radial * nx, my - radial * ny, mz - radial * nz)
 
 
 class TestStepBallAgainstReference:
@@ -262,19 +229,59 @@ class TestStepBallAgainstReference:
             accel = tuple(rng.normal(0.0, 3.0, 3).tolist())
             wind = tuple(rng.normal(0.0, 0.5, 3).tolist())
             dt = float(rng.choice([1.0 / 400.0, 1.0 / 100.0, 0.05]))
-            assert repr(step_ball(ball, accel, wind, params, dt)) == repr(
-                reference_step_ball(ball, accel, wind, params, dt)
-            )
+            out = step_ball(ball, accel, wind, params, dt)
+            assert out.attached
+            # repr spells every float exactly, signed zeros included
+            assert repr((out.u, out.du)) == repr(reference_step_ball(ball, accel, wind, params, dt))
 
-    def test_vertical_branch_bit_for_bit(self):
-        # Hanging straight down with no sideways force: the rod stays
-        # vertical, the azimuth is kept and its rate is zero.
-        for phi in (0.0, 0.7, -2.9):
-            ball = BallState(theta=0.0, phi=phi, phi_dot=1.3)
-            out = step_ball(ball, (0.0, 0.0, 0.4), (0.0, 0.0, -0.01), BallParams(), DT)
-            assert (out.theta, out.phi, out.phi_dot) == (0.0, phi, 0.0)
-            ref = reference_step_ball(ball, (0.0, 0.0, 0.4), (0.0, 0.0, -0.01), BallParams(), DT)
-            assert repr(out) == repr(ref)
+    def test_vertical_rod_under_vertical_forcing_stays_vertical(self):
+        # Straight down, pushed only along the rod: it stays exactly
+        # vertical and gains no sideways rate, step after step.
+        for accel_z, wind_z in ((0.0, 0.0), (0.4, -0.01), (-3.0, 0.05)):
+            ball = BallState()
+            for _ in range(400):
+                ball = step_ball(ball, (0.0, 0.0, accel_z), (0.0, 0.0, wind_z), BallParams(), DT)
+                assert ball.u == (0.0, 0.0, -1.0)
+                assert ball.du[:2] == (0.0, 0.0)
+            assert (ball.theta, ball.phi) == (0.0, 0.0)
+
+
+class TestAngleView:
+    """The angles a state is built from, read back from its rod vector."""
+
+    @staticmethod
+    def _random_states(n, theta_lo):
+        rng = np.random.default_rng(31)
+        for _ in range(n):
+            theta = float(rng.uniform(theta_lo, math.pi))
+            phi = float(rng.uniform(-math.pi, math.pi))
+            theta_dot, phi_dot = rng.normal(0.0, 2.0, 2).tolist()
+            yield (theta, phi, theta_dot, phi_dot), BallState(theta, phi, theta_dot, phi_dot)
+
+    def test_angles_read_back(self):
+        for (theta, phi, _, _), ball in self._random_states(5000, 0.0):
+            assert abs(ball.theta - theta) <= 1e-15
+            if theta > 0.0:
+                assert abs(ball.phi - phi) <= 1e-15
+
+    def test_over_swing_test_on_the_rod_agrees_with_the_angle(self):
+        for (theta, _, _, _), ball in self._random_states(5000, -math.pi):
+            assert (ball.u[2] >= 0.0) == (abs(theta) >= math.pi / 2)
+
+    def test_energy_equals_the_angle_formula(self):
+        rng = np.random.default_rng(32)
+        for (theta, _, theta_dot, phi_dot), ball in self._random_states(2000, 0.0):
+            params = BallParams(
+                length=float(rng.uniform(0.3, 3.0)), mass=float(rng.uniform(0.02, 1.0)),
+                gravity=float(rng.uniform(0.0, 20.0)),
+            )
+            L, m, g = params.length, params.mass, params.gravity
+            sth = math.sin(theta)
+            oracle = (
+                0.5 * m * L * L * (theta_dot**2 + sth * sth * phi_dot**2)
+                + m * g * L * (1.0 - math.cos(theta))
+            )
+            assert pendulum_energy(ball, params) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
 
 class TestTargetPose:
@@ -334,8 +341,7 @@ class TestBall:
     def test_hanging_equilibrium_is_fixed_point(self):
         ball = BallState()
         out = step_ball(ball, np.zeros(3), np.zeros(3), BallParams(), DT)
-        assert out.theta == pytest.approx(0.0, abs=1e-15)
-        assert out.theta_dot == pytest.approx(0.0, abs=1e-15)
+        assert (out.u, out.du) == ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0))
 
     def test_small_angle_period(self):
         # full period of the bob x-coordinate; theta itself folds at the
@@ -423,7 +429,7 @@ class TestBall:
         ball = BallState(theta=0.2, theta_dot=1.0)
         free = detach(ball)
         assert not free.attached and ball.attached
-        assert (free.theta, free.theta_dot) == (0.2, 1.0)
+        assert (free.u, free.du) == (ball.u, ball.du)
         with pytest.raises(ValueError):
             step_ball(free, np.zeros(3), np.zeros(3), BallParams(), DT)
 
@@ -475,10 +481,10 @@ class TestInputsUnchanged:
     def test_step_ball_leaves_state_and_inputs_unmutated(self):
         accel, wind = np.array([0.5, -0.3, 0.2]), np.array([0.01, 0.02, -0.01])
         ball = BallState(theta=0.3, phi=0.2, theta_dot=0.5, phi_dot=-0.4)
-        before = (ball.theta, ball.phi, ball.theta_dot, ball.phi_dot, ball.attached)
+        before = (ball.u, ball.du, ball.attached)
         out = step_ball(ball, accel, wind, BallParams(), DT)
         assert out is not ball
-        assert before == (ball.theta, ball.phi, ball.theta_dot, ball.phi_dot, ball.attached)
+        assert before == (ball.u, ball.du, ball.attached)
         assert accel.tolist() == [0.5, -0.3, 0.2] and wind.tolist() == [0.01, 0.02, -0.01]
 
 
