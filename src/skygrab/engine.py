@@ -10,18 +10,21 @@ run is a pure function of (config, seed) down to the log bytes.
 The world (target, wind, ball, own vehicles) is one plant with one
 ``advance``, which integrates a block of dynamics steps in one call.
 ``run_scenario`` runs the stages due on a step, then advances the plant
-to the next step where a stage is due: the next vision or control tick,
-or, while the grabber may close on the ball, the first step at which
-the ball sits in its basket volume, where the run releases it. Nothing
-else reads the world between those steps, and the commands are held, so
-a block gives the same floats as stepping one at a time. A ball that
-hangs still, with no wind and a target of constant velocity, is a fixed
-point of its integrator, so the plant does not integrate it.
-``run_scenario`` alone decides that schedule, and the log records it:
-``replay_divergence`` drives the same ``advance`` open loop from the
-log's command, state and capture records in log order, so run and replay
-advance the world through the same code. ``outcome`` reads the verdict
-from the log's phase and event records.
+to the next vision or control tick. Nothing else reads the world
+between those steps, and the commands are held, so a block gives the
+same floats as stepping one at a time. The plant applies its own rules
+inside a block and reports each to an event sink, stamped with the time
+at the start of the step concerned: while the grabber is in GRAB, the
+first state with the ball in the basket volume detaches the ball (a
+``capture``); the first over-swing is flagged; a state that is no
+longer finite ends the run. A ball that hangs still, with no wind and a
+target of constant velocity, is a fixed point of its integrator, so the
+plant does not integrate it. ``run_scenario`` alone decides the
+schedule, and the log records it: ``replay_divergence`` drives the same
+``advance`` open loop from the log's command, state and phase records in
+log order, the grabber's phase records arming contact, so the ball
+leaves its rod by the same rule in run and replay. ``outcome`` reads the
+verdict from the log's phase and event records.
 """
 
 from __future__ import annotations
@@ -166,11 +169,13 @@ class _Plant:
     drone's vehicle, indexed like ``config.drones``. ``run_scenario``
     drives it with the agents' commands and ``replay_divergence`` with
     the logged ones, read in log order, so both integrate the world
-    through ``advance``.
+    through ``advance``. ``event(t, name, drone, data)`` receives the
+    events the plant's rules raise: the run passes its log writer,
+    replay a no-op.
     Each vehicle's command is held over a block, so its state is stepped
     once per block, for all the block's steps. Contact is a rule of the
-    plant: while it is armed, ``advance`` stops at the first state with
-    the ball in the grabber's basket. Once detached, the ball rides in
+    plant: while it is armed, the first state with the ball in the
+    grabber's basket detaches the ball. Once detached, the ball rides in
     the basket; the plant never integrates free flight, and the wind,
     which acts only on the hanging ball, is no longer stepped. ``still``
     holds when the hanging ball can never leave rest: the wind is off,
@@ -179,10 +184,11 @@ class _Plant:
     its state stays the rest it would have computed.
     """
 
-    def __init__(self, config: ScenarioConfig):
+    def __init__(self, config: ScenarioConfig, event):
         w = config.world
         self.dt = 1.0 / config.rates.dynamics
         self.k = 0
+        self.event = event
         self.pattern = _build_pattern(config)
         self.support_pos, self.support_vel = target_pose(self.pattern, 0.0)
         self.wind = (
@@ -235,50 +241,49 @@ class _Plant:
             return ball_world_velocity(self.support_vel, self.ball, self.ball_params.length)
         return self.uavs[self.grabber].velocity
 
-    def release(self) -> None:
-        """Detach the ball from the rod into the grabber's basket."""
-        self.ball = detach(self.ball)
-
-    def advance(self, n: int, contact: bool = False) -> str | None:
-        """Integrate up to n steps of dt under the held commands.
+    def advance(self, n: int, contact: bool = False) -> bool:
+        """Integrate n steps of dt under the held commands; False when the
+        world stopped being finite, which ends the block early.
 
         Each step poses the target, then steps the wind and the ball while
         it hangs and is not ``still``, then checks the state that can have
         changed: the ball while it is integrated, and the target unless it
         is a static hover. The vehicles are stepped once each, by the steps
-        taken; while ``contact`` is armed (the caller arms it only while
-        the ball hangs), the grabber is instead stepped one step at a time,
-        and each state is tested before its step. Returns None when all n
-        steps were taken, else why the block ended early; ``k`` says how
-        far it got:
+        taken. ``contact`` (the grabber is in GRAB) arms contact while the
+        ball hangs; the grabber is then stepped one step at a time, and
+        each state is tested before its step. Each rule reports an event,
+        stamped ``(j - 1) * dt`` for step ``j``, the start of the step:
 
-        - ``"contact"``: the ball sits in the grabber's basket volume
-          (``grab_detect``) at step ``k``, which is not taken nor released;
-        - ``"overflow"``: a step raised OverflowError and was not taken;
-        - ``"nonfinite"``: the last step taken left the ball or target
-          state not finite;
-        - ``"swing"``: the last step taken swung the hanging ball to or
-          past horizontal, reported for the first such step only.
+        - ``capture``: the ball sits in the grabber's basket volume
+          (``grab_detect``); it is detached, ``ball_p`` is the bob position
+          tested, and the block goes on;
+        - ``invalid_swing``: the step swung the hanging ball to or past
+          horizontal, for the first such step only; the block goes on;
+        - ``nonfinite_state``: the step raised OverflowError and was not
+          taken, or it left the ball or target state not finite; the
+          block ends there and ``k`` says how far it got.
         """
         dt, k = self.dt, self.k
         pattern, ball, ball_params = self.pattern, self.ball, self.ball_params
-        wind = self.wind
+        wind, event = self.wind, self.event
         integrate = ball.attached and not self.still
         swing_armed = integrate and not self.swung
         check_target = pattern.kind is not PatternKind.STATIC_HOVER
         g = self.grabber
         grabber, grabber_cmd, grabber_cfg = self.uavs[g], self.cmds[g], self.drones[g]
+        single = contact = contact and ball.attached
         pos, vel = self.support_pos, self.support_vel
         isfinite = math.isfinite
-        done, stop = 0, None
+        done, finite = 0, True
         for j in range(k + 1, k + n + 1):
-            if contact and coord.grab_detect(
-                ball_world_position(pos, ball, ball_params.length),
-                ball_world_velocity(vel, ball, ball_params.length),
-                grabber, self.capture,
-            ):
-                stop = "contact"
-                break
+            if contact:
+                bp = ball_world_position(pos, ball, ball_params.length)
+                if coord.grab_detect(
+                    bp, ball_world_velocity(vel, ball, ball_params.length), grabber, self.capture
+                ):
+                    event((j - 1) * dt, "capture", grabber_cfg.id, {"ball_p": list(bp)})
+                    ball = detach(ball)
+                    contact = integrate = swing_armed = False
             try:
                 next_pos, next_vel = target_pose(pattern, j * dt)
                 if integrate:
@@ -288,36 +293,37 @@ class _Plant:
                     support_accel = ((nx - vx) / dt, (ny - vy) / dt, (nz - vz) / dt)
                     ball = step_ball(ball, support_accel, wind_force, ball_params, dt)
             except OverflowError:
-                stop = "overflow"
+                finite = False
                 break
             pos, vel = next_pos, next_vel
             done += 1
-            if contact:
+            if single:
                 grabber = step_uav(grabber, grabber_cmd, grabber_cfg.tau, grabber_cfg.limits, dt)
             if integrate:
                 (ux, uy, uz), (dx, dy, dz) = ball.u, ball.du
                 if not (isfinite(ux) and isfinite(uy) and isfinite(uz)
                         and isfinite(dx) and isfinite(dy) and isfinite(dz)):
-                    stop = "nonfinite"
+                    finite = False
                     break
             if check_target:
                 sx, sy, sz = pos
                 if not (isfinite(sx) and isfinite(sy) and isfinite(sz)):
-                    stop = "nonfinite"
+                    finite = False
                     break
             if swing_armed and ball.u[2] >= 0.0:
-                self.swung = True
-                stop = "swing"
-                break
+                self.swung, swing_armed = True, False
+                event((j - 1) * dt, "invalid_swing", None, {"theta": ball.theta})
         self.ball = ball
         self.support_pos, self.support_vel = pos, vel
         if done:
             self.uavs = [
-                grabber if contact and i == g else step_uav(uav, cmd, d.tau, d.limits, dt, done)
+                grabber if single and i == g else step_uav(uav, cmd, d.tau, d.limits, dt, done)
                 for i, (uav, cmd, d) in enumerate(zip(self.uavs, self.cmds, self.drones))
             ]
         self.k = k + done
-        return stop
+        if not finite:
+            event((j - 1) * dt, "nonfinite_state", None, {})
+        return finite
 
 
 def _message_record(msg, t: float, status: str) -> dict:
@@ -359,15 +365,15 @@ class _Run:
     the channel and the log, from which the verdict is read.
 
     ``run_scenario`` runs the vision and control stages on the steps
-    that select them, then advances the plant to the next such step,
-    releasing the ball where the plant stops at contact.
+    that select them, then advances the plant to the next such step; the
+    plant writes its own events through ``event``.
     """
 
     def __init__(self, config: ScenarioConfig, detail: bool, log: SimLog):
         self.config = config
         self.detail = detail
         self.log = log
-        self.plant = _Plant(config)
+        self.plant = _Plant(config, self.event)
         self.channel = Channel(config.channel, substream(config.seed, _STREAM_CHANNEL))
         collaborative = any(d.role == "tracker" for d in config.drones)
         self.drones = [
@@ -440,7 +446,7 @@ class _Run:
         if detail:
             for msg in delivered:
                 log.append(_message_record(msg, t, "delivered"))
-        captured = not plant.ball.attached  # the ball detaches only at a contact stop
+        captured = not plant.ball.attached  # the ball detaches only at contact
         outbox = []
         for i, d in enumerate(self.drones):
             src = d.agent.phase
@@ -496,22 +502,12 @@ class _Run:
             for uav, cmd in zip(plant.uavs, plant.cmds)
         ):
             return True
-        return self.nonfinite(t)
+        self.event(t, "nonfinite_state", None, {})
+        return False
 
     def event(self, t: float, name: str, drone: str | None, data: dict) -> None:
         """Log an event record; every event of a run is written here."""
         self.log.append({"kind": "event", "t": t, "event": name, "drone": drone, "data": data})
-
-    def nonfinite(self, t: float) -> bool:
-        """Log ``nonfinite_state``, which ends the run invalid; returns False."""
-        self.event(t, "nonfinite_state", None, {})
-        return False
-
-    def release(self, t: float) -> None:
-        """Detach the ball into the grabber's basket and log its one ``capture`` event."""
-        bp = self.plant.ball_position()
-        self.plant.release()
-        self.event(t, "capture", self.grabber.id, {"ball_p": list(bp)})
 
     def verdict(self) -> dict:
         verdict, t_capture, failure = outcome(self.log)
@@ -574,18 +570,7 @@ def run_scenario(config: ScenarioConfig, detail: bool = True) -> SimLog:
             (k // control_every + 1) * control_every,
             n_steps,
         )
-        armed = plant.ball.attached and grabber_agent.phase is MissionPhase.GRAB
-        stop = plant.advance(end - k, contact=armed)
-        if stop == "contact":  # tested before a step, so at least one step remains
-            run.release(plant.k * dt)
-            stop = plant.advance(end - plant.k)
-        if stop == "swing":
-            run.event((plant.k - 1) * dt, "invalid_swing", None, {"theta": plant.ball.theta})
-        elif stop == "nonfinite":  # logged at the step taken, which t_end counts
-            run.nonfinite((plant.k - 1) * dt)
-            break
-        elif stop == "overflow":  # logged at the step that raised, which t_end does not count
-            run.nonfinite(plant.k * dt)
+        if not plant.advance(end - k, grabber_agent.phase is MissionPhase.GRAB):
             break
         k = plant.k
     run.log.append(run.verdict())
@@ -609,26 +594,25 @@ def replay_divergence(log: SimLog) -> float:
     deviation against the logged ground truth.
 
     Advances the same plant as ``run_scenario`` through the log's
-    command, state and capture records in log order: the plant is
-    advanced to each record's step, then holds the command, compares
-    every drone and the ball against the state, or releases the ball. A
-    plant step that overflows reads as infinite divergence; a header
+    command, state and phase records in log order: the plant is advanced
+    to each record's step, then holds the command, compares every drone
+    and the ball against the state, or arms contact while the grabber's
+    phase is GRAB. The ball therefore leaves its rod by the plant's own
+    contact rule, as in the run; the log's events are not read. A plant
+    step that is not finite reads as infinite divergence; a header
     config that validation rejects raises ConfigError.
     """
     cfg = config_from_dict(log.header["config"])
-    plant = _Plant(cfg)
+    plant = _Plant(cfg, lambda *_: None)
     index = {d.id: i for i, d in enumerate(cfg.drones)}
-    worst, compared = 0.0, False
+    grabber = cfg.drones[plant.grabber].id
+    worst, compared, grab = 0.0, False, False
     for r in log.records:
         kind = r["kind"]
-        if kind == "event" and r["event"] == "capture":
-            kind = "capture"
-        elif kind != "command" and kind != "state":
+        if kind != "command" and kind != "state" and kind != "phase":
             continue
-        k = round(r["t"] / plant.dt)
-        while plant.k < k:  # advance stops early at the over-swing; go on from there
-            if plant.advance(k - plant.k) == "overflow":
-                return math.inf
+        if not plant.advance(round(r["t"] / plant.dt) - plant.k, grab):
+            return math.inf
         if kind == "command":
             c = r["cmd"]
             plant.cmds[index[r["drone"]]] = VelocityCommand(c["vx"], c["vy"], c["vz"], c["yaw_rate"])
@@ -637,8 +621,8 @@ def replay_divergence(log: SimLog) -> float:
             for drone_id, s in r["drones"].items():
                 worst = max(worst, _max_abs_error(plant.uavs[index[drone_id]].position, s["p"]))
             worst = max(worst, _max_abs_error(plant.ball_position(), r["ball"]["p"]))
-        else:
-            plant.release()
+        elif r["drone"] == grabber:
+            grab = r["to"] == "grab"
     if not compared:
         raise ValueError("log has no state records to replay against")
     return worst

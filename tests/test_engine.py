@@ -1,5 +1,4 @@
 import copy
-import hashlib
 import math
 import os
 import re
@@ -11,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skygrab import coordination
+from skygrab import coordination, engine
 from skygrab.camera import CameraIntrinsics, DetectionClass, DetectionNoise
 from skygrab.config import ScenarioConfig, config_from_dict, load_config, parse_config
 from skygrab.coordination import grab_detect
@@ -29,7 +28,8 @@ from skygrab.engine import (
 from skygrab.guidance import GuidanceGains
 from skygrab.logs import SimLog, validate_log
 from skygrab.perception import FilterParams
-from skygrab.world import BallParams, UavState, VelocityCommand
+from skygrab.world import BallParams, UavState, VelocityCommand, detach
+from test_golden import log_digests
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.yaml"))
@@ -89,14 +89,6 @@ PLANT_OVERFLOWS = {
 }
 
 
-def log_digests(log) -> tuple[str, str]:
-    """SHA-256 of the log's header line, its newline included, and of
-    the record lines after it; together they cover every byte."""
-    data = log.to_bytes()
-    cut = data.index(b"\n") + 1
-    return hashlib.sha256(data[:cut]).hexdigest(), hashlib.sha256(data[cut:]).hexdigest()
-
-
 @pytest.fixture(scope="module")
 def nominal_static_log():
     return run_scenario(load_config(CONFIGS / "nominal_static.yaml"))
@@ -110,6 +102,12 @@ def nominal_collab_log():
 @pytest.fixture(scope="module")
 def disturbed_log():
     return run_scenario(load_config(CONFIGS / "default.yaml"))
+
+
+@pytest.fixture(scope="module")
+def capture_on_tick_log():
+    # default@1020 captures on a control tick
+    return run_scenario(load_config(CONFIGS / "default.yaml").with_seed(1020))
 
 
 class TestScheduling:
@@ -349,17 +347,42 @@ class TestDisturbedRun:
         records.insert(records.index(log.verdict_record), late)
         assert replay_divergence(SimLog(header=log.header, records=records)) == math.inf
 
-    def test_replay_compares_the_state_before_a_detach_on_a_control_tick(self):
+    def test_replay_compares_the_state_before_a_detach_on_a_control_tick(self, capture_on_tick_log):
         # default@1020 captures on a control tick, where the step's state
         # record comes before its capture event: replay must compare the
-        # hanging ball first and release it after.
-        log = run_scenario(load_config(CONFIGS / "default.yaml").with_seed(1020))
+        # hanging ball first and detach it after.
+        log = capture_on_tick_log
         t = log.verdict_record["t_capture"]
         k = round(t / log.header["multirate"]["dt"])
         assert (t, k, k % log.header["multirate"]["control_every"]) == (25.0, 10_000, 0)
         at_capture = [(r["kind"], r.get("event")) for r in log.records if r.get("t") == t]
         assert at_capture.index(("state", None)) < at_capture.index(("event", "capture"))
         assert replay_divergence(log) <= 1e-9
+
+    @pytest.mark.parametrize("case", ["default@1020", "nominal_static@1"])
+    def test_replay_plant_reports_each_logged_capture(self, case, capture_on_tick_log, monkeypatch):
+        # Replay arms contact from the grabber's phase records, so its plant
+        # detaches the ball by the run's rule, not at the logged event.
+        if case == "default@1020":
+            log = capture_on_tick_log
+        else:
+            log = run_scenario(load_config(CONFIGS / "nominal_static.yaml").with_seed(1))
+        reported = []
+
+        class Recording(_Plant):
+            def __init__(self, config, event):
+                super().__init__(config, lambda *e: reported.append(e))
+
+        monkeypatch.setattr(engine, "_Plant", Recording)
+        captures = [(r["t"], r["event"], r["drone"], r["data"]) for r in log.events("capture")]
+        assert len(captures) == 1
+        assert replay_divergence(log) <= 1e-9
+        assert reported == captures
+        # The logged capture is not read: replay without it is the same.
+        reported.clear()
+        stripped = [r for r in log.records if r.get("event") != "capture"]
+        assert replay_divergence(SimLog(header=log.header, records=stripped)) <= 1e-9
+        assert reported == captures
 
     def test_replay_of_a_log_cut_after_a_mid_run_state_record(self, disturbed_log):
         records = disturbed_log.records
@@ -380,17 +403,21 @@ def _state(plant) -> str:
                  plant.support_vel, plant.wind))
 
 
+def _drop(*event):
+    """An event sink that keeps nothing."""
+
+
 def _drive(cfg, before, after, still=None):
-    """Advance a plant by the blocks in ``before``, release the ball, then
+    """Advance a plant by the blocks in ``before``, detach the ball, then
     advance it by the blocks in ``after``; ``still``, when given, replaces
     the plant's own flag. Returns the results and the plant's state."""
     commands = [VelocityCommand(0.8, -0.5, 0.3, 1.2), VelocityCommand(-4.0, 2.5, -2.0, -9.0)]
-    plant = _Plant(cfg)
+    plant = _Plant(cfg, _drop)
     if still is not None:
         plant.still = still
     plant.cmds = [commands[i % 2] for i in range(len(plant.cmds))]
     results = [plant.advance(n) for n in before]
-    plant.release()
+    plant.ball = detach(plant.ball)
     results += [plant.advance(n) for n in after]
     return results, _state(plant)
 
@@ -417,9 +444,9 @@ def _count_grab_detect(monkeypatch) -> list:
 class TestPlant:
     def test_wind_not_stepped_after_detach(self):
         # the wind acts only on the hanging ball; nothing reads it after detach
-        plant = _Plant(load_config(CONFIGS / "default.yaml"))
+        plant = _Plant(load_config(CONFIGS / "default.yaml"), _drop)
         plant.advance(1)
-        plant.release()
+        plant.ball = detach(plant.ball)
         force = plant.wind.force
         plant.advance(1)
         plant.advance(1)
@@ -430,8 +457,8 @@ class TestPlant:
         cfg = load_config(CONFIGS / f"{name}.yaml")
         block_results, block_state = _drive(cfg, [37], [23])
         single_results, single_state = _drive(cfg, [1] * 37, [1] * 23)
-        assert block_results == [None, None]
-        assert single_results == [None] * 60
+        assert block_results == [True, True]
+        assert single_results == [True] * 60
         assert block_state == single_state
 
     @pytest.mark.parametrize("name", SHIPPED)
@@ -450,7 +477,7 @@ class TestPlant:
     def test_still_needs_no_wind_and_a_constant_target_velocity(self, name, target, still):
         d = load_config(CONFIGS / f"{name}.yaml").to_dict()
         d["target"].update(target)
-        assert _Plant(config_from_dict(d)).still is still
+        assert _Plant(config_from_dict(d), _drop).still is still
 
     @pytest.mark.parametrize("detail, digests", [
         (False, ("e73230ea2775c8ba4795cdc07c89f5051c3e63b2b667e4a4e9df7475ba6f14a4",
@@ -463,7 +490,7 @@ class TestPlant:
         d = load_config(CONFIGS / "nominal_static.yaml").to_dict()
         d["world"].update(gravity=1.0e308, rod_length=0.5)
         cfg = config_from_dict(d)
-        assert _Plant(cfg).still is False
+        assert _Plant(cfg, _drop).still is False
         log = run_scenario(cfg, detail=detail)
         rec = log.verdict_record
         assert (rec["verdict"], rec["failure"], rec["t_end"]) == ("invalid", "nonfinite_state", 0.0025)
@@ -471,32 +498,38 @@ class TestPlant:
         assert log_digests(log) == digests
 
     @pytest.mark.parametrize("name", ["nominal_static", "default"])
-    def test_contact_stops_the_block_at_the_first_step_in_the_basket(self, name):
+    def test_contact_detaches_the_ball_at_first_basket_state(self, name):
         cfg = load_config(CONFIGS / f"{name}.yaml")
 
-        def plant_behind_ball():
+        def plant_behind_ball(events):
             # the grabber flies at the hanging ball along +x, gripper first
-            plant = _Plant(cfg)
+            plant = _Plant(cfg, lambda *e: events.append(e))
             plant.uavs[plant.grabber] = UavState.at(-6.2, 0.0, 3.5)
             plant.cmds = [VelocityCommand(1.0, 0.0, 0.0, 0.0) for _ in plant.cmds]
             return plant
 
-        single = plant_behind_ball()
+        single = plant_behind_ball([])
         while not _in_basket(single):
-            assert single.advance(1) is None
-        assert single.k > 100  # the grabber starts well out of reach
-        # Contact is tested before a step, so the state a block ends at is
-        # left to the next block.
-        for n, stop in ((single.k + 200, "contact"), (single.k, None)):
-            block = plant_behind_ball()
-            assert block.advance(n, contact=True) == stop
-            assert block.ball.attached  # contact does not release the ball
+            assert single.advance(1)
+        k = single.k
+        assert k > 100  # the grabber starts well out of reach
+        capture = (k * single.dt, "capture", cfg.drones[single.grabber].id,
+                   {"ball_p": list(single.ball_position())})
+        single.ball = detach(single.ball)
+        for _ in range(200):
+            assert single.advance(1)
+        # One block through the contact, and two split at it: contact is
+        # tested before a step, so the first block leaves that state to the
+        # second, whose first test captures.
+        for blocks in ([k + 200], [k, 200]):
+            events = []
+            block = plant_behind_ball(events)
+            for n in blocks:
+                assert block.advance(n, True) is True
+            assert events == [capture]
+            assert not block.ball.attached
+            assert block.k == k + 200
             assert _state(block) == _state(single)
-        # A plant already in contact stops before its first step.
-        before = _state(single)
-        assert single.advance(5, contact=True) == "contact"
-        assert single.ball.attached
-        assert _state(single) == before
 
     def test_each_armed_state_is_tested_once(self, monkeypatch):
         # Contact is armed from the control tick that enters GRAB up to the
@@ -518,7 +551,7 @@ def _built_from_default_config() -> dict:
         CameraIntrinsics: drone.intr,
         DetectionNoise: drone.noise,
         GuidanceGains: drone.agent.gains,
-        BallParams: _Plant(cfg).ball_params,
+        BallParams: _Plant(cfg, _drop).ball_params,
         FilterParams: _filter_params(cfg, DetectionClass.DRONE),
     }
 
@@ -548,7 +581,7 @@ class TestEvents:
             "0f8464571292996659d626b53ae7f561f3896abff9a855f23097273e2f66c946",
             "c185661b16aa6b1d41a48b51f13c98e3d3fc420dc353c39da826b2b6499535ff",
         )
-        # replay's plant stops once at the over-swing and goes on
+        # replay's plant flags the over-swing to its no-op sink and goes on
         assert replay_divergence(detailed) <= 1e-9
 
 
