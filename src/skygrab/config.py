@@ -325,7 +325,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     fields become floats and vectors tuples of floats, so an integer
     spelling in YAML gives the same config and log header.
     """
-    cfg = _build(ScenarioConfig, data or {}, "")
+    cfg = _build(ScenarioConfig, data, "")
     r = cfg.rates
     _require(r.vision <= r.dynamics, "rates.vision", "must not exceed rates.dynamics")
     _require(r.control <= r.dynamics, "rates.control", "must not exceed rates.dynamics")

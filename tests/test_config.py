@@ -9,6 +9,7 @@ from skygrab.config import (
     ConfigError,
     DroneConfig,
     ScenarioConfig,
+    config_from_dict,
     load_config,
     parse_config,
 )
@@ -141,6 +142,12 @@ class TestParseConfig:
 
     def test_null_drone_entry_is_the_default_grabber(self):
         assert parse_config("drones: [null]\n").drones == (DroneConfig(),)
+
+    @pytest.mark.parametrize("data", [[], 0, "", False], ids=repr)
+    def test_falsy_non_mapping_is_not_the_baseline(self, data):
+        with pytest.raises(ConfigError) as e:
+            config_from_dict(data)
+        assert str(e.value) == "document: expected a mapping"
 
 
 class TestConfigsShareNothing:
