@@ -170,8 +170,8 @@ class _Plant:
     drives it with the agents' commands and ``replay_divergence`` with
     the logged ones, read in log order, so both integrate the world
     through ``advance``. ``event(t, name, drone, data)`` receives the
-    events the plant's rules raise: the run passes its log writer,
-    replay a no-op.
+    events the plant's rules raise: the run passes its log's
+    ``append_event``, replay a no-op.
     Each vehicle's command is held over a block, so its state is stepped
     once per block, for all the block's steps. Contact is a rule of the
     plant: while it is armed, the first state with the ball in the
@@ -366,14 +366,14 @@ class _Run:
 
     ``run_scenario`` runs the vision and control stages on the steps
     that select them, then advances the plant to the next such step; the
-    plant writes its own events through ``event``.
+    plant appends its own events to the log.
     """
 
     def __init__(self, config: ScenarioConfig, detail: bool, log: SimLog):
         self.config = config
         self.detail = detail
         self.log = log
-        self.plant = _Plant(config, self.event)
+        self.plant = _Plant(config, log.append_event)
         self.channel = Channel(config.channel, substream(config.seed, _STREAM_CHANNEL))
         collaborative = any(d.role == "tracker" for d in config.drones)
         self.drones = [
@@ -410,7 +410,7 @@ class _Run:
                 ego_px_rate=d.intr.focal_px * uav.yaw_rate,
             )
             for name, cls in events:
-                self.event(t, name, d.id, {"cls": cls, "phase": d.agent.phase.value})
+                log.append_event(t, name, d.id, {"cls": cls, "phase": d.agent.phase.value})
             if self.detail:
                 cp = cam.camera_position(uav, d.mount)
                 log.append(
@@ -502,12 +502,8 @@ class _Run:
             for uav, cmd in zip(plant.uavs, plant.cmds)
         ):
             return True
-        self.event(t, "nonfinite_state", None, {})
+        log.append_event(t, "nonfinite_state", None, {})
         return False
-
-    def event(self, t: float, name: str, drone: str | None, data: dict) -> None:
-        """Log an event record; every event of a run is written here."""
-        self.log.append({"kind": "event", "t": t, "event": name, "drone": drone, "data": data})
 
     def verdict(self) -> dict:
         verdict, t_capture, failure = outcome(self.log)

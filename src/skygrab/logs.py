@@ -34,6 +34,10 @@ class SimLog:
     def append(self, record: dict):
         self.records.append(record)
 
+    def append_event(self, t: float, name: str, drone: str | None, data: dict) -> None:
+        """Append an event record; every event of a run is written here."""
+        self.records.append({"kind": "event", "t": t, "event": name, "drone": drone, "data": data})
+
     def iter_kind(self, kind: str):
         return (r for r in self.records if r["kind"] == kind)
 
