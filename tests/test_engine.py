@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 import os
 import re
@@ -564,6 +565,20 @@ def test_parameter_type_defaults_equal_config_defaults(cls):
     # Tests build these types with their own defaults and call them the
     # shipped values; the engine fills them from the config sections.
     assert _built_from_default_config()[cls] == cls()
+
+
+def test_a_finished_run_needs_no_cyclic_collection():
+    # Nothing a run builds may point back at the run (the plant's event
+    # sink included): a cycle would keep each finished run, its log
+    # included, alive until the cyclic collector runs, and raise a
+    # batch's peak memory.
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(load_config(CONFIGS / "nominal_static.yaml"), detail=False)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestEvents:
