@@ -601,13 +601,14 @@ def replay_divergence(log: SimLog) -> float:
     cfg = config_from_dict(log.header["config"])
     plant = _Plant(cfg, lambda *_: None)
     index = {d.id: i for i, d in enumerate(cfg.drones)}
-    grabber = cfg.drones[plant.grabber].id
+    grabber = log.grabber["id"]
     worst, compared, grab = 0.0, False, False
     for r in log.records:
         kind = r["kind"]
         if kind != "command" and kind != "state" and kind != "phase":
             continue
-        if not plant.advance(round(r["t"] / plant.dt) - plant.k, grab):
+        k = round(r["t"] / plant.dt)
+        if k > plant.k and not plant.advance(k - plant.k, grab):
             return math.inf
         if kind == "command":
             c = r["cmd"]
