@@ -596,13 +596,16 @@ def replay_divergence(log: SimLog) -> float:
     phase is GRAB. The ball therefore leaves its rod by the plant's own
     contact rule, as in the run; the log's events are not read. A plant
     step that is not finite reads as infinite divergence; a header
-    config that validation rejects raises ConfigError.
+    config that validation rejects raises ConfigError, and a log with
+    no state record, a lean one, ValueError before any step.
     """
     cfg = config_from_dict(log.header["config"])
+    if not any(r["kind"] == "state" for r in log.records):
+        raise ValueError("log has no state records to replay against")
     plant = _Plant(cfg, lambda *_: None)
     index = {d.id: i for i, d in enumerate(cfg.drones)}
     grabber = log.grabber["id"]
-    worst, compared, grab = 0.0, False, False
+    worst, grab = 0.0, False
     for r in log.records:
         kind = r["kind"]
         if kind != "command" and kind != "state" and kind != "phase":
@@ -614,14 +617,11 @@ def replay_divergence(log: SimLog) -> float:
             c = r["cmd"]
             plant.cmds[index[r["drone"]]] = VelocityCommand(c["vx"], c["vy"], c["vz"], c["yaw_rate"])
         elif kind == "state":
-            compared = True
             for drone_id, s in r["drones"].items():
                 worst = max(worst, _max_abs_error(plant.uavs[index[drone_id]].position, s["p"]))
             worst = max(worst, _max_abs_error(plant.ball_position(), r["ball"]["p"]))
         elif r["drone"] == grabber:
             grab = r["to"] == "grab"
-    if not compared:
-        raise ValueError("log has no state records to replay against")
     return worst
 
 

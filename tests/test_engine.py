@@ -391,8 +391,9 @@ class TestDisturbedRun:
         cut = SimLog(header=disturbed_log.header, records=records[: states[len(states) // 2] + 1])
         assert replay_divergence(cut) <= 1e-9
 
-    def test_lean_log_has_nothing_to_replay(self):
+    def test_lean_log_has_nothing_to_replay(self, monkeypatch):
         log = run_scenario(load_config(CONFIGS / "nominal_static.yaml"), detail=False)
+        monkeypatch.setattr(_Plant, "advance", None)  # found before the plant takes a step
         with pytest.raises(ValueError, match="no state records"):
             replay_divergence(log)
 
